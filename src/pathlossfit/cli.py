@@ -6,8 +6,8 @@ truncated file behind. Runs are fully reproducible: reports carry the tool
 version, the input digest and every setting that shaped the result, and no
 timestamps or other ambient state.
 
-Exit codes: 0 success, 1 fit/model error, 2 configuration or input error,
-3 fully degenerate sweep.
+Exit codes: 0 success, 1 fit/model error, 2 configuration, input or file
+system error, 3 fully degenerate sweep.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .sensitivity import (
     SweepError,
     parameter_trace,
     run_sweep,
+    steps,
 )
 
 EXIT_OK = 0
@@ -144,7 +145,7 @@ def _fit_report_dict(report: FitReport) -> dict:
         "sigma_db": report.sigma,
         "n_points": report.n_points,
         "flags": list(report.flags),
-        "residuals_db": list(report.residuals),
+        "residuals_db": report.residuals.tolist(),
     }
 
 
@@ -258,19 +259,15 @@ def _split_spec(args: argparse.Namespace) -> DistanceClose | DistanceFar | Frequ
     try:
         if args.split == "distance-close":
             d_max = args.d_max if args.d_max is not None else 200.0
-            return DistanceClose(d_max, grid if grid is not None else _default_grid(600.0))
+            return DistanceClose(d_max, grid if grid is not None else steps(600.0))
         if args.split == "distance-far":
             d_min = args.d_min if args.d_min is not None else 600.0
-            return DistanceFar(d_min, grid if grid is not None else _default_grid(400.0))
+            return DistanceFar(d_min, grid if grid is not None else steps(400.0))
         if args.split == "frequency-loo":
             return FrequencyLOO(args.hold_out)
     except SweepError as exc:  # malformed grid or cutoff is a config problem
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown split {args.split!r}")
-
-
-def _default_grid(stop: float) -> tuple[float, ...]:
-    return tuple(np.arange(0.0, stop + 1.0, 50.0))
 
 
 def _split_spec_dict(spec) -> dict:
@@ -498,6 +495,9 @@ def main(argv=None) -> int:
     except (FitError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # unreadable input, unwritable output directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

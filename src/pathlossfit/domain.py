@@ -70,6 +70,29 @@ INH_SM = Scenario("InHSM")
 OTHER = Scenario("Other")
 
 
+# Per-column sample invariants: (message, rule on finite values).
+_SAMPLE_RULES = {
+    "frequency": ("frequency must be > 0 GHz", lambda v: v > 0),
+    "distance": ("distance must be >= 1 m", lambda v: v >= 1.0),
+    "path_loss": ("path_loss must be finite", lambda v: v == v),
+}
+
+
+def first_violation(column: str, values) -> tuple[int, str] | None:
+    """Index and message of the first value of ``column`` (frequency, distance
+    or path_loss) that breaks the sample invariants, or None if all hold.
+
+    ``values`` may be a scalar or an array; every value must be finite.
+    """
+    values = np.asarray(values, dtype=float)
+    text, rule = _SAMPLE_RULES[column]
+    ok = np.isfinite(values) & rule(values)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok.reshape(-1)))
+    return i, f"{text}, got {float(values.reshape(-1)[i])}"
+
+
 @dataclass(frozen=True)
 class PathLossSample:
     """One path loss observation: (frequency GHz, 3D distance m, loss dB).
@@ -85,58 +108,140 @@ class PathLossSample:
     campaign: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise DomainError(f"frequency must be > 0 GHz, got {self.frequency}")
-        if not (math.isfinite(self.distance) and self.distance >= 1.0):
-            raise DomainError(f"distance must be >= 1 m, got {self.distance}")
-        if not math.isfinite(self.path_loss):
-            raise DomainError(f"path_loss must be finite, got {self.path_loss}")
+        for column in _SAMPLE_RULES:
+            problem = first_violation(column, getattr(self, column))
+            if problem is not None:
+                raise DomainError(problem[1])
 
 
-@dataclass(frozen=True)
+# The labels a sample carries besides its numbers.
+Label = tuple[Scenario, Environment, str]
+DEFAULT_LABEL: Label = (OTHER, Environment.NLOS, "")
+
+
+def _readonly(values, dtype=float) -> np.ndarray:
+    """A read-only 1-D copy of ``values``."""
+    out = np.array(values, dtype=dtype).reshape(-1)
+    out.setflags(write=False)
+    return out
+
+
 class Dataset:
-    """Immutable, validated collection of path loss samples.
+    """Immutable, validated path loss samples stored as read-only columns.
+
+    ``frequency``, ``distance`` and ``path_loss`` are float64 arrays, one
+    entry per sample. ``codes[i]`` indexes ``labels``, a tuple of distinct
+    (scenario, environment, campaign) triples, to give sample i's labels.
+    ``Dataset(samples)`` builds one from :class:`PathLossSample` rows and
+    :meth:`from_columns` from arrays. ``samples`` and iteration give the rows
+    back, built on demand.
 
     ``freq_summary`` lists each unique frequency once, ascending, with its
     sample count; the counts always sum to ``len(dataset)``.
     """
 
-    samples: tuple[PathLossSample, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
+    def __init__(self, samples: Iterable[PathLossSample] = ()) -> None:
+        rows = tuple(samples)
+        index: dict[Label, int] = {}
+        codes = [index.setdefault((s.scenario, s.environment, s.campaign), len(index))
+                 for s in rows]
+        self._assign([s.frequency for s in rows], [s.distance for s in rows],
+                     [s.path_loss for s in rows], codes, tuple(index))
+        self._validate()
 
     @classmethod
-    def of(cls, samples: Iterable[PathLossSample]) -> "Dataset":
-        return cls(tuple(samples))
+    def from_columns(cls, frequency, distance, path_loss, codes=None,
+                     labels: tuple[Label, ...] = (DEFAULT_LABEL,)) -> "Dataset":
+        """Dataset from equal-length columns; ``codes`` index ``labels``.
+
+        Without ``codes`` every sample carries ``labels[0]``. The columns are
+        copied and validated: f > 0 GHz, d >= 1 m, finite loss.
+        """
+        if codes is None:
+            codes = np.zeros(np.size(frequency), dtype=np.intp)
+        ds = cls.__new__(cls)
+        ds._assign(frequency, distance, path_loss, codes, tuple(labels))
+        ds._validate()
+        return ds
+
+    def _assign(self, frequency, distance, path_loss, codes, labels) -> None:
+        self.frequency = _readonly(frequency)
+        self.distance = _readonly(distance)
+        self.path_loss = _readonly(path_loss)
+        self.codes = _readonly(codes, dtype=np.intp)
+        self.labels = labels
+
+    def _validate(self) -> None:
+        n = self.frequency.size
+        if not (self.distance.size == self.path_loss.size == self.codes.size == n):
+            raise DomainError("dataset columns must share one length")
+        for column in _SAMPLE_RULES:
+            problem = first_violation(column, getattr(self, column))
+            if problem is not None:
+                raise DomainError(problem[1])
+        if n and not (0 <= self.codes.min() and self.codes.max() < len(self.labels)):
+            raise DomainError("label codes must index the labels")
+        if len(set(self.labels)) != len(self.labels):
+            raise DomainError("dataset labels must be distinct")
+        for scenario, environment, campaign in self.labels:
+            if not (isinstance(scenario, Scenario) and isinstance(environment, Environment)
+                    and isinstance(campaign, str)):
+                raise DomainError("a label is (Scenario, Environment, campaign str)")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return int(self.frequency.size)
 
     def __iter__(self) -> Iterator[PathLossSample]:
         return iter(self.samples)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (np.array_equal(self.frequency, other.frequency)
+                and np.array_equal(self.distance, other.distance)
+                and np.array_equal(self.path_loss, other.path_loss)
+                and self.row_labels() == other.row_labels())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={len(self)}, frequencies={self.frequencies})"
+
+    @property
+    def samples(self) -> tuple[PathLossSample, ...]:
+        """The samples as rows, built on each call."""
+        return tuple(PathLossSample(f, d, pl, *label) for f, d, pl, label in zip(
+            self.frequency.tolist(), self.distance.tolist(), self.path_loss.tolist(),
+            self.row_labels()))
+
+    def row_labels(self) -> list[Label]:
+        """Each sample's (scenario, environment, campaign), in sample order."""
+        return [self.labels[c] for c in self.codes.tolist()]
+
     @cached_property
     def freq_summary(self) -> tuple[tuple[float, int], ...]:
-        counts: dict[float, int] = {}
-        for s in self.samples:
-            counts[s.frequency] = counts.get(s.frequency, 0) + 1
-        return tuple(sorted(counts.items()))
+        values, counts = np.unique(self.frequency, return_counts=True)
+        return tuple(zip(values.tolist(), counts.tolist()))
 
     @property
     def frequencies(self) -> tuple[float, ...]:
         return tuple(f for f, _ in self.freq_summary)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (frequency, distance, path_loss) as float64 arrays."""
-        f = np.array([s.frequency for s in self.samples], dtype=float)
-        d = np.array([s.distance for s in self.samples], dtype=float)
-        pl = np.array([s.path_loss for s in self.samples], dtype=float)
-        return f, d, pl
+        """Return the read-only (frequency, distance, path_loss) columns, uncopied."""
+        return self.frequency, self.distance, self.path_loss
 
     def filter(self, keep) -> "Dataset":
-        """New dataset with samples for which ``keep(sample)`` is true, order kept."""
-        return Dataset(tuple(s for s in self.samples if keep(s)))
+        """New dataset with the samples where the boolean mask ``keep`` is true, order kept."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != self.frequency.shape:
+            raise DomainError(f"mask of shape {keep.shape} does not fit {len(self)} samples")
+        index = np.flatnonzero(keep)  # one integer gather per column beats four mask gathers
+        # a subset of valid samples is valid: no second validation
+        subset = Dataset.__new__(Dataset)
+        subset._assign(self.frequency[index], self.distance[index], self.path_loss[index],
+                       self.codes[index], self.labels)
+        return subset
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +447,15 @@ def weighted_mean_frequency(ds: Dataset) -> int:
 # Fit result container.
 # ---------------------------------------------------------------------------
 
-def rms(values: Iterable[float]) -> float:
-    """Root mean square; the shadow-fading sigma is the RMS of residuals."""
-    arr = np.asarray(tuple(values), dtype=float)
+def rms(values) -> float:
+    """Root mean square of an array-like; the shadow-fading sigma is the RMS of residuals."""
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DomainError("RMS of an empty sequence is undefined")
     return float(np.sqrt(np.mean(arr * arr)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """A fitted parameter set with its residuals and shadow-fading sigma.
 
@@ -361,11 +466,12 @@ class FitReport:
     params: ModelParams
     sigma: float
     n_points: int
-    residuals: tuple[float, ...]
+    residuals: np.ndarray  # read-only float64, stored as a copy
     preprocess_settings: Mapping[str, object] | None = None
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "residuals", _readonly(self.residuals))
         if self.n_points != len(self.residuals):
             raise DomainError("n_points must equal the number of residuals")
         if self.sigma != rms(self.residuals):
@@ -375,7 +481,7 @@ class FitReport:
     def from_residuals(cls, params: ModelParams, residuals,
                        preprocess_settings: Mapping[str, object] | None = None,
                        flags: tuple[str, ...] = ()) -> "FitReport":
-        res = tuple(float(r) for r in np.asarray(residuals, dtype=float))
-        return cls(params=params, sigma=rms(res), n_points=len(res),
+        res = np.asarray(residuals, dtype=float)
+        return cls(params=params, sigma=rms(res), n_points=res.size,
                    residuals=res, preprocess_settings=preprocess_settings,
                    flags=flags)

@@ -143,10 +143,11 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
 
     The unconstrained solution regresses excess-over-1m loss on distance with
     an intercept and maps the intercept to d0 = 10^(b/(10*(2-n))). When that
-    d0 leaves ``d0_bounds``, the constrained minimum lies on the boundary, so
-    n is refit about each bound and the smaller-sigma bound is kept (the
-    nearer bound breaks ties); when n is within ~1e-6 of 2 the model is free
-    space and d0 is unidentifiable, so d0 = 1 m is reported with a flag.
+    d0 leaves ``d0_bounds`` (even beyond the float range), the constrained
+    minimum lies on the boundary, so n is refit about each bound and the
+    smaller-sigma bound is kept (the nearer bound breaks ties); when n is
+    within ~1e-6 of 2 the model is free space and d0 is unidentifiable, so
+    d0 = 1 m is reported with a flag.
     """
     lo, hi = d0_bounds
     if not (D0_BOUNDS_DEFAULT[0] <= lo < hi <= D0_BOUNDS_DEFAULT[1]):
@@ -169,7 +170,10 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
                                         preprocess_settings,
                                         flags=(FLAG_D0_UNIDENTIFIABLE,))
 
-    d0 = 10.0 ** (intercept / (10.0 * (2.0 - n)))
+    # Test log10(d0) against the upper bound before exponentiating: for n just
+    # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
+    log_d0 = intercept / (10.0 * (2.0 - n))
+    d0 = 10.0 ** log_d0 if log_d0 <= math.log10(hi) + 1.0 else math.inf
     if d0 < lo or d0 > hi:
         candidates = []
         for bound, flag in ((lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)):

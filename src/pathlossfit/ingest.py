@@ -1,6 +1,6 @@
 """CSV ingestion/serialization and a seeded synthetic campaign generator.
 
-CSV schema (UTF-8, comma separated, header required)::
+CSV schema (UTF-8, optional byte order mark, comma separated, header required)::
 
     frequency_ghz,distance_m,path_loss_db,scenario,environment,campaign
 
@@ -29,9 +29,9 @@ from .domain import (
     Environment,
     ModelParams,
     OTHER,
-    PathLossSample,
     Scenario,
     evaluate,
+    first_violation,
     params_from_dict,
     params_to_dict,
 )
@@ -58,10 +58,11 @@ def load_csv(path: str | Path) -> Dataset:
     """Parse a measurement CSV into a validated dataset.
 
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
-    loss) aborts the load with a diagnostic naming the file line.
+    loss) aborts the load with a diagnostic naming the first bad file line.
+    A leading UTF-8 byte order mark is skipped.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -74,50 +75,82 @@ def load_csv(path: str | Path) -> Dataset:
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
-        index = {c: header.index(c) for c in CSV_COLUMNS}
+        rows = list(reader)
 
-        samples = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise IngestError(f"{path} line {line_no}: expected "
-                                  f"{len(header)} columns, got {len(row)}")
-            samples.append(_parse_row(path, line_no, row, index))
-    return Dataset(tuple(samples))
+    # Each check notes its first bad row as (row, check order, message). The
+    # earliest row wins, then the earlier check. Data row i is file line i + 2.
+    problems: list[tuple[int, int, str]] = []
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = np.flatnonzero(widths < len(header))
+    if short.size:
+        row = int(short[0])
+        problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
+        rows = rows[:row]
+    columns = list(zip(*rows)) or [()] * len(header)
+    text = {c: columns[header.index(c)] for c in CSV_COLUMNS}
+
+    numbers = [_floats(text[column], column, order, problems)
+               for order, column in enumerate(CSV_COLUMNS[:3], start=1)]
+    codes, labels = _labels(text, problems)
+    for order, (name, values) in enumerate(zip(_SAMPLE_COLUMNS, numbers), start=5):
+        problem = first_violation(name, values)
+        if problem is not None:
+            problems.append((problem[0], order, problem[1]))
+    if problems:
+        row, _, message = min(problems)
+        raise IngestError(f"{path} line {row + 2}: {message}")
+    return Dataset.from_columns(*numbers, codes, labels)
 
 
-def _parse_row(path: Path, line_no: int, row: list[str], index) -> PathLossSample:
-    def number(column: str) -> float:
-        text = row[index[column]].strip()
-        try:
-            return float(text)
-        except ValueError:
-            raise IngestError(
-                f"{path} line {line_no}: unparsable {column} value {text!r}") from None
+_SAMPLE_COLUMNS = ("frequency", "distance", "path_loss")
 
-    frequency = number("frequency_ghz")
-    distance = number("distance_m")
-    path_loss = number("path_loss_db")
+
+def _floats(texts: tuple[str, ...], column: str, order: int, problems: list) -> np.ndarray:
+    """The parsed values; on a bad one, only those before it, and a problem noted."""
     try:
-        scenario = Scenario.parse(row[index["scenario"]].strip())
-        environment = Environment(row[index["environment"]].strip())
-        return PathLossSample(frequency=frequency, distance=distance,
-                              path_loss=path_loss, scenario=scenario,
-                              environment=environment,
-                              campaign=row[index["campaign"]].strip())
-    except (DomainError, ValueError) as exc:
-        raise IngestError(f"{path} line {line_no}: {exc}") from None
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError:
+                problems.append((len(values), order,
+                                 f"unparsable {column} value {text.strip()!r}"))
+                return np.array(values, dtype=float)
+        raise
+
+
+def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
+    """Each row's label code and the distinct labels; on a bad label, a problem noted."""
+    index: dict[tuple[str, str, str], int] = {}
+    raw = np.array([index.setdefault(key, len(index)) for key in zip(
+        text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
+    labels: dict[tuple, int] = {}
+    remap = []
+    for code, (scenario, environment, campaign) in enumerate(index):
+        try:
+            label = (Scenario.parse(scenario.strip()), Environment(environment.strip()),
+                     campaign.strip())
+        except (DomainError, ValueError) as exc:
+            problems.append((int(np.argmax(raw == code)), 4, str(exc)))
+            return raw, ()
+        remap.append(labels.setdefault(label, len(labels)))
+    return np.array(remap, dtype=np.intp)[raw], tuple(labels)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write the canonical CSV form: shortest round-trip float text, LF endings."""
     path = Path(path)
+    label_text = [(str(scenario), environment.value, campaign)
+                  for scenario, environment, campaign in ds.labels]
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for s in ds:
-            writer.writerow([repr(s.frequency), repr(s.distance),
-                             repr(s.path_loss), str(s.scenario),
-                             s.environment.value, s.campaign])
+        writer.writerows(
+            (repr(f), repr(d), repr(pl), *label_text[c])
+            for f, d, pl, c in zip(ds.frequency.tolist(), ds.distance.tolist(),
+                                   ds.path_loss.tolist(), ds.codes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +226,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     is sigma times the inverse standard normal CDF of the uniform.
     """
     d_lo, d_hi = spec.distance_range
-    samples: list[PathLossSample] = []
+    frequency, distance, path_loss = [], [], []
     i = 0
     for freq, count in spec.frequencies:
         u_dist = np.array([counter_uniform(spec.seed, 2 * (i + j)) for j in range(count)])
@@ -205,13 +238,12 @@ def generate(spec: SyntheticSpec) -> Dataset:
             distances = d_lo + (d_hi - d_lo) * u_dist
         noise = spec.sigma * np.array([_STD_NORMAL.inv_cdf(u) for u in u_shad])
         losses = np.asarray(evaluate(spec.truth, freq, distances), dtype=float) + noise
-        for dist, loss in zip(distances, losses):
-            samples.append(PathLossSample(frequency=freq, distance=float(dist),
-                                          path_loss=float(loss),
-                                          scenario=spec.scenario,
-                                          environment=spec.environment,
-                                          campaign=spec.campaign))
-    return Dataset(tuple(samples))
+        frequency.append(np.full(count, freq))
+        distance.append(distances)
+        path_loss.append(losses)
+    return Dataset.from_columns(np.concatenate(frequency), np.concatenate(distance),
+                                np.concatenate(path_loss),
+                                labels=((spec.scenario, spec.environment, spec.campaign),))
 
 
 # ---------------------------------------------------------------------------

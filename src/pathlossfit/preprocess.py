@@ -9,12 +9,11 @@ never average together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Dataset, DomainError, PathLossSample, fspl
+from .domain import Dataset, DomainError, fspl
 
 BIN_AVERAGE_MODES = ("db", "linear")
 
@@ -66,19 +65,9 @@ class PreprocessResult:
 
 def threshold(ds: Dataset, settings: PreprocessSettings) -> ThresholdResult:
     """Drop samples with path_loss > FSPL(f, 1 m) + margin, keeping order."""
-    kept = []
-    removed = 0
-    for s in ds:
-        if s.path_loss > fspl(s.frequency, 1.0) + settings.threshold_margin:
-            removed += 1
-        else:
-            kept.append(s)
-    return ThresholdResult(Dataset(tuple(kept)), removed)
-
-
-def _group_key(sample: PathLossSample, bin_width: float):
-    return (sample.campaign, sample.frequency, sample.environment,
-            sample.scenario, math.floor(sample.distance / bin_width))
+    f, _, pl = ds.arrays()
+    over = pl > fspl(f, 1.0) + settings.threshold_margin
+    return ThresholdResult(ds.filter(~over), int(np.count_nonzero(over)))
 
 
 def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
@@ -89,24 +78,32 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
     groups appear in order of first occurrence. Averaging runs in dB or in
     linear power depending on ``settings.bin_average``.
     """
-    groups: dict[tuple, list[PathLossSample]] = {}
-    for s in ds:
-        groups.setdefault(_group_key(s, settings.bin_width), []).append(s)
+    f, d, pl = ds.arrays()
+    if len(ds) == 0:
+        return ds
+    keys = np.column_stack([ds.codes, f, np.floor(d / settings.bin_width)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # renumber groups by first occurrence, then list members group by group
+    # (stable, so each group's members stay in input order)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    group = rank[inverse.reshape(-1)]
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
 
-    out = []
-    for members in groups.values():
-        distance = float(np.mean([m.distance for m in members]))
-        losses = np.array([m.path_loss for m in members])
+    distance = np.empty(sizes.size)
+    path_loss = np.empty(sizes.size)
+    for i, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        index = order[start:start + size]
+        distance[i] = np.mean(d[index])
+        losses = pl[index]
         if settings.bin_average == "db":
-            path_loss = float(np.mean(losses))
+            path_loss[i] = np.mean(losses)
         else:
-            path_loss = float(10.0 * np.log10(np.mean(10.0 ** (losses / 10.0))))
-        head = members[0]
-        out.append(PathLossSample(frequency=head.frequency, distance=distance,
-                                  path_loss=path_loss, scenario=head.scenario,
-                                  environment=head.environment,
-                                  campaign=head.campaign))
-    return Dataset(tuple(out))
+            path_loss[i] = 10.0 * np.log10(np.mean(10.0 ** (losses / 10.0)))
+    heads = np.sort(first)  # each group's first member, in group order
+    return Dataset.from_columns(f[heads], distance, path_loss, ds.codes[heads], ds.labels)
 
 
 def apply(ds: Dataset, settings: PreprocessSettings) -> PreprocessResult:

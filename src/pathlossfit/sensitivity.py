@@ -133,15 +133,16 @@ def split(ds: Dataset, spec: SplitSpec, point: float) -> tuple[Dataset, Dataset]
     Returns (measurement, prediction). For the distance rules, samples in the
     widening gap between the sets belong to neither and are dropped.
     """
+    f, d, _ = ds.arrays()
     if isinstance(spec, DistanceClose):
-        prediction = ds.filter(lambda s: s.distance <= spec.d_max)
-        measurement = ds.filter(lambda s: s.distance > spec.d_max + point)
+        prediction = ds.filter(d <= spec.d_max)
+        measurement = ds.filter(d > spec.d_max + point)
     elif isinstance(spec, DistanceFar):
-        prediction = ds.filter(lambda s: s.distance >= spec.d_min)
-        measurement = ds.filter(lambda s: s.distance < spec.d_min - point)
+        prediction = ds.filter(d >= spec.d_min)
+        measurement = ds.filter(d < spec.d_min - point)
     elif isinstance(spec, FrequencyLOO):
-        prediction = ds.filter(lambda s: s.frequency == point)
-        measurement = ds.filter(lambda s: s.frequency != point)
+        prediction = ds.filter(f == point)
+        measurement = ds.filter(f != point)
     else:
         raise SweepError(f"unknown split spec {type(spec).__name__}")
     return measurement, prediction

@@ -135,6 +135,17 @@ class TestFit:
         assert "not found" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_unwritable_out_dir_exits_2_with_one_line(self, tmp_path, exact_ci_spec_file,
+                                                       capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        assert run("fit", "--synthetic", exact_ci_spec_file,
+                   "--out-dir", blocker / "sub") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_requires_exactly_one_source(self, tmp_path, ci_spec_file, capsys):
         assert run("fit", "--out-dir", tmp_path) == 2
         csv_path = tmp_path / "d.csv"

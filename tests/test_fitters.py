@@ -130,6 +130,18 @@ class TestFitCiOpt:
         with pytest.raises(DegenerateDesignError):
             fit_ci_opt(ds)
 
+    @pytest.mark.parametrize("shortfall", [1e-5, 2e-6])
+    def test_slope_just_below_two_with_excess_clamps_instead_of_overflowing(self, shortfall):
+        # log10 d0 = 3 / (10 * shortfall) is far beyond any float exponent
+        d = np.geomspace(10.0, 1000.0, 50)
+        pl = fspl(28.0, 1.0) + 10.0 * (2.0 - shortfall) * np.log10(d) + 3.0
+        ds = make_dataset(zip([28.0] * 50, d.tolist(), pl.tolist()))
+        report = fit_ci_opt(ds)
+        bound = {"d0_clamped_low": 0.1, "d0_clamped_high": 50.0}
+        assert len(report.flags) == 1 and report.flags[0] in bound
+        assert report.params.d0 == bound[report.flags[0]]
+        assert report.sigma <= oracle_fit(ds, "ci_opt").sigma + 1e-9
+
     def test_rejects_bounds_outside_contract(self):
         ds = noisy(CIParams(3.0), (2.0, 28.0), 3.0, seed=5)
         with pytest.raises(FitError):

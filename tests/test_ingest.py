@@ -51,6 +51,26 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, VALID_HEADER + rows))
         assert ds.freq_summary == ((2.0, 2), (10.0, 1))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (VALID_HEADER + "28,100,120.5,UMa,NLOS,aau\n").encode())
+        ds = load_csv(path)
+        assert ds == load_csv(write(tmp_path, VALID_HEADER + "28,100,120.5,UMa,NLOS,aau\n"))
+        assert ds.samples[0].frequency == 28.0
+
+    @pytest.mark.parametrize("rows,match", [
+        ("28,100,120,UMa,NLOS,a\n28,0.5,120,UMa,NLOS,a\n28,abc,120,UMa,NLOS,a\n",
+         r"line 3: distance must be >= 1 m"),
+        ("28,100,120,Rural,NLOS,a\n28,100\n", r"line 2: unknown scenario"),
+        ("28,100,120,UMa,NLOS,a\n28,100\n28,abc,120,UMa,NLOS,a\n",
+         r"line 3: expected 6 columns, got 2"),
+        ("0,100,abc,UMa,NLOS,a\n", r"line 2: unparsable path_loss_db"),
+        ("0,100,120,UMa,maybe,a\n", r"line 2: 'maybe' is not a valid Environment"),
+    ])
+    def test_first_bad_line_wins_whatever_is_wrong_with_it(self, tmp_path, rows, match):
+        with pytest.raises(IngestError, match=match):
+            load_csv(write(tmp_path, VALID_HEADER + rows))
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "frequency_ghz,distance_m,path_loss_db,scenario,environment\n")
         with pytest.raises(IngestError, match="missing column.*campaign"):
