@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -22,12 +23,12 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .domain import (
-    CIOptParams,
     Dataset,
     DomainError,
     FitReport,
@@ -51,9 +52,10 @@ from .sensitivity import (
     FrequencyLOO,
     PredictionReport,
     SweepError,
+    default_close_spec,
+    default_far_spec,
     parameter_trace,
     run_sweep,
-    steps,
 )
 
 EXIT_OK = 0
@@ -110,15 +112,40 @@ def _load_input(config: RunConfig) -> tuple[Dataset, dict]:
     return ds, provenance
 
 
-def _write_outputs(files: dict[Path, str]) -> None:
-    """Stage every output to a temp file, then rename all (atomic per file)."""
+def _prepare(config: RunConfig) -> tuple[Dataset, dict]:
+    """Load and condition the input. Returns the dataset to fit and the
+    fields every report shares: tool, input, preprocess, f0 and d0_bounds."""
+    ds_raw, provenance = _load_input(config)
+    pp = preprocess_apply(ds_raw, config.preprocess)
+    head = {
+        "tool": {"name": "pathlossfit", "version": __version__},
+        "input": provenance,
+        "preprocess": {**config.preprocess.as_dict(),
+                       "n_input": pp.n_input,
+                       "removed_by_threshold": pp.removed_by_threshold,
+                       "n_output": len(pp.dataset)},
+        "f0": config.f0,
+        "d0_bounds": list(config.d0_bounds),
+    }
+    return pp.dataset, head
+
+
+def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
+    """Stage every output to a temp file, then rename all (atomic per file).
+
+    Each value is the file's text, or a function that writes the file to the
+    path it is given.
+    """
     staged = []
     try:
         for path, content in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(content, encoding="utf-8")
             staged.append((tmp, path))
+            if callable(content):
+                content(tmp)
+            else:
+                tmp.write_text(content, encoding="utf-8")
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -155,9 +182,7 @@ def _fit_report_dict(report: FitReport) -> dict:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    ds_raw, provenance = _load_input(config)
-    pp = preprocess_apply(ds_raw, config.preprocess)
-    ds = pp.dataset
+    ds, head = _prepare(config)
 
     fits: dict[str, FitReport] = {}
     for kind in config.models:
@@ -169,17 +194,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                   "(frequency slope fixed at 2)", file=sys.stderr)
         fits[kind] = report
 
-    report_doc = {
-        "tool": {"name": "pathlossfit", "version": __version__},
-        "input": provenance,
-        "preprocess": {**config.preprocess.as_dict(),
-                       "n_input": pp.n_input,
-                       "removed_by_threshold": pp.removed_by_threshold,
-                       "n_output": len(ds)},
-        "f0": config.f0,
-        "d0_bounds": list(config.d0_bounds),
-        "models": {kind: _fit_report_dict(rep) for kind, rep in fits.items()},
-    }
+    report_doc = {**head,
+                  "models": {kind: _fit_report_dict(rep) for kind, rep in fits.items()}}
     outputs = {
         config.out_dir / "fit_report.json": _json_text(report_doc),
         config.out_dir / "model_curves.csv": _model_curves_csv(ds, fits),
@@ -200,14 +216,10 @@ def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
         free_space = fspl(freq, grid)
         columns = []
         for report in fits.values():
-            params = report.params
-            if isinstance(params, CIOptParams):
-                # undefined below the fitted reference distance
-                values = [repr(float(evaluate(params, freq, x))) if x >= params.d0
-                          else "" for x in grid]
-            else:
-                values = [repr(float(v)) for v in evaluate(params, freq, grid)]
-            columns.append(values)
+            # a model is undefined below its reference distance (1 m unless fitted)
+            valid = grid >= getattr(report.params, "d0", 1.0)
+            values = iter(evaluate(report.params, freq, grid[valid]).tolist())
+            columns.append([repr(next(values)) if ok else "" for ok in valid])
         for i, x in enumerate(grid):
             rows.append([repr(float(freq)), repr(float(x)), repr(float(free_space[i]))]
                         + [col[i] for col in columns])
@@ -221,24 +233,16 @@ def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _run_config(args)
     split_spec = _split_spec(args)
-    ds_raw, provenance = _load_input(config)
-    pp = preprocess_apply(ds_raw, config.preprocess)
+    ds, head = _prepare(config)
 
-    report = run_sweep(pp.dataset, split_spec, config.models,
+    report = run_sweep(ds, split_spec, config.models,
                        f0=config.f0, d0_bounds=config.d0_bounds)
     trace = parameter_trace(report)
 
     report_doc = {
-        "tool": {"name": "pathlossfit", "version": __version__},
-        "input": provenance,
-        "preprocess": {**config.preprocess.as_dict(),
-                       "n_input": pp.n_input,
-                       "removed_by_threshold": pp.removed_by_threshold,
-                       "n_output": len(pp.dataset)},
-        "split": _split_spec_dict(split_spec),
+        **head,
+        "split": {"kind": split_spec.kind, **dataclasses.asdict(split_spec)},
         "models": list(config.models),
-        "f0": config.f0,
-        "d0_bounds": list(config.d0_bounds),
         "points": [_sweep_point_dict(p) for p in report.points],
         "parameter_ranges": [
             {"model": r.model, "param": r.name, "low": r.low,
@@ -255,29 +259,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _split_spec(args: argparse.Namespace) -> DistanceClose | DistanceFar | FrequencyLOO:
-    grid = tuple(args.delta_grid) if args.delta_grid is not None else None
+    grid = args.delta_grid
     try:
         if args.split == "distance-close":
-            d_max = args.d_max if args.d_max is not None else 200.0
-            return DistanceClose(d_max, grid if grid is not None else steps(600.0))
+            default = default_close_spec("UMa")
+            return DistanceClose(default.d_max if args.d_max is None else args.d_max,
+                                 default.delta_grid if grid is None else grid)
         if args.split == "distance-far":
-            d_min = args.d_min if args.d_min is not None else 600.0
-            return DistanceFar(d_min, grid if grid is not None else steps(400.0))
+            default = default_far_spec()
+            return DistanceFar(default.d_min if args.d_min is None else args.d_min,
+                               default.delta_grid if grid is None else grid)
         if args.split == "frequency-loo":
             return FrequencyLOO(args.hold_out)
     except SweepError as exc:  # malformed grid or cutoff is a config problem
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown split {args.split!r}")
-
-
-def _split_spec_dict(spec) -> dict:
-    if isinstance(spec, DistanceClose):
-        return {"kind": spec.kind, "d_max": spec.d_max,
-                "delta_grid": list(spec.delta_grid)}
-    if isinstance(spec, DistanceFar):
-        return {"kind": spec.kind, "d_min": spec.d_min,
-                "delta_grid": list(spec.delta_grid)}
-    return {"kind": spec.kind, "held_out": spec.held_out}
 
 
 def _sweep_point_dict(point) -> dict:
@@ -325,12 +321,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     spec = load_spec(spec_path)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    ds = generate(spec)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    write_csv(ds, tmp)
-    os.replace(tmp, out)
+    _write_outputs({Path(args.out): functools.partial(write_csv, generate(spec))})
     return EXIT_OK
 
 
@@ -340,11 +331,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         raise ConfigError(f"input file not found: {in_path}")
     settings = _preprocess_settings(args)
     result = preprocess_apply(load_csv(in_path), settings)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    write_csv(result.dataset, tmp)
-    os.replace(tmp, out)
+    _write_outputs({Path(args.out): functools.partial(write_csv, result.dataset)})
     print(f"kept {len(result.dataset)} of {result.n_input} samples "
           f"({result.removed_by_threshold} over threshold)", file=sys.stderr)
     return EXIT_OK
@@ -481,23 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Error class -> exit code. OSError covers an unreadable input or an
+# unwritable output directory.
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, IngestError: EXIT_CONFIG, OSError: EXIT_CONFIG,
+               SweepError: EXIT_DEGENERATE, FitError: EXIT_RUNTIME, DomainError: EXIT_RUNTIME}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (FitError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:  # unreadable input, unwritable output directory
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

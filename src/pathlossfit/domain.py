@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -267,7 +267,10 @@ class ABParams:
     beta: float
 
     kind = "ab"
-    gamma = 2.0
+
+    @property
+    def gamma(self) -> float:  # the fixed slope, kept in MODEL_KINDS
+        return MODEL_KINDS["ab"].fixed["gamma"]
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,9 @@ class CIParams:
     d0 = 1.0
 
 
+D0_BOUNDS_DEFAULT = (0.1, 50.0)  # m; where an optimized reference distance may lie
+
+
 @dataclass(frozen=True)
 class CIOptParams:
     """Close-in model with an optimized reference distance d0 in [0.1, 50] m."""
@@ -289,10 +295,8 @@ class CIOptParams:
 
     kind = "ci_opt"
 
-    D0_BOUNDS = (0.1, 50.0)
-
     def __post_init__(self) -> None:
-        lo, hi = self.D0_BOUNDS
+        lo, hi = D0_BOUNDS_DEFAULT
         if not (lo <= self.d0 <= hi):
             raise DomainError(f"d0 must lie in [{lo}, {hi}] m, got {self.d0}")
 
@@ -313,44 +317,6 @@ class CIFParams:
 
 
 ModelParams = Union[ABGParams, ABParams, CIParams, CIOptParams, CIFParams]
-
-
-def params_to_dict(params: ModelParams) -> dict[str, float | str]:
-    """Serialize a parameter set to a flat JSON-friendly dict (kind + values)."""
-    out: dict[str, float | str] = {"kind": params.kind}
-    out.update(param_values(params))
-    return out
-
-
-def params_from_dict(data: Mapping[str, object]) -> ModelParams:
-    """Inverse of :func:`params_to_dict`."""
-    kind = data["kind"]
-    if kind == "abg":
-        return ABGParams(float(data["alpha"]), float(data["beta"]), float(data["gamma"]))
-    if kind == "ab":
-        return ABParams(float(data["alpha"]), float(data["beta"]))
-    if kind == "ci":
-        return CIParams(float(data["n"]))
-    if kind == "ci_opt":
-        return CIOptParams(float(data["n"]), float(data["d0"]))
-    if kind == "cif":
-        return CIFParams(float(data["n"]), float(data["b"]), float(data["f0"]))
-    raise DomainError(f"unknown model kind {kind!r}")
-
-
-def param_values(params: ModelParams) -> dict[str, float]:
-    """Fitted parameter values by name (fixed constants included for AB)."""
-    if isinstance(params, ABGParams):
-        return {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
-    if isinstance(params, ABParams):
-        return {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
-    if isinstance(params, CIParams):
-        return {"n": params.n}
-    if isinstance(params, CIOptParams):
-        return {"n": params.n, "d0": params.d0}
-    if isinstance(params, CIFParams):
-        return {"n": params.n, "b": params.b, "f0": params.f0}
-    raise DomainError(f"unknown parameter type {type(params).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +386,55 @@ def eval_cif(params: CIFParams, frequency, distance):
     return float(out) if np.ndim(out) == 0 else out
 
 
+@dataclass(frozen=True)
+class ModelKind:
+    """One model kind: its parameter class, the names of its fitted values in
+    constructor order, its evaluator, and any constants reported alongside."""
+
+    params: type
+    names: tuple[str, ...]
+    evaluator: Callable
+    fixed: Mapping[str, float] = field(default_factory=dict)
+
+
+MODEL_KINDS: dict[str, ModelKind] = {
+    "abg": ModelKind(ABGParams, ("alpha", "beta", "gamma"), eval_abg),
+    "ab": ModelKind(ABParams, ("alpha", "beta"), eval_abg, {"gamma": 2.0}),
+    "ci": ModelKind(CIParams, ("n",), eval_ci),
+    "ci_opt": ModelKind(CIOptParams, ("n", "d0"), eval_ci),
+    "cif": ModelKind(CIFParams, ("n", "b", "f0"), eval_cif),
+}
+
+
+def _model_kind(params: ModelParams) -> ModelKind:
+    entry = MODEL_KINDS.get(getattr(params, "kind", None))
+    if entry is None:
+        raise DomainError(f"unknown parameter type {type(params).__name__}")
+    return entry
+
+
+def params_to_dict(params: ModelParams) -> dict[str, float | str]:
+    """Serialize a parameter set to a flat JSON-friendly dict (kind + values)."""
+    return {"kind": params.kind, **param_values(params)}
+
+
+def params_from_dict(data: Mapping[str, object]) -> ModelParams:
+    """Inverse of :func:`params_to_dict`."""
+    entry = MODEL_KINDS.get(data["kind"])
+    if entry is None:
+        raise DomainError(f"unknown model kind {data['kind']!r}")
+    return entry.params(*(float(data[name]) for name in entry.names))
+
+
+def param_values(params: ModelParams) -> dict[str, float]:
+    """Fitted parameter values by name (fixed constants included for AB)."""
+    entry = _model_kind(params)
+    return {**{name: getattr(params, name) for name in entry.names}, **entry.fixed}
+
+
 def evaluate(params: ModelParams, frequency, distance):
     """Evaluate any fitted parameter set at (frequency GHz, distance m)."""
-    if isinstance(params, (ABGParams, ABParams)):
-        return eval_abg(params, frequency, distance)
-    if isinstance(params, (CIParams, CIOptParams)):
-        return eval_ci(params, frequency, distance)
-    if isinstance(params, CIFParams):
-        return eval_cif(params, frequency, distance)
-    raise DomainError(f"unknown parameter type {type(params).__name__}")
+    return _model_kind(params).evaluator(params, frequency, distance)
 
 
 def weighted_mean_frequency(ds: Dataset) -> int:

@@ -2,15 +2,21 @@
 
 Each fitter minimizes the RMS of the residuals (the shadow-fading sigma)
 over its model family and returns a :class:`~pathlossfit.domain.FitReport`.
-The solutions are the exact stationary points of the least-squares normal
-equations, so no iteration is involved; an independent brute-force/generic
-solver lives in :mod:`pathlossfit.oracle` for cross-checking.
+Each is one least-squares core applied to a target and at most two
+:class:`RegressionDesign` columns: CI fits A on D; AB fits B - 2F on D with
+an intercept; ABG fits B on D and F with an intercept; CI-opt fits A on D
+with an intercept; CIF fits A on D and D*f. With an intercept the means are
+removed first, so the coefficients c solve the centred normal equations
+sum(x_j' x_k') c_k = sum(x_j' y'), a 1x1 or 2x2 system solved in closed
+form, and the intercept is mean(y) - sum_j c_j*mean(x_j). No iteration is
+involved; an independent solver (SVD least squares and grid searches) lives
+in :mod:`pathlossfit.oracle` for cross-checking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -21,9 +27,11 @@ from .domain import (
     CIFParams,
     CIOptParams,
     CIParams,
+    D0_BOUNDS_DEFAULT,
     Dataset,
     FitReport,
     fspl,
+    rms,
     weighted_mean_frequency,
 )
 
@@ -35,8 +43,6 @@ SINGULARITY_RTOL = 1e-12
 # |2 - n| below this leaves d0 unidentifiable in the optimized-d0 model
 # (the model degenerates to free space, where every d0 predicts alike).
 N_NEAR_TWO_TOL = 1e-6
-
-D0_BOUNDS_DEFAULT = (0.1, 50.0)
 
 FLAG_D0_CLAMPED_LOW = "d0_clamped_low"
 FLAG_D0_CLAMPED_HIGH = "d0_clamped_high"
@@ -103,38 +109,73 @@ def _require_distance_spread(design: RegressionDesign, fitter: str) -> None:
             f"{fitter} needs at least two distinct distances")
 
 
-def _check_det(det: float, diag_product: float, context: str) -> None:
-    if abs(det) < SINGULARITY_RTOL * abs(diag_product):
+def _least_squares(y: np.ndarray, columns: tuple[np.ndarray, ...], intercept: bool,
+                   context: str) -> tuple[list[float], np.ndarray]:
+    """Least-squares coefficients of ``y`` on one or two ``columns``, and the residuals.
+
+    With ``intercept`` the means are removed first, the centred normal
+    equations give the column coefficients, and the intercept
+    mean(y) - sum_j c_j*mean(x_j) is appended to them. The 1x1 or 2x2
+    system is solved in closed form (Cramer's rule); a singular one raises
+    SingularDesignError naming ``context``.
+    """
+    if intercept:
+        # sum/size is the value of mean() without its per-call overhead
+        means = [float(x.sum()) / x.size for x in columns]
+        y_mean = float(y.sum()) / y.size
+        xs = [x - m for x, m in zip(columns, means)]
+        target = y - y_mean
+    else:
+        xs, target = columns, y
+    rhs = [float(np.dot(x, target)) for x in xs]
+    s11 = float(np.dot(xs[0], xs[0]))
+    if len(xs) == 1:
+        det = diagonal = s11
+        numerators = rhs
+    else:
+        s22 = float(np.dot(xs[1], xs[1]))
+        s12 = float(np.dot(xs[0], xs[1]))
+        det = s11 * s22 - s12 * s12
+        diagonal = s11 * s22
+        numerators = [s22 * rhs[0] - s12 * rhs[1], s11 * rhs[1] - s12 * rhs[0]]
+    if not abs(det) > SINGULARITY_RTOL * diagonal:
         raise SingularDesignError(f"{context}: normal equations are singular")
+    coefficients = [v / det for v in numerators]
+    residuals = y - coefficients[0] * columns[0]
+    if len(columns) == 2:
+        residuals -= coefficients[1] * columns[1]
+    if intercept:
+        coefficients.append(y_mean - sum(c * m for c, m in zip(coefficients, means)))
+        residuals -= coefficients[-1]
+    return coefficients, residuals
 
 
 def fit_ci(ds: Dataset,
            preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
-    """Fit the 1 m close-in model: the single slope n = sum(D*A)/sum(D^2).
+    """Fit the 1 m close-in model: the single slope n = sum(D*A)/sum(D^2),
+    the solution of the one-column system A on D.
 
     Requires at least one sample beyond 1 m, otherwise the design carries no
     distance information.
     """
     design = RegressionDesign.from_dataset(ds)
-    sum_d2 = float(np.dot(design.D, design.D))
-    if sum_d2 == 0.0:
+    if not design.D.any():
         raise DegenerateDesignError(
             "fit_ci needs at least one sample with d > 1 m (all distances are 1 m)")
-    n = float(np.dot(design.D, design.A)) / sum_d2
-    residuals = design.A - n * design.D
+    (n,), residuals = _least_squares(design.A, (design.D,), False, "fit_ci")
     return FitReport.from_residuals(CIParams(n), residuals, preprocess_settings)
 
 
 def _ci_about_fixed_d0(design: RegressionDesign, d0: float) -> tuple[float, np.ndarray]:
-    """Slope of the CI regression about a fixed reference distance d0."""
+    """Slope of the CI regression about a fixed reference distance d0:
+    A - 2*10log10(d0) on D - 10log10(d0), no intercept."""
     b10 = 10.0 * math.log10(d0)
     d_shift = design.D - b10
-    a_shift = design.A - 2.0 * b10
-    sum_d2 = float(np.dot(d_shift, d_shift))
-    if sum_d2 == 0.0:
+    if not d_shift.any():
         raise DegenerateDesignError(f"all distances equal the reference d0={d0} m")
-    n = float(np.dot(d_shift, a_shift)) / sum_d2
-    return n, a_shift - n * d_shift
+    (n,), residuals = _least_squares(design.A - 2.0 * b10, (d_shift,), False,
+                                     "fit_ci_opt")
+    return n, residuals
 
 
 def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
@@ -142,7 +183,8 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
     """Fit the close-in model with a jointly optimized reference distance.
 
     The unconstrained solution regresses excess-over-1m loss on distance with
-    an intercept and maps the intercept to d0 = 10^(b/(10*(2-n))). When that
+    an intercept, A = n*D + b, so n = sum(D'A')/sum(D'^2) over the centred
+    D' and A', and maps the intercept to d0 = 10^(b/(10*(2-n))). When that
     d0 leaves ``d0_bounds`` (even beyond the float range), the constrained
     minimum lies on the boundary, so n is refit about each bound and the
     smaller-sigma bound is kept (the nearer bound breaks ties); when n is
@@ -154,15 +196,7 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
         raise FitError(f"d0 bounds must satisfy 0.1 <= lo < hi <= 50, got {d0_bounds}")
     design = RegressionDesign.from_dataset(ds)
     _require_distance_spread(design, "fit_ci_opt")
-
-    n_pts = len(design)
-    sum_d = float(design.D.sum())
-    sum_a = float(design.A.sum())
-    sum_d2 = float(np.dot(design.D, design.D))
-    sum_da = float(np.dot(design.D, design.A))
-    denom = sum_d * sum_d - n_pts * sum_d2
-    n = (sum_a * sum_d - n_pts * sum_da) / denom
-    intercept = (sum_a - n * sum_d) / n_pts
+    (n, intercept), residuals = _least_squares(design.A, (design.D,), True, "fit_ci_opt")
 
     if abs(2.0 - n) < N_NEAR_TWO_TOL:
         n_fix, residuals = _ci_about_fixed_d0(design, 1.0)
@@ -175,24 +209,24 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
     log_d0 = intercept / (10.0 * (2.0 - n))
     d0 = 10.0 ** log_d0 if log_d0 <= math.log10(hi) + 1.0 else math.inf
     if d0 < lo or d0 > hi:
-        candidates = []
-        for bound, flag in ((lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)):
-            n_fix, residuals = _ci_about_fixed_d0(design, bound)
-            sigma = float(np.sqrt(np.mean(residuals * residuals)))
-            # tie-break toward the bound the unconstrained d0 overshot
-            nearer = (bound == lo) == (d0 < lo)
-            candidates.append((sigma, not nearer, bound, flag, n_fix, residuals))
-        _, _, bound, flag, n_fix, residuals = min(candidates, key=lambda c: c[:2])
+        # refit about each bound and keep the smaller sigma; the bound that the
+        # unconstrained d0 overshot goes first, since min keeps the first of equals
+        bounds = [(lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)]
+        refits = [(*_ci_about_fixed_d0(design, bound), bound, flag)
+                  for bound, flag in (bounds if d0 < lo else bounds[::-1])]
+        n_fix, residuals, bound, flag = min(refits, key=lambda refit: rms(refit[1]))
         return FitReport.from_residuals(CIOptParams(n_fix, bound), residuals,
                                         preprocess_settings, flags=(flag,))
 
-    residuals = design.A - n * design.D - intercept
     return FitReport.from_residuals(CIOptParams(n, d0), residuals, preprocess_settings)
 
 
 def fit_abg(ds: Dataset,
             preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
     """Fit the three-parameter floating-intercept model by its closed forms.
+
+    alpha and gamma solve the centred 2x2 system of B on D and F, and
+    beta = mean(B) - alpha*mean(D) - gamma*mean(F).
 
     Needs at least two distinct distances and two distinct frequencies; on a
     single-frequency dataset the frequency slope is unidentifiable and the
@@ -204,36 +238,8 @@ def fit_abg(ds: Dataset,
             "fit_abg needs two distinct frequencies; use fit_ab for "
             "single-frequency data (frequency slope fixed at 2)")
     _require_distance_spread(design, "fit_abg")
-
-    n_pts = len(design)
-    d, f_log, b = design.D, design.F, design.B
-    sum_d, sum_f, sum_b = float(d.sum()), float(f_log.sum()), float(b.sum())
-    sum_d2, sum_f2 = float(np.dot(d, d)), float(np.dot(f_log, f_log))
-    sum_df = float(np.dot(d, f_log))
-    sum_db = float(np.dot(d, b))
-    sum_fb = float(np.dot(f_log, b))
-
-    # Determinant of [[sum_d2, sum_d, sum_df], [sum_d, N, sum_f],
-    # [sum_df, sum_f, sum_f2]] against the product of its diagonal.
-    det = (sum_d2 * (n_pts * sum_f2 - sum_f * sum_f)
-           - sum_d * (sum_d * sum_f2 - sum_f * sum_df)
-           + sum_df * (sum_d * sum_f - n_pts * sum_df))
-    _check_det(det, sum_d2 * n_pts * sum_f2, "fit_abg")
-
-    cdd = sum_d * sum_d - n_pts * sum_d2
-    cff = sum_f * sum_f - n_pts * sum_f2
-    cdf = sum_d * sum_f - n_pts * sum_df
-    cdb = sum_d * sum_b - n_pts * sum_db
-    cfb = sum_f * sum_b - n_pts * sum_fb
-
-    alpha = (cdb * cff - cdf * cfb) / (cdd * cff - cdf * cdf)
-    gamma = (cfb * cdd - cdf * cdb) / (cff * cdd - cdf * cdf)
-    beta = (((sum_d * sum_fb - sum_b * sum_df) * (sum_f * sum_d2 - sum_d * sum_df)
-             - (sum_b * sum_d2 - sum_d * sum_db) * (sum_d * sum_f2 - sum_f * sum_df))
-            / (cdd * (sum_d * sum_f2 - sum_f * sum_df)
-               + cdf * (sum_f * sum_d2 - sum_d * sum_df)))
-
-    residuals = b - alpha * d - beta - gamma * f_log
+    (alpha, gamma, beta), residuals = _least_squares(
+        design.B, (design.D, design.F), True, "fit_abg")
     return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals,
                                     preprocess_settings)
 
@@ -243,18 +249,13 @@ def fit_ab(ds: Dataset,
     """Fit the floating-intercept model with the frequency slope fixed at 2.
 
     Equivalent to ordinary least squares of (path_loss - 20*log10(f)) on
-    10*log10(d) with an intercept.
+    10*log10(d) with an intercept: alpha = sum(D'y')/sum(D'^2) over the
+    mean-removed D' and y', beta = mean(y) - alpha*mean(D).
     """
     design = RegressionDesign.from_dataset(ds)
     _require_distance_spread(design, "fit_ab")
-
-    y = design.B - 2.0 * design.F
-    d_mean = float(design.D.mean())
-    y_mean = float(y.mean())
-    d_centered = design.D - d_mean
-    alpha = float(np.dot(d_centered, y - y_mean)) / float(np.dot(d_centered, d_centered))
-    beta = y_mean - alpha * d_mean
-    residuals = y - alpha * design.D - beta
+    (alpha, beta), residuals = _least_squares(design.B - 2.0 * design.F, (design.D,),
+                                              True, "fit_ab")
     return FitReport.from_residuals(ABParams(alpha, beta), residuals,
                                     preprocess_settings)
 
@@ -266,8 +267,10 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
 
     ``f0="auto"`` uses the sample-count-weighted mean frequency rounded to an
     integer GHz; any positive value may be passed instead. The intermediate
-    slopes a = n*(1-b) and g = n*b/f0 come from the two-regressor normal
-    equations; n = a + g*f0 and b = g*f0/n.
+    slopes a = n*(1-b) and g = n*b/f0 solve the two-column system A on D and
+    D*f, [[sum(D^2), sum(D^2 f)], [sum(D^2 f), sum(D^2 f^2)]] [a, g] =
+    [sum(D*A), sum(D*f*A)]; n = a + g*f0 and b = g*f0/n. An n that is zero to
+    working precision leaves b undefined and is an error.
 
     Single-frequency data cannot separate a from g; by default that is an
     error directing the caller to :func:`fit_ci`. With
@@ -276,9 +279,7 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
     """
     design = RegressionDesign.from_dataset(ds)
     f0_value = float(weighted_mean_frequency(ds)) if f0 == "auto" else float(f0)
-
-    sum_d2 = float(np.dot(design.D, design.D))
-    if sum_d2 == 0.0:
+    if not design.D.any():
         raise DegenerateDesignError(
             "fit_cif needs at least one sample with d > 1 m (all distances are 1 m)")
 
@@ -287,51 +288,41 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
             raise SingleFrequencyError(
                 "fit_cif needs two distinct frequencies; the model reverts to "
                 "the CI model for the single-frequency case, use fit_ci")
-        n = float(np.dot(design.D, design.A)) / sum_d2
-        residuals = design.A - n * design.D
+        (n,), residuals = _least_squares(design.A, (design.D,), False, "fit_cif")
         return FitReport.from_residuals(CIFParams(n, 0.0, f0_value), residuals,
                                         preprocess_settings,
                                         flags=(FLAG_CIF_SINGLE_FREQUENCY,))
 
-    df = design.D * design.f
-    sum_d2f = float(np.dot(design.D, df))
-    sum_d2f2 = float(np.dot(df, df))
-    sum_da = float(np.dot(design.D, design.A))
-    sum_daf = float(np.dot(df, design.A))
-    det = sum_d2 * sum_d2f2 - sum_d2f * sum_d2f
-    _check_det(det, sum_d2 * sum_d2f2, "fit_cif")
-
-    denom = sum_d2f * sum_d2f - sum_d2 * sum_d2f2
-    a = (sum_d2f * sum_daf - sum_d2f2 * sum_da) / denom
-    g = (sum_d2f * sum_da - sum_d2 * sum_daf) / denom
+    (a, g), residuals = _least_squares(design.A, (design.D, design.D * design.f), False,
+                                       "fit_cif")
     n = a + g * f0_value
-    if n == 0.0:
+    if abs(n) <= SINGULARITY_RTOL * (abs(a) + abs(g * f0_value)):
         raise FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined")
-    b = g * f0_value / n
-
-    residuals = design.A - design.D * (a + g * design.f)
-    return FitReport.from_residuals(CIFParams(n, b, f0_value), residuals,
+    return FitReport.from_residuals(CIFParams(n, g * f0_value / n, f0_value), residuals,
                                     preprocess_settings)
 
 
-FITTER_KINDS = ("abg", "ab", "ci", "ci_opt", "cif")
+# kind -> fitter(ds, f0, d0_bounds, preprocess_settings). Each entry looks its
+# fitter up by name when called, so wrappers installed on the module's fit_*
+# names (tracing, test doubles) see every dispatched call.
+_FITTERS = {
+    "abg": lambda ds, f0, d0_bounds, settings: fit_abg(ds, settings),
+    "ab": lambda ds, f0, d0_bounds, settings: fit_ab(ds, settings),
+    "ci": lambda ds, f0, d0_bounds, settings: fit_ci(ds, settings),
+    "ci_opt": lambda ds, f0, d0_bounds, settings: fit_ci_opt(ds, d0_bounds, settings),
+    "cif": lambda ds, f0, d0_bounds, settings: fit_cif(ds, f0,
+                                                       preprocess_settings=settings),
+}
+FITTER_KINDS = tuple(_FITTERS)
 
 
 def fit_model(ds: Dataset, kind: str, *, f0: float | str = "auto",
               d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
               preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
     """Dispatch to the fitter for ``kind`` (one of FITTER_KINDS)."""
-    if kind == "abg":
-        return fit_abg(ds, preprocess_settings)
-    if kind == "ab":
-        return fit_ab(ds, preprocess_settings)
-    if kind == "ci":
-        return fit_ci(ds, preprocess_settings)
-    if kind == "ci_opt":
-        return fit_ci_opt(ds, d0_bounds, preprocess_settings)
-    if kind == "cif":
-        return fit_cif(ds, f0, preprocess_settings=preprocess_settings)
-    raise FitError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
+    if kind not in _FITTERS:
+        raise FitError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
+    return _FITTERS[kind](ds, f0, d0_bounds, preprocess_settings)
 
 
 def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
@@ -346,9 +337,7 @@ def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
     single_freq = len(ds.freq_summary) == 1
     if kind == "abg" and single_freq:
         report = fit_ab(ds, preprocess_settings)
-        return FitReport.from_residuals(report.params, report.residuals,
-                                        preprocess_settings,
-                                        flags=report.flags + (FLAG_ABG_AS_AB,))
+        return replace(report, flags=report.flags + (FLAG_ABG_AS_AB,))
     if kind == "cif" and single_freq:
         return fit_cif(ds, f0=ds.freq_summary[0][0], allow_single_frequency=True,
                        preprocess_settings=preprocess_settings)

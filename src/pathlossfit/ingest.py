@@ -59,23 +59,27 @@ def load_csv(path: str | Path) -> Dataset:
 
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
     loss) aborts the load with a diagnostic naming the first bad file line.
-    A leading UTF-8 byte order mark is skipped.
+    A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
+    IngestError naming the file.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file (missing header)") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
-        extra = [c for c in header if c not in CSV_COLUMNS]
-        if extra:
-            warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
-        rows = list(reader)
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError(f"{path}: empty file (missing header)") from None
+            header = [h.strip() for h in header]
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
+            extra = [c for c in header if c not in CSV_COLUMNS]
+            if extra:
+                warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     # Each check notes its first bad row as (row, check order, message). The
     # earliest row wins, then the earlier check. Data row i is file line i + 2.
@@ -278,7 +282,9 @@ def spec_from_dict(data: dict) -> SyntheticSpec:
             environment=Environment(data.get("environment", "NLOS")),
             campaign=data.get("campaign", "synthetic"),
         )
-    except (KeyError, TypeError) as exc:
+    except IngestError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"bad synthetic spec: {exc}") from exc
 
 
@@ -286,6 +292,8 @@ def load_spec(path: str | Path) -> SyntheticSpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: invalid JSON ({exc})") from exc
     return spec_from_dict(data)

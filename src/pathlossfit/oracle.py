@@ -1,9 +1,10 @@
 """Brute-force and generic-solver fits used to cross-check the closed forms.
 
-Nothing here reuses the closed-form expressions from :mod:`.fitters`: the
-grid searches scan the objective directly and the linear fits hand the
-normal-equation systems to ``numpy.linalg``. Intended for tests and for
-auditing a fit on a small dataset (N up to a few hundred).
+Nothing here reuses the least-squares core of :mod:`.fitters`: the grid
+searches scan the objective directly, and the linear fits solve an explicit
+design matrix by SVD least squares (``numpy.linalg.lstsq``), without
+forming normal equations. Intended for tests and for auditing a fit on a
+small dataset (N up to a few hundred).
 """
 
 from __future__ import annotations
@@ -38,31 +39,44 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"{context}: {exc}") from exc
+def _lstsq(columns: list[np.ndarray], y: np.ndarray,
+           context: str) -> tuple[list[float], np.ndarray]:
+    """SVD least-squares coefficients of ``y`` on the stacked ``columns``, and
+    the residuals; a rank-deficient design raises SingularDesignError."""
+    matrix = np.column_stack(columns)
+    solution, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
+    if rank < matrix.shape[1]:
+        raise SingularDesignError(f"{context}: design matrix is rank deficient")
+    return solution.tolist(), y - matrix @ solution
 
 
 def oracle_fit(ds: Dataset, kind: str, *,
                n_grid: tuple[float, float, float] = (0.0, 10.0, 1e-4),
                d0_grid: tuple[float, float, float] = (0.1, 50.0, 0.01),
                f0: float | str = "auto") -> FitReport:
-    """Minimum-sigma fit by dense grid search (ci, ci_opt) or generic linear
-    solve of the normal equations (abg, ab, cif)."""
+    """Minimum-sigma fit by dense grid search (ci, ci_opt) or SVD least
+    squares on an explicit design matrix (abg, ab, cif)."""
     design = RegressionDesign.from_dataset(ds)
     if kind == "ci":
         return _oracle_ci_grid(design, n_grid)
     if kind == "ci_opt":
         return _oracle_ci_opt_grid(design, d0_grid)
+    one = np.ones(len(design))
     if kind == "abg":
-        return _oracle_abg(design)
+        (alpha, beta, gamma), residuals = _lstsq([design.D, one, design.F], design.B,
+                                                 "abg oracle")
+        return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals)
     if kind == "ab":
-        return _oracle_ab(design)
+        (alpha, beta), residuals = _lstsq([design.D, one], design.B - 2.0 * design.F,
+                                          "ab oracle")
+        return FitReport.from_residuals(ABParams(alpha, beta), residuals)
     if kind == "cif":
         f0_value = float(weighted_mean_frequency(ds)) if f0 == "auto" else float(f0)
-        return _oracle_cif(design, f0_value)
+        (a, g), residuals = _lstsq([design.D, design.D * design.f], design.A, "cif oracle")
+        n = a + g * f0_value
+        if n == 0.0:
+            raise FitError("cif oracle: fitted n is zero, b undefined")
+        return FitReport.from_residuals(CIFParams(n, g * f0_value / n, f0_value), residuals)
     raise FitError(f"unknown oracle kind {kind!r}")
 
 
@@ -104,44 +118,6 @@ def _oracle_ci_opt_grid(design: RegressionDesign, d0_grid) -> FitReport:
     b10 = 10.0 * np.log10(d0_best)
     residuals = (design.A - 2.0 * b10) - n_best * (design.D - b10)
     return FitReport.from_residuals(CIOptParams(n_best, d0_best), residuals)
-
-
-def _oracle_abg(design: RegressionDesign) -> FitReport:
-    d, f_log, b = design.D, design.F, design.B
-    n_pts = len(design)
-    matrix = np.array([
-        [np.dot(d, d), d.sum(), np.dot(d, f_log)],
-        [d.sum(), float(n_pts), f_log.sum()],
-        [np.dot(d, f_log), f_log.sum(), np.dot(f_log, f_log)],
-    ])
-    rhs = np.array([np.dot(d, b), b.sum(), np.dot(f_log, b)])
-    alpha, beta, gamma = (float(v) for v in _solve(matrix, rhs, "abg oracle"))
-    residuals = b - alpha * d - beta - gamma * f_log
-    return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals)
-
-
-def _oracle_ab(design: RegressionDesign) -> FitReport:
-    d = design.D
-    y = design.B - 2.0 * design.F
-    n_pts = len(design)
-    matrix = np.array([[np.dot(d, d), d.sum()], [d.sum(), float(n_pts)]])
-    rhs = np.array([np.dot(d, y), y.sum()])
-    alpha, beta = (float(v) for v in _solve(matrix, rhs, "ab oracle"))
-    residuals = y - alpha * d - beta
-    return FitReport.from_residuals(ABParams(alpha, beta), residuals)
-
-
-def _oracle_cif(design: RegressionDesign, f0: float) -> FitReport:
-    d, freq = design.D, design.f
-    df = d * freq
-    matrix = np.array([[np.dot(d, d), np.dot(d, df)], [np.dot(d, df), np.dot(df, df)]])
-    rhs = np.array([np.dot(d, design.A), np.dot(df, design.A)])
-    a, g = (float(v) for v in _solve(matrix, rhs, "cif oracle"))
-    n = a + g * f0
-    if n == 0.0:
-        raise FitError("cif oracle: fitted n is zero, b undefined")
-    residuals = design.A - d * (a + g * freq)
-    return FitReport.from_residuals(CIFParams(n, g * f0 / n, f0), residuals)
 
 
 def ci_slope_lstsq(ds: Dataset) -> float:

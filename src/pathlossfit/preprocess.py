@@ -9,7 +9,7 @@ never average together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,7 @@ class PreprocessSettings:
             raise DomainError(f"bin_average must be one of {BIN_AVERAGE_MODES}")
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "bin_width": self.bin_width,
-            "threshold_margin": self.threshold_margin,
-            "binning_enabled": self.binning_enabled,
-            "threshold_enabled": self.threshold_enabled,
-            "bin_average": self.bin_average,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

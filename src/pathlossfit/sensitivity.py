@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .domain import (
     Dataset,
     DomainError,
@@ -63,6 +65,13 @@ class DistanceClose:
             raise SweepError(f"d_max must be > 0 m, got {self.d_max}")
         object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
 
+    def points(self, ds: Dataset) -> tuple[float, ...]:
+        return self.delta_grid
+
+    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
+        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
+        return ds.distance > self.d_max + point, ds.distance <= self.d_max
+
 
 @dataclass(frozen=True)
 class DistanceFar:
@@ -78,6 +87,13 @@ class DistanceFar:
             raise SweepError(f"d_min must be > 0 m, got {self.d_min}")
         object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
 
+    def points(self, ds: Dataset) -> tuple[float, ...]:
+        return self.delta_grid
+
+    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
+        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
+        return ds.distance < self.d_min - point, ds.distance >= self.d_min
+
 
 @dataclass(frozen=True)
 class FrequencyLOO:
@@ -90,6 +106,13 @@ class FrequencyLOO:
     held_out: float | None = None
 
     kind = "frequency_loo"
+
+    def points(self, ds: Dataset) -> tuple[float, ...]:
+        return ds.frequencies if self.held_out is None else (float(self.held_out),)
+
+    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
+        """(measurement, prediction) masks over ``ds`` with frequency ``point`` held out."""
+        return ds.frequency != point, ds.frequency == point
 
 
 SplitSpec = Union[DistanceClose, DistanceFar, FrequencyLOO]
@@ -119,33 +142,14 @@ def default_far_spec(*, delta_stop: float = 400.0, step: float = 50.0) -> Distan
     return DistanceFar(DEFAULT_D_MIN, steps(delta_stop, step))
 
 
-def sweep_points(ds: Dataset, spec: SplitSpec) -> tuple[float, ...]:
-    if isinstance(spec, (DistanceClose, DistanceFar)):
-        return spec.delta_grid
-    if spec.held_out is not None:
-        return (float(spec.held_out),)
-    return ds.frequencies
-
-
 def split(ds: Dataset, spec: SplitSpec, point: float) -> tuple[Dataset, Dataset]:
     """Partition per the spec's rule at one sweep point.
 
     Returns (measurement, prediction). For the distance rules, samples in the
     widening gap between the sets belong to neither and are dropped.
     """
-    f, d, _ = ds.arrays()
-    if isinstance(spec, DistanceClose):
-        prediction = ds.filter(d <= spec.d_max)
-        measurement = ds.filter(d > spec.d_max + point)
-    elif isinstance(spec, DistanceFar):
-        prediction = ds.filter(d >= spec.d_min)
-        measurement = ds.filter(d < spec.d_min - point)
-    elif isinstance(spec, FrequencyLOO):
-        prediction = ds.filter(f == point)
-        measurement = ds.filter(f != point)
-    else:
-        raise SweepError(f"unknown split spec {type(spec).__name__}")
-    return measurement, prediction
+    measurement, prediction = spec.masks(ds, point)
+    return ds.filter(measurement), ds.filter(prediction)
 
 
 def prediction_sigma(params: ModelParams, prediction: Dataset) -> float:
@@ -201,7 +205,7 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
         if kind not in FITTER_KINDS:
             raise SweepError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
     results = []
-    for point in sweep_points(ds, spec):
+    for point in spec.points(ds):
         measurement, prediction = split(ds, spec, point)
         n_gap = len(ds) - len(measurement) - len(prediction)
         base = dict(point=float(point), n_meas=len(measurement),

@@ -146,6 +146,16 @@ class TestFit:
         assert "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
+    def test_non_utf8_input_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("frequency_ghz,distance_m,path_loss_db,scenario,environment,"
+                          "campaign\n28,100,120.5,UMa,NLOS,caf\xe9\n").encode("latin-1"))
+        assert run("fit", "--input", path, "--out-dir", tmp_path / "fitout") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "latin1.csv" in err and "Traceback" not in err
+        assert not (tmp_path / "fitout").exists()
+
     def test_requires_exactly_one_source(self, tmp_path, ci_spec_file, capsys):
         assert run("fit", "--out-dir", tmp_path) == 2
         csv_path = tmp_path / "d.csv"

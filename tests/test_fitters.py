@@ -234,6 +234,14 @@ class TestFitCif:
         with pytest.raises(FitError, match="undefined"):
             fit_cif(make_dataset(rows), f0=15.0)
 
+    def test_slope_zero_to_rounding_at_f0_has_undefined_b(self):
+        # slope 3*(1 - f/15) is exactly zero at f0 = 15; rounding leaves
+        # n ~ 1e-15, which would put b near -3e15
+        rows = [(f, d, fspl(f, 1.0) + 30.0 * (1.0 - f / 15.0) * math.log10(d))
+                for f in (2.0, 28.0) for d in (10.0, 50.0, 100.0, 400.0)]
+        with pytest.raises(FitError, match="undefined"):
+            fit_cif(make_dataset(rows), f0=15.0)
+
 
 class TestNormalEquationStationarity:
     """Substituting the fitted parameters back into the normal equations

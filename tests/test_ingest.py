@@ -71,6 +71,12 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match=match):
             load_csv(write(tmp_path, VALID_HEADER + rows))
 
+    def test_non_utf8_file_is_an_ingest_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((VALID_HEADER + "28,100,120.5,UMa,NLOS,caf\xe9\n").encode("latin-1"))
+        with pytest.raises(IngestError, match="latin1.csv.*not UTF-8"):
+            load_csv(path)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "frequency_ghz,distance_m,path_loss_db,scenario,environment\n")
         with pytest.raises(IngestError, match="missing column.*campaign"):
@@ -253,3 +259,26 @@ class TestSpecJson:
         path.write_text('{"sigma": 1.0}', encoding="utf-8")
         with pytest.raises(IngestError, match="bad synthetic spec"):
             load_spec(path)
+
+    def test_non_utf8_spec_is_an_ingest_error_naming_it(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes('{"campaign": "caf\xe9"}'.encode("latin-1"))
+        with pytest.raises(IngestError, match="spec.json.*not UTF-8"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", "x"), ("environment", "LOSS"), ("sigma", "abc"),
+        ("frequencies", [{"frequency_ghz": 2.0, "count": "many"}]),
+    ])
+    def test_malformed_values_are_ingest_errors(self, field, value):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=11,
+                             frequencies=((2.0, 5),), distance_range=(60.0, 1238.0))
+        data = {**spec_to_dict(spec), field: value}
+        with pytest.raises(IngestError, match="bad synthetic spec"):
+            spec_from_dict(data)
+
+    def test_spec_validation_messages_pass_through_unwrapped(self):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=11,
+                             frequencies=((2.0, 5),), distance_range=(60.0, 1238.0))
+        with pytest.raises(IngestError, match="^sigma must be >= 0 dB"):
+            spec_from_dict({**spec_to_dict(spec), "sigma": -1.0})

@@ -1,0 +1,130 @@
+"""The fitters' shared least-squares core against SVD least squares, and the
+invariants its closed forms promise.
+
+numpy's ``lstsq`` solves each fit's explicit design matrix by SVD, without
+normal equations, so it is an independent reference for every linear fit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from pathlossfit import (
+    CIParams,
+    Dataset,
+    DistanceClose,
+    SyntheticSpec,
+    fit_ab,
+    fit_abg,
+    fit_ci,
+    fit_ci_opt,
+    fit_cif,
+    fspl,
+    generate,
+    split,
+)
+from pathlossfit.fitters import RegressionDesign
+
+UMA_COUNTS = ((2.0, 583), (10.0, 581), (18.0, 468), (28.0, 225), (38.0, 12))
+
+
+def lstsq(columns, y) -> np.ndarray:
+    return np.linalg.lstsq(np.column_stack(columns), y, rcond=None)[0]
+
+
+def reference_fits(ds: Dataset, f0: float) -> dict[str, tuple[float, ...]]:
+    """Each linear fit's parameters, solved by SVD on its design matrix."""
+    x = RegressionDesign.from_dataset(ds)
+    one = np.ones(len(x))
+    alpha, beta, gamma = lstsq([x.D, one, x.F], x.B)
+    ab_alpha, ab_beta = lstsq([x.D, one], x.B - 2.0 * x.F)
+    n_opt, intercept = lstsq([x.D, one], x.A)
+    a, g = lstsq([x.D, x.D * x.f], x.A)
+    return {
+        "abg": (alpha, beta, gamma),
+        "ab": (ab_alpha, ab_beta),
+        "ci": tuple(lstsq([x.D], x.A)),
+        "ci_opt": (n_opt, 10.0 ** (intercept / (10.0 * (2.0 - n_opt)))),
+        "cif": (a + g * f0, g * f0 / (a + g * f0)),
+    }
+
+
+def fitted(ds: Dataset, f0: float) -> dict[str, tuple[float, ...]]:
+    p = {"abg": fit_abg(ds).params, "ab": fit_ab(ds).params, "ci": fit_ci(ds).params,
+         "ci_opt": fit_ci_opt(ds).params, "cif": fit_cif(ds, f0=f0).params}
+    return {"abg": (p["abg"].alpha, p["abg"].beta, p["abg"].gamma),
+            "ab": (p["ab"].alpha, p["ab"].beta), "ci": (p["ci"].n,),
+            "ci_opt": (p["ci_opt"].n, p["ci_opt"].d0), "cif": (p["cif"].n, p["cif"].b)}
+
+
+def uma_campaign(factor: int) -> Dataset:
+    return generate(SyntheticSpec(
+        truth=CIParams(2.9), sigma=5.7, seed=20160505,
+        frequencies=tuple((f, c * factor) for f, c in UMA_COUNTS),
+        distance_range=(60.0, 1238.0)))
+
+
+@pytest.mark.parametrize("factor,delta", [(1, 795.0), (10, 595.0)])
+def test_far_measurement_sets_match_svd_least_squares(factor, delta):
+    # The measurement sets left by wide distance-close gaps (d > 995 m on the
+    # 1.9k campaign, d > 795 m on the 18.7k one) have D and F sums in the
+    # thousands: uncentred ABG normal equations are 3e-11 to 7e-10 off SVD
+    # there, centred ones about 1e-12.
+    measurement, _ = split(uma_campaign(factor), DistanceClose(200.0, (delta,)), delta)
+    got = fitted(measurement, 15.0)
+    want = reference_fits(measurement, 15.0)
+    if fit_ci_opt(measurement).flags:  # clamped: not the unconstrained solution
+        del got["ci_opt"], want["ci_opt"]
+    for kind, values in want.items():
+        np.testing.assert_allclose(got[kind], values, rtol=0, atol=1e-11, err_msg=kind)
+
+
+def noisy_design(seed: int, frequencies: tuple[float, ...], n_per: int,
+                 scale: float = 1.0) -> Dataset:
+    """Log-uniform 10-800 m distances times ``scale``, CIF-like slopes, 4 dB noise."""
+    rng = np.random.default_rng(seed)
+    f = np.repeat(frequencies, n_per)
+    d = 10.0 * 80.0 ** rng.uniform(size=f.size)
+    slope = 3.0 * (1.0 + 0.05 * (f - 20.0) / 20.0)
+    pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + 4.0 * rng.standard_normal(f.size)
+    return Dataset.from_columns(f, d * scale, pl)
+
+
+frequency_sets = st.lists(st.sampled_from((2.0, 10.0, 18.0, 28.0, 38.0, 73.0)),
+                          min_size=2, max_size=4, unique=True).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frequencies=frequency_sets,
+       n_per=st.integers(4, 40))
+def test_every_linear_fitter_matches_svd_least_squares(seed, frequencies, n_per):
+    ds = noisy_design(seed, frequencies, n_per)
+    got = fitted(ds, 20.0)
+    want = reference_fits(ds, 20.0)
+    if fit_ci_opt(ds).flags:  # clamped or free space: not the unconstrained solution
+        del got["ci_opt"], want["ci_opt"]
+    for kind, values in want.items():
+        np.testing.assert_allclose(got[kind], values, rtol=1e-10, atol=1e-10,
+                                   err_msg=kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frequencies=frequency_sets,
+       shift=st.floats(-30.0, 30.0))
+def test_adding_c_db_shifts_ab_beta_by_c(seed, frequencies, shift):
+    ds = noisy_design(seed, frequencies, 15)
+    shifted = Dataset.from_columns(ds.frequency, ds.distance, ds.path_loss + shift)
+    base, moved = fit_ab(ds), fit_ab(shifted)
+    assert moved.params.alpha == pytest.approx(base.params.alpha, abs=1e-9)
+    assert moved.params.beta == pytest.approx(base.params.beta + shift, abs=1e-9)
+    assert moved.sigma == pytest.approx(base.sigma, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frequencies=frequency_sets,
+       scale=st.floats(0.5, 2.0))
+def test_scaling_distances_keeps_the_ci_opt_slope(seed, frequencies, scale):
+    base = fit_ci_opt(noisy_design(seed, frequencies, 15))
+    scaled = fit_ci_opt(noisy_design(seed, frequencies, 15, scale))
+    assume(not base.flags and not scaled.flags)  # a clamped d0 pins the slope
+    assert scaled.params.n == pytest.approx(base.params.n, abs=1e-9)
