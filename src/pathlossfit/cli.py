@@ -18,10 +18,10 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from csv import writer as csv_writer
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -51,6 +51,7 @@ from .sensitivity import (
     DistanceFar,
     FrequencyLOO,
     PredictionReport,
+    SplitSpec,
     SweepError,
     default_close_spec,
     default_far_spec,
@@ -70,64 +71,63 @@ class ConfigError(ValueError):
     """Invalid command-line configuration (bad flag combination, missing file)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of a fit/sweep run: one source, settings, outputs."""
-
-    input_csv: Path | None
-    synthetic_spec: Path | None
-    seed_override: int | None
-    preprocess: PreprocessSettings
-    models: tuple[str, ...]
-    f0: float | str
-    d0_bounds: tuple[float, float]
-    out_dir: Path
-
-    def __post_init__(self) -> None:
-        if (self.input_csv is None) == (self.synthetic_spec is None):
-            raise ConfigError("exactly one input source is required: "
-                              "--input CSV or --synthetic SPEC")
-        source = self.input_csv or self.synthetic_spec
-        if not source.is_file():
-            raise ConfigError(f"input file not found: {source}")
+def _existing(path, kind: str = "input") -> Path:
+    """``path`` as a Path; ConfigError if it names no file."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{kind} file not found: {path}")
+    return path
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _load_input(args: argparse.Namespace) -> tuple[Dataset, dict]:
+    path = args.input or args.synthetic
+    provenance = {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    if args.input is not None:
+        ds = load_csv(path)
+        provenance["source"] = "csv"
+    else:
+        spec = load_spec(path)
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        ds = generate(spec)
+        provenance.update(source="synthetic", seed=spec.seed)
+    return ds, {**provenance, "n_samples": len(ds)}
 
 
-def _load_input(config: RunConfig) -> tuple[Dataset, dict]:
-    if config.input_csv is not None:
-        ds = load_csv(config.input_csv)
-        provenance = {"source": "csv", "path": str(config.input_csv),
-                      "sha256": _sha256(config.input_csv), "n_samples": len(ds)}
-        return ds, provenance
-    spec = load_spec(config.synthetic_spec)
-    if config.seed_override is not None:
-        spec = dataclasses.replace(spec, seed=config.seed_override)
-    ds = generate(spec)
-    provenance = {"source": "synthetic", "path": str(config.synthetic_spec),
-                  "sha256": _sha256(config.synthetic_spec), "seed": spec.seed,
-                  "n_samples": len(ds)}
-    return ds, provenance
+def _prepare(args: argparse.Namespace,
+             sweep: bool = False) -> tuple[Dataset, dict, SplitSpec | None]:
+    """Check the flags, then load and condition the input.
 
-
-def _prepare(config: RunConfig) -> tuple[Dataset, dict]:
-    """Load and condition the input. Returns the dataset to fit and the
-    fields every report shares: tool, input, preprocess, f0 and d0_bounds."""
-    ds_raw, provenance = _load_input(config)
-    pp = preprocess_apply(ds_raw, config.preprocess)
+    Before any input is read, the checks run in a fixed order: preprocess
+    settings, the one input source, a sweep's split spec, then --f0 and
+    --d0-bounds. Returns the dataset to fit, the fields every report
+    shares (tool, input, preprocess, f0 and d0_bounds) and, for a sweep,
+    the split spec (otherwise None).
+    """
+    settings = _preprocess_settings(args)
+    if (args.input is None) == (args.synthetic is None):
+        raise ConfigError("exactly one input source is required: "
+                          "--input CSV or --synthetic SPEC")
+    _existing(args.input or args.synthetic)
+    split_spec = _split_spec(args) if sweep else None
+    if args.f0 != "auto" and not 0 < args.f0 < math.inf:
+        raise ConfigError(f"--f0 must be 'auto' or a finite value > 0 GHz, got {args.f0}")
+    lo, hi = args.d0_bounds
+    if not D0_BOUNDS_DEFAULT[0] <= lo < hi <= D0_BOUNDS_DEFAULT[1]:
+        raise ConfigError(f"--d0-bounds must satisfy 0.1 <= LO < HI <= 50, got {lo} {hi}")
+    ds_raw, provenance = _load_input(args)
+    pp = preprocess_apply(ds_raw, settings)
     head = {
         "tool": {"name": "pathlossfit", "version": __version__},
         "input": provenance,
-        "preprocess": {**config.preprocess.as_dict(),
+        "preprocess": {**settings.as_dict(),
                        "n_input": pp.n_input,
                        "removed_by_threshold": pp.removed_by_threshold,
                        "n_output": len(pp.dataset)},
-        "f0": config.f0,
-        "d0_bounds": list(config.d0_bounds),
+        "f0": args.f0,
+        "d0_bounds": list(args.d0_bounds),
     }
-    return pp.dataset, head
+    return pp.dataset, head, split_spec
 
 
 def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
@@ -181,14 +181,12 @@ def _fit_report_dict(report: FitReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    ds, head = _prepare(config)
+    ds, head, _ = _prepare(args)
 
     fits: dict[str, FitReport] = {}
-    for kind in config.models:
-        report = fit_with_reversion(ds, kind, f0=config.f0,
-                                    d0_bounds=config.d0_bounds,
-                                    preprocess_settings=config.preprocess.as_dict())
+    for kind in args.models:
+        report = fit_with_reversion(ds, kind, f0=args.f0,
+                                    d0_bounds=tuple(args.d0_bounds))
         if FLAG_ABG_AS_AB in report.flags:
             print("warning: single-frequency data, abg fit reverted to ab "
                   "(frequency slope fixed at 2)", file=sys.stderr)
@@ -197,8 +195,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     report_doc = {**head,
                   "models": {kind: _fit_report_dict(rep) for kind, rep in fits.items()}}
     outputs = {
-        config.out_dir / "fit_report.json": _json_text(report_doc),
-        config.out_dir / "model_curves.csv": _model_curves_csv(ds, fits),
+        args.out_dir / "fit_report.json": _json_text(report_doc),
+        args.out_dir / "model_curves.csv": _model_curves_csv(ds, fits),
     }
     _write_outputs(outputs)
     return EXIT_OK
@@ -231,18 +229,19 @@ def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    split_spec = _split_spec(args)
-    ds, head = _prepare(config)
+    ds, head, split_spec = _prepare(args, sweep=True)
+    if args.split == "frequency-loo" and args.hold_out not in (None, *ds.frequencies):
+        raise ConfigError(f"--hold-out {args.hold_out} GHz is not in the data; "
+                          f"frequencies present: {list(ds.frequencies)}")
 
-    report = run_sweep(ds, split_spec, config.models,
-                       f0=config.f0, d0_bounds=config.d0_bounds)
+    report = run_sweep(ds, split_spec, args.models,
+                       f0=args.f0, d0_bounds=tuple(args.d0_bounds))
     trace = parameter_trace(report)
 
     report_doc = {
         **head,
         "split": {"kind": split_spec.kind, **dataclasses.asdict(split_spec)},
-        "models": list(config.models),
+        "models": list(args.models),
         "points": [_sweep_point_dict(p) for p in report.points],
         "parameter_ranges": [
             {"model": r.model, "param": r.name, "low": r.low,
@@ -251,14 +250,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ],
     }
     outputs = {
-        config.out_dir / "sweep_report.json": _json_text(report_doc),
-        config.out_dir / "sweep_trace.csv": _sweep_trace_csv(report),
+        args.out_dir / "sweep_report.json": _json_text(report_doc),
+        args.out_dir / "sweep_trace.csv": _sweep_trace_csv(report),
     }
     _write_outputs(outputs)
     return EXIT_OK
 
 
-def _split_spec(args: argparse.Namespace) -> DistanceClose | DistanceFar | FrequencyLOO:
+def _split_spec(args: argparse.Namespace) -> SplitSpec:
     grid = args.delta_grid
     try:
         if args.split == "distance-close":
@@ -315,10 +314,7 @@ def _sweep_trace_csv(report: PredictionReport) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        raise ConfigError(f"spec file not found: {spec_path}")
-    spec = load_spec(spec_path)
+    spec = load_spec(_existing(args.spec, "spec"))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     _write_outputs({Path(args.out): functools.partial(write_csv, generate(spec))})
@@ -326,9 +322,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    in_path = Path(args.input)
-    if not in_path.is_file():
-        raise ConfigError(f"input file not found: {in_path}")
+    in_path = _existing(args.input)
     settings = _preprocess_settings(args)
     result = preprocess_apply(load_csv(in_path), settings)
     _write_outputs({Path(args.out): functools.partial(write_csv, result.dataset)})
@@ -409,14 +403,6 @@ def _preprocess_settings(args: argparse.Namespace) -> PreprocessSettings:
                                   bin_average=args.bin_average)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(input_csv=args.input, synthetic_spec=args.synthetic,
-                     seed_override=args.seed,
-                     preprocess=_preprocess_settings(args),
-                     models=args.models, f0=args.f0,
-                     d0_bounds=tuple(args.d0_bounds), out_dir=args.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

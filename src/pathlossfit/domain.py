@@ -473,7 +473,6 @@ class FitReport:
     sigma: float
     n_points: int
     residuals: np.ndarray  # read-only float64, stored as a copy
-    preprocess_settings: Mapping[str, object] | None = None
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -485,9 +484,7 @@ class FitReport:
 
     @classmethod
     def from_residuals(cls, params: ModelParams, residuals,
-                       preprocess_settings: Mapping[str, object] | None = None,
                        flags: tuple[str, ...] = ()) -> "FitReport":
         res = np.asarray(residuals, dtype=float)
         return cls(params=params, sigma=rms(res), n_points=res.size,
-                   residuals=res, preprocess_settings=preprocess_settings,
-                   flags=flags)
+                   residuals=res, flags=flags)

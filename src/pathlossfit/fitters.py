@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .domain import (
     Dataset,
     FitReport,
     fspl,
-    rms,
     weighted_mean_frequency,
 )
 
@@ -150,8 +148,7 @@ def _least_squares(y: np.ndarray, columns: tuple[np.ndarray, ...], intercept: bo
     return coefficients, residuals
 
 
-def fit_ci(ds: Dataset,
-           preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
+def fit_ci(ds: Dataset) -> FitReport:
     """Fit the 1 m close-in model: the single slope n = sum(D*A)/sum(D^2),
     the solution of the one-column system A on D.
 
@@ -163,23 +160,23 @@ def fit_ci(ds: Dataset,
         raise DegenerateDesignError(
             "fit_ci needs at least one sample with d > 1 m (all distances are 1 m)")
     (n,), residuals = _least_squares(design.A, (design.D,), False, "fit_ci")
-    return FitReport.from_residuals(CIParams(n), residuals, preprocess_settings)
+    return FitReport.from_residuals(CIParams(n), residuals)
 
 
-def _ci_about_fixed_d0(design: RegressionDesign, d0: float) -> tuple[float, np.ndarray]:
-    """Slope of the CI regression about a fixed reference distance d0:
-    A - 2*10log10(d0) on D - 10log10(d0), no intercept."""
+def _ci_about_fixed_d0(design: RegressionDesign, d0: float, flag: str) -> FitReport:
+    """The CI-opt fit with its reference distance fixed at d0, flagged ``flag``:
+    the slope of A - 2*10log10(d0) on D - 10log10(d0), no intercept."""
     b10 = 10.0 * math.log10(d0)
     d_shift = design.D - b10
     if not d_shift.any():
         raise DegenerateDesignError(f"all distances equal the reference d0={d0} m")
     (n,), residuals = _least_squares(design.A - 2.0 * b10, (d_shift,), False,
                                      "fit_ci_opt")
-    return n, residuals
+    return FitReport.from_residuals(CIOptParams(n, d0), residuals, flags=(flag,))
 
 
-def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
-               preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
+def fit_ci_opt(ds: Dataset,
+               d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> FitReport:
     """Fit the close-in model with a jointly optimized reference distance.
 
     The unconstrained solution regresses excess-over-1m loss on distance with
@@ -199,10 +196,7 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
     (n, intercept), residuals = _least_squares(design.A, (design.D,), True, "fit_ci_opt")
 
     if abs(2.0 - n) < N_NEAR_TWO_TOL:
-        n_fix, residuals = _ci_about_fixed_d0(design, 1.0)
-        return FitReport.from_residuals(CIOptParams(n_fix, 1.0), residuals,
-                                        preprocess_settings,
-                                        flags=(FLAG_D0_UNIDENTIFIABLE,))
+        return _ci_about_fixed_d0(design, 1.0, FLAG_D0_UNIDENTIFIABLE)
 
     # Test log10(d0) against the upper bound before exponentiating: for n just
     # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
@@ -212,17 +206,14 @@ def fit_ci_opt(ds: Dataset, d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
         # refit about each bound and keep the smaller sigma; the bound that the
         # unconstrained d0 overshot goes first, since min keeps the first of equals
         bounds = [(lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)]
-        refits = [(*_ci_about_fixed_d0(design, bound), bound, flag)
+        refits = [_ci_about_fixed_d0(design, bound, flag)
                   for bound, flag in (bounds if d0 < lo else bounds[::-1])]
-        n_fix, residuals, bound, flag = min(refits, key=lambda refit: rms(refit[1]))
-        return FitReport.from_residuals(CIOptParams(n_fix, bound), residuals,
-                                        preprocess_settings, flags=(flag,))
+        return min(refits, key=lambda report: report.sigma)
 
-    return FitReport.from_residuals(CIOptParams(n, d0), residuals, preprocess_settings)
+    return FitReport.from_residuals(CIOptParams(n, d0), residuals)
 
 
-def fit_abg(ds: Dataset,
-            preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
+def fit_abg(ds: Dataset) -> FitReport:
     """Fit the three-parameter floating-intercept model by its closed forms.
 
     alpha and gamma solve the centred 2x2 system of B on D and F, and
@@ -240,12 +231,10 @@ def fit_abg(ds: Dataset,
     _require_distance_spread(design, "fit_abg")
     (alpha, gamma, beta), residuals = _least_squares(
         design.B, (design.D, design.F), True, "fit_abg")
-    return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals,
-                                    preprocess_settings)
+    return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals)
 
 
-def fit_ab(ds: Dataset,
-           preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
+def fit_ab(ds: Dataset) -> FitReport:
     """Fit the floating-intercept model with the frequency slope fixed at 2.
 
     Equivalent to ordinary least squares of (path_loss - 20*log10(f)) on
@@ -256,13 +245,11 @@ def fit_ab(ds: Dataset,
     _require_distance_spread(design, "fit_ab")
     (alpha, beta), residuals = _least_squares(design.B - 2.0 * design.F, (design.D,),
                                               True, "fit_ab")
-    return FitReport.from_residuals(ABParams(alpha, beta), residuals,
-                                    preprocess_settings)
+    return FitReport.from_residuals(ABParams(alpha, beta), residuals)
 
 
 def fit_cif(ds: Dataset, f0: float | str = "auto", *,
-            allow_single_frequency: bool = False,
-            preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
+            allow_single_frequency: bool = False) -> FitReport:
     """Fit the frequency-weighted close-in model for a chosen balance frequency.
 
     ``f0="auto"`` uses the sample-count-weighted mean frequency rounded to an
@@ -290,7 +277,6 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
                 "the CI model for the single-frequency case, use fit_ci")
         (n,), residuals = _least_squares(design.A, (design.D,), False, "fit_cif")
         return FitReport.from_residuals(CIFParams(n, 0.0, f0_value), residuals,
-                                        preprocess_settings,
                                         flags=(FLAG_CIF_SINGLE_FREQUENCY,))
 
     (a, g), residuals = _least_squares(design.A, (design.D, design.D * design.f), False,
@@ -298,48 +284,41 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
     n = a + g * f0_value
     if abs(n) <= SINGULARITY_RTOL * (abs(a) + abs(g * f0_value)):
         raise FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined")
-    return FitReport.from_residuals(CIFParams(n, g * f0_value / n, f0_value), residuals,
-                                    preprocess_settings)
+    return FitReport.from_residuals(CIFParams(n, g * f0_value / n, f0_value), residuals)
 
 
-# kind -> fitter(ds, f0, d0_bounds, preprocess_settings). Each entry looks its
-# fitter up by name when called, so wrappers installed on the module's fit_*
-# names (tracing, test doubles) see every dispatched call.
+# kind -> fitter(ds, f0, d0_bounds). Each entry looks its fitter up by name
+# when called, so wrappers installed on the module's fit_* names (tracing,
+# test doubles) see every dispatched call.
 _FITTERS = {
-    "abg": lambda ds, f0, d0_bounds, settings: fit_abg(ds, settings),
-    "ab": lambda ds, f0, d0_bounds, settings: fit_ab(ds, settings),
-    "ci": lambda ds, f0, d0_bounds, settings: fit_ci(ds, settings),
-    "ci_opt": lambda ds, f0, d0_bounds, settings: fit_ci_opt(ds, d0_bounds, settings),
-    "cif": lambda ds, f0, d0_bounds, settings: fit_cif(ds, f0,
-                                                       preprocess_settings=settings),
+    "abg": lambda ds, f0, d0_bounds: fit_abg(ds),
+    "ab": lambda ds, f0, d0_bounds: fit_ab(ds),
+    "ci": lambda ds, f0, d0_bounds: fit_ci(ds),
+    "ci_opt": lambda ds, f0, d0_bounds: fit_ci_opt(ds, d0_bounds),
+    "cif": lambda ds, f0, d0_bounds: fit_cif(ds, f0),
 }
 FITTER_KINDS = tuple(_FITTERS)
 
 
-def fit_model(ds: Dataset, kind: str, *, f0: float | str = "auto",
-              d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
-              preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
-    """Dispatch to the fitter for ``kind`` (one of FITTER_KINDS)."""
-    if kind not in _FITTERS:
-        raise FitError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
-    return _FITTERS[kind](ds, f0, d0_bounds, preprocess_settings)
-
-
 def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
-                       d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT,
-                       preprocess_settings: Mapping[str, object] | None = None) -> FitReport:
-    """Like :func:`fit_model`, applying the single-frequency conventions.
+                       d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> FitReport:
+    """Fit the model ``kind`` (one of FITTER_KINDS), with the single-frequency conventions.
 
     On single-frequency data a requested "abg" degrades to the AB fit
     (flagged) and a requested "cif" reverts to the CI slope about the lone
-    frequency (flagged), instead of failing.
+    frequency (flagged), instead of failing. Every other request goes to
+    the kind's fitter.
     """
+    if kind not in _FITTERS:
+        raise FitError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
     single_freq = len(ds.freq_summary) == 1
     if kind == "abg" and single_freq:
-        report = fit_ab(ds, preprocess_settings)
+        report = fit_ab(ds)
         return replace(report, flags=report.flags + (FLAG_ABG_AS_AB,))
     if kind == "cif" and single_freq:
-        return fit_cif(ds, f0=ds.freq_summary[0][0], allow_single_frequency=True,
-                       preprocess_settings=preprocess_settings)
-    return fit_model(ds, kind, f0=f0, d0_bounds=d0_bounds,
-                     preprocess_settings=preprocess_settings)
+        return fit_cif(ds, f0=ds.freq_summary[0][0], allow_single_frequency=True)
+    return _FITTERS[kind](ds, f0, d0_bounds)
+
+
+# The one fit entry point under its public name.
+fit_model = fit_with_reversion

@@ -291,7 +291,7 @@ def spec_from_dict(data: dict) -> SyntheticSpec:
 def load_spec(path: str | Path) -> SyntheticSpec:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ never average together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,11 +32,11 @@ class PreprocessSettings:
     bin_average: str = "db"
 
     def __post_init__(self) -> None:
-        if not self.bin_width > 0:
-            raise DomainError(f"bin_width must be > 0 m, got {self.bin_width}")
-        if not self.threshold_margin > 0:
+        if not 0 < self.bin_width < math.inf:
+            raise DomainError(f"bin_width must be finite and > 0 m, got {self.bin_width}")
+        if not 0 < self.threshold_margin < math.inf:
             raise DomainError(
-                f"threshold_margin must be > 0 dB, got {self.threshold_margin}")
+                f"threshold_margin must be finite and > 0 dB, got {self.threshold_margin}")
         if self.bin_average not in BIN_AVERAGE_MODES:
             raise DomainError(f"bin_average must be one of {BIN_AVERAGE_MODES}")
 
@@ -54,7 +55,6 @@ class PreprocessResult:
     dataset: Dataset
     n_input: int
     removed_by_threshold: int
-    n_bins: int
 
 
 def threshold(ds: Dataset, settings: PreprocessSettings) -> ThresholdResult:
@@ -108,9 +108,7 @@ def apply(ds: Dataset, settings: PreprocessSettings) -> PreprocessResult:
     if settings.threshold_enabled:
         result = threshold(current, settings)
         current, removed = result.dataset, result.removed
-    n_bins = 0
     if settings.binning_enabled:
         current = bin_by_distance(current, settings)
-        n_bins = len(current)
     return PreprocessResult(dataset=current, n_input=n_input,
-                            removed_by_threshold=removed, n_bins=n_bins)
+                            removed_by_threshold=removed)

@@ -8,6 +8,7 @@ two sets grow apart in distance or as each frequency is held out in turn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -44,8 +45,8 @@ def _validated_grid(grid) -> tuple[float, ...]:
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise SweepError("delta grid must be nonempty")
-    if any(g < 0 for g in grid):
-        raise SweepError("delta grid values must be nonnegative")
+    if not all(0 <= g < math.inf for g in grid):
+        raise SweepError("delta grid values must be finite and nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise SweepError("delta grid must be strictly increasing")
     return grid
@@ -61,8 +62,8 @@ class DistanceClose:
     kind = "distance_close"
 
     def __post_init__(self) -> None:
-        if not self.d_max > 0:
-            raise SweepError(f"d_max must be > 0 m, got {self.d_max}")
+        if not 0 < self.d_max < math.inf:
+            raise SweepError(f"d_max must be finite and > 0 m, got {self.d_max}")
         object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
 
     def points(self, ds: Dataset) -> tuple[float, ...]:
@@ -83,8 +84,8 @@ class DistanceFar:
     kind = "distance_far"
 
     def __post_init__(self) -> None:
-        if not self.d_min > 0:
-            raise SweepError(f"d_min must be > 0 m, got {self.d_min}")
+        if not 0 < self.d_min < math.inf:
+            raise SweepError(f"d_min must be finite and > 0 m, got {self.d_min}")
         object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
 
     def points(self, ds: Dataset) -> tuple[float, ...]:

@@ -33,6 +33,13 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def read_report(path):
+    """Parse a report as strict JSON: a NaN or Infinity fails the test."""
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds the non-JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestFspl:
     def test_prints_the_free_space_intercept(self, capsys):
         assert run("fspl", "1", "1") == 0
@@ -79,6 +86,14 @@ class TestGenerate:
                    "--out", tmp_path / "x.csv") == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_byte_order_mark_spec_writes_the_same_csv(self, tmp_path, ci_spec_file):
+        bom_spec = tmp_path / "bom.json"
+        bom_spec.write_bytes(b"\xef\xbb\xbf" + ci_spec_file.read_bytes())
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert run("generate", "--spec", ci_spec_file, "--out", plain) == 0
+        assert run("generate", "--spec", bom_spec, "--out", bom) == 0
+        assert bom.read_bytes() == plain.read_bytes()
+
 
 class TestPreprocess:
     def test_bins_and_reports(self, tmp_path, ci_spec_file, capsys):
@@ -95,7 +110,7 @@ class TestFit:
         out_dir = tmp_path / "fitout"
         assert run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir,
                    "--models", "ci", "--no-binning", "--no-threshold") == 0
-        doc = json.loads((out_dir / "fit_report.json").read_text())
+        doc = read_report(out_dir / "fit_report.json")
         ci = doc["models"]["ci"]
         assert ci["params"]["kind"] == "ci"
         assert ci["params"]["n"] == pytest.approx(2.9, abs=1e-9)
@@ -107,6 +122,7 @@ class TestFit:
         out_dir = tmp_path / "fitout"
         run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir,
             "--models", "ci,cif", "--no-binning", "--no-threshold")
+        read_report(out_dir / "fit_report.json")
         lines = (out_dir / "model_curves.csv").read_text().splitlines()
         assert lines[0] == "frequency_ghz,distance_m,fspl_db,ci_db,cif_db"
         # the curve grid starts at 1 m, where the CI model anchors to free space
@@ -124,7 +140,7 @@ class TestFit:
         assert run("fit", "--input", csv_path, "--out-dir", out_dir,
                    "--models", "ci,cif,abg") == 0
         assert "reverted to ab" in capsys.readouterr().err
-        doc = json.loads((out_dir / "fit_report.json").read_text())
+        doc = read_report(out_dir / "fit_report.json")
         assert doc["models"]["abg"]["params"]["kind"] == "ab"
         assert "abg_reverted_to_ab" in doc["models"]["abg"]["flags"]
         assert doc["models"]["cif"]["params"]["b"] == 0.0
@@ -169,6 +185,27 @@ class TestFit:
             "--no-binning", "--no-threshold")
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "fit_report.json", "model_curves.csv"]
+        read_report(out_dir / "fit_report.json")
+
+    @pytest.mark.parametrize("flags", [
+        ("--models", "ci_opt", "--d0-bounds", "0.05", "50"),
+        ("--models", "ci", "--d0-bounds", "60", "5"),
+        ("--models", "ci", "--d0-bounds", "nan", "5"),
+        ("--models", "ci", "--f0", "nan"),
+        ("--models", "cif", "--f0", "-5"),
+        ("--bin-width", "inf"),
+        ("--threshold-margin", "inf"),
+    ], ids=["d0-below-0.1", "d0-reversed", "d0-nan", "f0-nan", "f0-negative",
+            "bin-width-inf", "threshold-margin-inf"])
+    def test_bad_number_exits_2_with_one_line_and_no_report(self, tmp_path,
+                                                            exact_ci_spec_file,
+                                                            capsys, flags):
+        out_dir = tmp_path / "fitout"
+        assert run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir,
+                   *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
 
 class TestSweep:
@@ -176,7 +213,7 @@ class TestSweep:
         out_dir = tmp_path / "sweepout"
         assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
                    "--split", "distance-close", "--no-binning", "--no-threshold") == 0
-        doc = json.loads((out_dir / "sweep_report.json").read_text())
+        doc = read_report(out_dir / "sweep_report.json")
         assert doc["split"] == {"kind": "distance_close", "d_max": 200.0,
                                 "delta_grid": [float(50 * k) for k in range(13)]}
         sigmas = [p["models"]["ci"]["prediction_sigma_db"]
@@ -188,7 +225,7 @@ class TestSweep:
         assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
                    "--split", "frequency-loo", "--models", "ci",
                    "--no-binning", "--no-threshold") == 0
-        doc = json.loads((out_dir / "sweep_report.json").read_text())
+        doc = read_report(out_dir / "sweep_report.json")
         assert [p["point"] for p in doc["points"]] == [2.0, 10.0, 28.0]
         lines = (out_dir / "sweep_trace.csv").read_text().splitlines()
         points = {line.split(",")[0] for line in lines[1:]}
@@ -206,12 +243,59 @@ class TestSweep:
         assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", tmp_path,
                    "--split", "distance-close", "--delta-grid", "100,50") == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--input", "nope.csv", "--bin-width", "0", "--f0", "nan"), "bin_width"),
+        (("--input", "nope.csv", "--delta-grid", "100,50", "--f0", "nan"), "not found"),
+        (("--delta-grid", "100,50", "--d0-bounds", "60", "5"), "exactly one input source"),
+        (("--synthetic", "SPEC", "--delta-grid", "100,50", "--f0", "nan"),
+         "strictly increasing"),
+    ], ids=["settings", "missing-source", "no-source", "split"])
+    def test_first_bad_flag_in_check_order_wins(self, tmp_path, exact_ci_spec_file,
+                                                 capsys, flags, message):
+        # preprocess settings, the input source, the split spec, then --f0/--d0-bounds
+        flags = [exact_ci_spec_file if f == "SPEC" else f for f in flags]
+        assert run("sweep", "--split", "distance-close", "--out-dir", tmp_path / "out",
+                   *flags) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--split", "distance-close", "--delta-grid", "0,50,inf"),
+        ("--split", "distance-close", "--delta-grid", "0,nan"),
+        ("--split", "distance-close", "--d-max", "inf"),
+        ("--split", "distance-far", "--d-min", "inf"),
+    ], ids=["grid-inf", "grid-nan", "d-max-inf", "d-min-inf"])
+    def test_non_finite_split_exits_2_without_report(self, tmp_path, ci_spec_file,
+                                                      capsys, flags):
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir, *flags) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("hold_out", ["73", "28.0000001"])
+    def test_hold_out_not_in_the_data_exits_2_naming_the_frequencies(
+            self, tmp_path, ci_spec_file, capsys, hold_out):
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
+                   "--split", "frequency-loo", "--hold-out", hold_out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "[2.0, 10.0, 28.0]" in err
+        assert not out_dir.exists()
+
+    def test_hold_out_in_the_data_is_the_only_point(self, tmp_path, ci_spec_file):
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
+                   "--split", "frequency-loo", "--hold-out", "28", "--models", "ci") == 0
+        doc = read_report(out_dir / "sweep_report.json")
+        assert [p["point"] for p in doc["points"]] == [28.0]
+
     def test_trace_has_skipped_rows(self, tmp_path, ci_spec_file):
         out_dir = tmp_path / "sweepout"
         assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
                    "--split", "distance-far", "--d-min", "1200",
                    "--delta-grid", "0,1100,1190", "--models", "ci",
                    "--no-binning", "--no-threshold") == 0
+        read_report(out_dir / "sweep_report.json")
         lines = (out_dir / "sweep_trace.csv").read_text().splitlines()
         assert any(line.endswith(",true") for line in lines[1:])
         assert any(line.endswith(",false") for line in lines[1:])

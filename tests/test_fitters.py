@@ -417,3 +417,17 @@ class TestFitWithReversion:
         ds = noisy(CIParams(3.0), (28.0,), 4.0, seed=3)
         with pytest.raises(FitError, match="unknown model kind"):
             fit_model(ds, "ciff")
+
+    def test_fit_model_is_the_one_entry_point(self):
+        assert fit_model is fit_with_reversion
+
+    def test_fit_model_applies_the_single_frequency_conventions(self):
+        ds = noisy(CIParams(3.0), (28.0,), 4.0, seed=3)
+        report = fit_model(ds, "abg")
+        assert isinstance(report.params, ABParams)
+        assert FLAG_ABG_AS_AB in report.flags
+        assert_params_close(report.params, fit_ab(ds).params, atol=0.0)
+        cif = fit_model(ds, "cif", f0=10.0)
+        assert FLAG_CIF_SINGLE_FREQUENCY in cif.flags
+        assert cif.params.f0 == 28.0 and cif.params.b == 0.0
+        assert cif.params.n == fit_ci(ds).params.n

@@ -1,8 +1,12 @@
 """CSV ingestion and the reproducible synthetic generator."""
 
+import csv
 import dataclasses
+import io
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pathlossfit import (
     CIParams,
@@ -115,6 +119,51 @@ class TestLoadCsv:
     def test_other_scenario_with_label(self, tmp_path):
         ds = load_csv(write(tmp_path, VALID_HEADER + "28,100,120.5,Other:tunnel,LOS,x\n"))
         assert ds.samples[0].scenario == Scenario("Other", "tunnel")
+
+
+# Valid rows, and rows whose fields come from a wider pool: invalid numbers,
+# empty and non-numeric text, non-finite values, unknown labels, short rows.
+campaigns = st.text(alphabet='ab ,"', max_size=4)
+valid_row = st.tuples(
+    st.floats(0.5, 100.0).map(repr), st.floats(1.0, 1000.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["UMa", "UMiSC", "InHOffice", "InHSM", "Other:tunnel"]),
+    st.sampled_from(["LOS", "NLOS"]), campaigns)
+fuzz_numbers = st.one_of(
+    st.floats(allow_nan=False).map(repr), st.integers(-5, 100).map(str),
+    st.sampled_from(["", " ", "abc", "nan", "inf", "-inf", "1e400", "0x10", " 28 "]))
+fuzz_row = st.tuples(
+    fuzz_numbers, fuzz_numbers, fuzz_numbers,
+    st.sampled_from(["UMa", "Other:tunnel", "Rural", ""]),
+    st.sampled_from(["NLOS", "los", ""]), campaigns,
+).flatmap(lambda row: st.sampled_from([6, 5, 2, 0]).map(lambda width: row[:width]))
+
+
+@st.composite
+def fuzz_rows(draw):
+    """Up to six valid rows with up to two rows of the wider pool mixed in."""
+    rows = draw(st.lists(valid_row, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.one_of(valid_row, fuzz_row)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=fuzz_rows(), bom=st.booleans())
+def test_load_csv_loads_every_row_or_raises_ingest_error(tmp_path, rows, bom):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    path = tmp_path / "fuzz.csv"
+    path.write_text(("\ufeff" if bom else "") + VALID_HEADER + buffer.getvalue(),
+                    encoding="utf-8")
+    try:
+        ds = load_csv(path)
+    except IngestError:
+        return
+    assert len(ds) == len(rows)
+    for column, values in enumerate((ds.frequency, ds.distance, ds.path_loss)):
+        assert np.array_equal(values, [float(row[column]) for row in rows])
 
 
 class TestRoundTrip:
