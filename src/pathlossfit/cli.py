@@ -120,7 +120,7 @@ def _prepare(args: argparse.Namespace,
     head = {
         "tool": {"name": "pathlossfit", "version": __version__},
         "input": provenance,
-        "preprocess": {**settings.as_dict(),
+        "preprocess": {**dataclasses.asdict(settings),
                        "n_input": pp.n_input,
                        "removed_by_threshold": pp.removed_by_threshold,
                        "n_output": len(pp.dataset)},
@@ -257,7 +257,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Sweep flag -> the one split that reads it; on any other split the flag is
+# an error rather than silently ignored. --delta-grid stays accepted with
+# frequency-loo, which ignores it, so one command line can drive every split.
+_SPLIT_FLAGS = {"--d-max": "distance-close", "--d-min": "distance-far",
+                "--hold-out": "frequency-loo"}
+
+
 def _split_spec(args: argparse.Namespace) -> SplitSpec:
+    for flag, split in _SPLIT_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.split != split:
+            raise ConfigError(f"{flag} does not apply to --split {args.split}")
     grid = args.delta_grid
     try:
         if args.split == "distance-close":
@@ -332,6 +342,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_fspl(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.frequency) and math.isfinite(args.distance)):
+        raise ConfigError(f"fspl needs finite numbers, got frequency {args.frequency} "
+                          f"and distance {args.distance}")
     print(f"{fspl(args.frequency, args.distance):.4f}")
     return EXIT_OK
 

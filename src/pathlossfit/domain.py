@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -78,45 +79,28 @@ _SAMPLE_RULES = {
 }
 
 
-def first_violation(column: str, values) -> tuple[int, str] | None:
-    """Index and message of the first value of ``column`` (frequency, distance
-    or path_loss) that breaks the sample invariants, or None if all hold.
-
-    ``values`` may be a scalar or an array; every value must be finite.
+def first_violation(column: str, values: np.ndarray) -> tuple[int, str] | None:
+    """Index and message of the first value of the 1-D ``values`` of ``column``
+    (frequency, distance or path_loss) that breaks the sample invariants, or
+    None if all hold. A value that is not finite always breaks them.
     """
-    values = np.asarray(values, dtype=float)
     text, rule = _SAMPLE_RULES[column]
     ok = np.isfinite(values) & rule(values)
     if ok.all():
         return None
-    i = int(np.argmin(ok.reshape(-1)))
-    return i, f"{text}, got {float(values.reshape(-1)[i])}"
-
-
-@dataclass(frozen=True)
-class PathLossSample:
-    """One path loss observation: (frequency GHz, 3D distance m, loss dB).
-
-    Valid only for distance >= 1 m, where all three models are defined.
-    """
-
-    frequency: float
-    distance: float
-    path_loss: float
-    scenario: Scenario = OTHER
-    environment: Environment = Environment.NLOS
-    campaign: str = ""
-
-    def __post_init__(self) -> None:
-        for column in _SAMPLE_RULES:
-            problem = first_violation(column, getattr(self, column))
-            if problem is not None:
-                raise DomainError(problem[1])
+    i = int(np.argmin(ok))
+    return i, f"{text}, got {float(values[i])}"
 
 
 # The labels a sample carries besides its numbers.
 Label = tuple[Scenario, Environment, str]
 DEFAULT_LABEL: Label = (OTHER, Environment.NLOS, "")
+
+
+# Compatibility shim: one (frequency GHz, distance m, loss dB) row for
+# Dataset(rows), which bench/checks.py still calls. Build datasets with
+# Dataset.from_columns.
+PathLossSample = namedtuple("PathLossSample", "frequency distance path_loss")
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -132,21 +116,17 @@ class Dataset:
     ``frequency``, ``distance`` and ``path_loss`` are float64 arrays, one
     entry per sample. ``codes[i]`` indexes ``labels``, a tuple of distinct
     (scenario, environment, campaign) triples, to give sample i's labels.
-    ``Dataset(samples)`` builds one from :class:`PathLossSample` rows and
-    :meth:`from_columns` from arrays. ``samples`` and iteration give the rows
-    back, built on demand.
+    :meth:`from_columns` builds one from arrays.
 
     ``freq_summary`` lists each unique frequency once, ascending, with its
     sample count; the counts always sum to ``len(dataset)``.
     """
 
-    def __init__(self, samples: Iterable[PathLossSample] = ()) -> None:
-        rows = tuple(samples)
-        index: dict[Label, int] = {}
-        codes = [index.setdefault((s.scenario, s.environment, s.campaign), len(index))
-                 for s in rows]
-        self._assign([s.frequency for s in rows], [s.distance for s in rows],
-                     [s.path_loss for s in rows], codes, tuple(index))
+    def __init__(self, rows: Iterable[PathLossSample] = ()) -> None:
+        # Compatibility shim (see PathLossSample): each row is (frequency,
+        # distance, path_loss) and every sample gets the default label.
+        f, d, pl = np.array(tuple(rows) or np.empty((0, 3)), dtype=float).T
+        self._assign(f, d, pl, np.zeros(f.size, dtype=np.intp), (DEFAULT_LABEL,))
         self._validate()
 
     @classmethod
@@ -191,9 +171,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.frequency.size)
 
-    def __iter__(self) -> Iterator[PathLossSample]:
-        return iter(self.samples)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -206,13 +183,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, frequencies={self.frequencies})"
-
-    @property
-    def samples(self) -> tuple[PathLossSample, ...]:
-        """The samples as rows, built on each call."""
-        return tuple(PathLossSample(f, d, pl, *label) for f, d, pl, label in zip(
-            self.frequency.tolist(), self.distance.tolist(), self.path_loss.tolist(),
-            self.row_labels()))
 
     def row_labels(self) -> list[Label]:
         """Each sample's (scenario, environment, campaign), in sample order."""

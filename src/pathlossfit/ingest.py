@@ -41,8 +41,7 @@ CSV_COLUMNS = ("frequency_ghz", "distance_m", "path_loss_db",
 
 DISTANCE_LAWS = ("log-uniform", "uniform")
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _STD_NORMAL = NormalDist()
 
 
@@ -161,22 +160,26 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
 # Counter-based uniform stream (splitmix64) and synthetic generation
 # ---------------------------------------------------------------------------
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def counter_uniforms(seed: int, index) -> np.ndarray:
+    """Uniforms number ``index`` (an array of nonnegative integers) of the
+    seeded stream, each strictly inside (0, 1).
+
+    Word ``i`` is the splitmix64 finalizer applied to
+    ``(seed + (i+1) * 0x9E3779B97F4A7C15) mod 2^64``; the top 53 bits,
+    offset by half a ulp, give the uniform. Pure 64-bit integer arithmetic,
+    so any implementation reproduces the stream bit-for-bit; numpy's uint64
+    array arithmetic wraps mod 2^64.
+    """
+    z = np.uint64(seed) + (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
 
 def counter_uniform(seed: int, index: int) -> float:
-    """The index-th uniform of the seeded stream, strictly inside (0, 1).
-
-    Word ``index`` is the splitmix64 finalizer applied to
-    ``(seed + (index+1) * 0x9E3779B97F4A7C15) mod 2^64``; the top 53 bits,
-    offset by half a ulp, give the uniform. Pure 64-bit integer arithmetic,
-    so any implementation reproduces the stream bit-for-bit.
-    """
-    word = _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
-    return ((word >> 11) + 0.5) * 2.0 ** -53
+    """The index-th uniform of the seeded stream (see :func:`counter_uniforms`)."""
+    return float(counter_uniforms(seed, [index])[0])
 
 
 @dataclass(frozen=True)
@@ -230,23 +233,19 @@ def generate(spec: SyntheticSpec) -> Dataset:
     is sigma times the inverse standard normal CDF of the uniform.
     """
     d_lo, d_hi = spec.distance_range
-    frequency, distance, path_loss = [], [], []
-    i = 0
-    for freq, count in spec.frequencies:
-        u_dist = np.array([counter_uniform(spec.seed, 2 * (i + j)) for j in range(count)])
-        u_shad = [counter_uniform(spec.seed, 2 * (i + j) + 1) for j in range(count)]
-        i += count
-        if spec.distance_law == "log-uniform":
-            distances = d_lo * (d_hi / d_lo) ** u_dist
-        else:
-            distances = d_lo + (d_hi - d_lo) * u_dist
-        noise = spec.sigma * np.array([_STD_NORMAL.inv_cdf(u) for u in u_shad])
-        losses = np.asarray(evaluate(spec.truth, freq, distances), dtype=float) + noise
-        frequency.append(np.full(count, freq))
-        distance.append(distances)
-        path_loss.append(losses)
-    return Dataset.from_columns(np.concatenate(frequency), np.concatenate(distance),
-                                np.concatenate(path_loss),
+    counts = [count for _, count in spec.frequencies]
+    sample = np.arange(sum(counts))
+    u_dist = counter_uniforms(spec.seed, 2 * sample)
+    u_shad = counter_uniforms(spec.seed, 2 * sample + 1)
+    if spec.distance_law == "log-uniform":
+        distance = d_lo * (d_hi / d_lo) ** u_dist
+    else:
+        distance = d_lo + (d_hi - d_lo) * u_dist
+    noise = spec.sigma * np.array([_STD_NORMAL.inv_cdf(u) for u in u_shad.tolist()])
+    mean = [evaluate(spec.truth, freq, part) for (freq, _), part
+            in zip(spec.frequencies, np.split(distance, np.cumsum(counts)[:-1]))]
+    frequency = np.repeat([freq for freq, _ in spec.frequencies], counts)
+    return Dataset.from_columns(frequency, distance, np.concatenate(mean) + noise,
                                 labels=((spec.scenario, spec.environment, spec.campaign),))
 
 

@@ -10,7 +10,7 @@ never average together.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +40,6 @@ class PreprocessSettings:
         if self.bin_average not in BIN_AVERAGE_MODES:
             raise DomainError(f"bin_average must be one of {BIN_AVERAGE_MODES}")
 
-    def as_dict(self) -> dict[str, object]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    dataset: Dataset
-    removed: int
-
 
 @dataclass(frozen=True)
 class PreprocessResult:
@@ -57,11 +48,14 @@ class PreprocessResult:
     removed_by_threshold: int
 
 
-def threshold(ds: Dataset, settings: PreprocessSettings) -> ThresholdResult:
-    """Drop samples with path_loss > FSPL(f, 1 m) + margin, keeping order."""
+def threshold(ds: Dataset, settings: PreprocessSettings) -> tuple[Dataset, int]:
+    """Drop samples with path_loss > FSPL(f, 1 m) + margin, keeping order.
+
+    Returns the kept samples and the number dropped.
+    """
     f, _, pl = ds.arrays()
     over = pl > fspl(f, 1.0) + settings.threshold_margin
-    return ThresholdResult(ds.filter(~over), int(np.count_nonzero(over)))
+    return ds.filter(~over), int(np.count_nonzero(over))
 
 
 def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
@@ -75,13 +69,19 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
     f, d, pl = ds.arrays()
     if len(ds) == 0:
         return ds
-    keys = np.column_stack([ds.codes, f, np.floor(d / settings.bin_width)])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # One int64 key per (label, frequency, bin), from dense indices: one 1-D
+    # sort instead of a row sort. floor(d / w) stays a float until it is
+    # ranked, since with a tiny bin width it exceeds 2^63.
+    _, freq = np.unique(f, return_inverse=True)
+    _, label_freq = np.unique(ds.codes * (freq.max() + 1) + freq, return_inverse=True)
+    bins, bin_index = np.unique(np.floor(d / settings.bin_width), return_inverse=True)
+    key = label_freq.astype(np.int64) * bins.size + bin_index
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     # renumber groups by first occurrence, then list members group by group
     # (stable, so each group's members stay in input order)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
-    group = rank[inverse.reshape(-1)]
+    group = rank[inverse]
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
@@ -102,13 +102,7 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
 
 def apply(ds: Dataset, settings: PreprocessSettings) -> PreprocessResult:
     """Threshold first (drop unphysically weak samples), then bin the rest."""
-    n_input = len(ds)
-    removed = 0
-    current = ds
-    if settings.threshold_enabled:
-        result = threshold(current, settings)
-        current, removed = result.dataset, result.removed
+    current, removed = threshold(ds, settings) if settings.threshold_enabled else (ds, 0)
     if settings.binning_enabled:
         current = bin_by_distance(current, settings)
-    return PreprocessResult(dataset=current, n_input=n_input,
-                            removed_by_threshold=removed)
+    return PreprocessResult(dataset=current, n_input=len(ds), removed_by_threshold=removed)

@@ -4,15 +4,14 @@ import pytest
 from pathlossfit import (
     CIParams,
     Dataset,
-    PathLossSample,
     SyntheticSpec,
     generate,
 )
 
 
-def make_dataset(rows, **common) -> Dataset:
+def make_dataset(rows) -> Dataset:
     """Build a dataset from (frequency, distance, path_loss) triples."""
-    return Dataset(tuple(PathLossSample(f, d, pl, **common) for f, d, pl in rows))
+    return Dataset.from_columns(*np.array(list(rows), dtype=float).reshape(-1, 3).T)
 
 
 @pytest.fixture(scope="session")

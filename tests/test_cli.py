@@ -60,6 +60,13 @@ class TestFspl:
         assert run("fspl", "0", "1") == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("nan", "1"), ("28", "inf"), ("inf", "nan")])
+    def test_non_finite_input_exits_2_with_one_line(self, capsys, argv):
+        assert run("fspl", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestGenerate:
     def test_writes_loadable_csv(self, tmp_path, ci_spec_file):
@@ -67,7 +74,7 @@ class TestGenerate:
         assert run("generate", "--spec", ci_spec_file, "--out", out) == 0
         ds = load_csv(out)
         assert len(ds) == 450
-        assert ds.samples[0].campaign == "synthetic-uma"
+        assert ds.row_labels()[0][2] == "synthetic-uma"
 
     def test_byte_identical_reruns(self, tmp_path, ci_spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -288,6 +295,28 @@ class TestSweep:
                    "--split", "frequency-loo", "--hold-out", "28", "--models", "ci") == 0
         doc = read_report(out_dir / "sweep_report.json")
         assert [p["point"] for p in doc["points"]] == [28.0]
+
+    @pytest.mark.parametrize("split,flag", [
+        ("distance-close", "--hold-out"), ("distance-far", "--hold-out"),
+        ("distance-close", "--d-min"), ("frequency-loo", "--d-min"),
+        ("distance-far", "--d-max"), ("frequency-loo", "--d-max"),
+    ])
+    def test_flag_the_split_ignores_exits_2_before_input_is_read(self, tmp_path, capsys,
+                                                                 split, flag):
+        empty = tmp_path / "empty.csv"  # loading it would fail: the flag must fail first
+        empty.write_text("")
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--input", empty, "--out-dir", out_dir,
+                   "--split", split, flag, "28") == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --split {split}\n"
+        assert not out_dir.exists()
+
+    def test_frequency_loo_accepts_and_ignores_a_delta_grid(self, tmp_path, ci_spec_file):
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
+                   "--split", "frequency-loo", "--delta-grid", "0,50", "--models", "ci") == 0
+        doc = read_report(out_dir / "sweep_report.json")
+        assert [p["point"] for p in doc["points"]] == [2.0, 10.0, 28.0]
 
     def test_trace_has_skipped_rows(self, tmp_path, ci_spec_file):
         out_dir = tmp_path / "sweepout"

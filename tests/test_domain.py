@@ -16,12 +16,10 @@ from pathlossfit import (
     CIFParams,
     CIOptParams,
     CIParams,
-    Dataset,
     DomainError,
     Environment,
     FitReport,
     FREE_SPACE_INTERCEPT_DB,
-    PathLossSample,
     Scenario,
     UMA,
     eval_abg,
@@ -179,18 +177,10 @@ class TestWeightedMeanFrequency:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
-            weighted_mean_frequency(Dataset(()))
+            weighted_mean_frequency(make_dataset([]))
 
 
 class TestValueTypes:
-    def test_sample_invariants(self):
-        with pytest.raises(DomainError):
-            PathLossSample(0.0, 10.0, 100.0)
-        with pytest.raises(DomainError):
-            PathLossSample(28.0, 0.5, 100.0)
-        with pytest.raises(DomainError):
-            PathLossSample(28.0, 10.0, float("nan"))
-
     def test_freq_summary_sorted_unique_and_counts_sum(self):
         ds = make_dataset([(28.0, 5.0, 100.0), (2.0, 5.0, 90.0),
                            (28.0, 7.0, 101.0), (10.0, 5.0, 95.0)])

@@ -20,7 +20,6 @@ from pathlossfit import (
     DegenerateDesignError,
     FitError,
     FREE_SPACE_INTERCEPT_DB,
-    PathLossSample,
     RegressionDesign,
     SingleFrequencyError,
     SingularDesignError,
@@ -331,10 +330,9 @@ class TestOffsetEquivariance:
     @pytest.mark.parametrize("shift", [-7.5, 3.25, 12.0])
     def test_abg_shift_moves_only_beta(self, noisy_multifreq, shift):
         base = fit_abg(noisy_multifreq)
-        shifted_ds = Dataset(tuple(
-            PathLossSample(s.frequency, s.distance, s.path_loss + shift,
-                           s.scenario, s.environment, s.campaign)
-            for s in noisy_multifreq))
+        f, d, pl = noisy_multifreq.arrays()
+        shifted_ds = Dataset.from_columns(f, d, pl + shift, noisy_multifreq.codes,
+                                          noisy_multifreq.labels)
         shifted = fit_abg(shifted_ds)
         assert shifted.params.alpha == pytest.approx(base.params.alpha, abs=1e-9)
         assert shifted.params.gamma == pytest.approx(base.params.gamma, abs=1e-9)
@@ -346,10 +344,9 @@ class TestOffsetEquivariance:
         design = RegressionDesign.from_dataset(noisy_multifreq)
         expected_delta = shift * float(design.D.sum()) / float(np.dot(design.D, design.D))
         base = fit_ci(noisy_multifreq)
-        shifted_ds = Dataset(tuple(
-            PathLossSample(s.frequency, s.distance, s.path_loss + shift,
-                           s.scenario, s.environment, s.campaign)
-            for s in noisy_multifreq))
+        f, d, pl = noisy_multifreq.arrays()
+        shifted_ds = Dataset.from_columns(f, d, pl + shift, noisy_multifreq.codes,
+                                          noisy_multifreq.labels)
         shifted = fit_ci(shifted_ds)
         assert shifted.params.n - base.params.n == pytest.approx(expected_delta, abs=1e-9)
 

@@ -23,7 +23,7 @@ from pathlossfit import (
     load_csv,
     write_csv,
 )
-from pathlossfit.ingest import load_spec, spec_from_dict, spec_to_dict
+from pathlossfit.ingest import counter_uniforms, load_spec, spec_from_dict, spec_to_dict
 
 VALID_HEADER = "frequency_ghz,distance_m,path_loss_db,scenario,environment,campaign\n"
 
@@ -39,11 +39,12 @@ class TestLoadCsv:
         path = write(tmp_path, VALID_HEADER + "28,100,120.5,UMa,NLOS,aau\n")
         ds = load_csv(path)
         assert len(ds) == 1
-        s = ds.samples[0]
-        assert s.frequency == 28.0 and s.distance == 100.0 and s.path_loss == 120.5
-        assert s.scenario == Scenario("UMa")
-        assert s.environment is Environment.NLOS
-        assert s.campaign == "aau"
+        f, d, pl = ds.arrays()
+        scenario, environment, campaign = ds.row_labels()[0]
+        assert f[0] == 28.0 and d[0] == 100.0 and pl[0] == 120.5
+        assert scenario == Scenario("UMa")
+        assert environment is Environment.NLOS
+        assert campaign == "aau"
 
     def test_short_distance_rejected_with_line_number(self, tmp_path):
         path = write(tmp_path, VALID_HEADER + "28,0.5,120.5,UMa,NLOS,aau\n")
@@ -60,7 +61,7 @@ class TestLoadCsv:
         path.write_bytes(b"\xef\xbb\xbf" + (VALID_HEADER + "28,100,120.5,UMa,NLOS,aau\n").encode())
         ds = load_csv(path)
         assert ds == load_csv(write(tmp_path, VALID_HEADER + "28,100,120.5,UMa,NLOS,aau\n"))
-        assert ds.samples[0].frequency == 28.0
+        assert ds.frequency[0] == 28.0
 
     @pytest.mark.parametrize("rows,match", [
         ("28,100,120,UMa,NLOS,a\n28,0.5,120,UMa,NLOS,a\n28,abc,120,UMa,NLOS,a\n",
@@ -118,7 +119,7 @@ class TestLoadCsv:
 
     def test_other_scenario_with_label(self, tmp_path):
         ds = load_csv(write(tmp_path, VALID_HEADER + "28,100,120.5,Other:tunnel,LOS,x\n"))
-        assert ds.samples[0].scenario == Scenario("Other", "tunnel")
+        assert ds.row_labels()[0][0] == Scenario("Other", "tunnel")
 
 
 # Valid rows, and rows whose fields come from a wider pool: invalid numbers,
@@ -210,6 +211,25 @@ class TestCounterUniform:
         assert counter_uniform(42, 500) != counter_uniform(42, 501)
         assert counter_uniform(42, 500) != counter_uniform(43, 500)
 
+    # Seeds near 2^64 and indices up to 2^62 make seed + (i+1) * golden wrap
+    # mod 2^64, which Python integers only do through the explicit mask.
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           index=st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=20))
+    def test_numpy_stream_matches_python_integer_splitmix64(self, seed, index):
+        want = [python_int_uniform(seed, i) for i in index]
+        assert counter_uniforms(seed, index).tolist() == want
+        assert counter_uniform(seed, index[0]) == want[0]
+
+
+def python_int_uniform(seed: int, index: int) -> float:
+    """The stream computed in unbounded Python integers, masked to 64 bits."""
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    return ((z >> 11) + 0.5) * 2.0 ** -53
+
 
 class TestGenerate:
     def test_seed_determinism(self):
@@ -231,16 +251,15 @@ class TestGenerate:
         ds = generate(spec)
         assert len(ds) == 42
         assert dict(ds.freq_summary) == {2.0: 12, 28.0: 30}
-        assert all(10.0 <= s.distance <= 400.0 for s in ds)
+        assert all(10.0 <= d <= 400.0 for d in ds.distance.tolist())
 
     def test_zero_sigma_lies_on_the_model(self):
         spec = SyntheticSpec(truth=CIParams(2.9), sigma=0.0, seed=7,
                              frequencies=((2.0, 10), (28.0, 10)),
                              distance_range=(10.0, 400.0))
         ds = generate(spec)
-        for s in ds:
-            assert s.path_loss == pytest.approx(
-                eval_ci(CIParams(2.9), s.frequency, s.distance), abs=1e-12)
+        for f, d, pl in zip(*(column.tolist() for column in ds.arrays())):
+            assert pl == pytest.approx(eval_ci(CIParams(2.9), f, d), abs=1e-12)
         assert fit_ci(ds).sigma < 1e-12
 
     def test_uniform_law(self):
@@ -248,7 +267,7 @@ class TestGenerate:
                              frequencies=((28.0, 200),), distance_range=(10.0, 20.0),
                              distance_law="uniform")
         ds = generate(spec)
-        distances = [s.distance for s in ds]
+        distances = ds.distance.tolist()
         assert min(distances) >= 10.0 and max(distances) <= 20.0
         assert 14.0 < sum(distances) / len(distances) < 16.0
 

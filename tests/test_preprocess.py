@@ -8,7 +8,6 @@ from pathlossfit import (
     Dataset,
     DomainError,
     Environment,
-    PathLossSample,
     PreprocessSettings,
     UMA,
     UMI_SC,
@@ -27,34 +26,34 @@ class TestThreshold:
     def test_sample_just_under_the_cut_is_kept(self):
         # cut at 28 GHz: fspl(28,1) + 100 = 161.39094...
         ds = make_dataset([(28.0, 200.0, 161.3)])
-        result = threshold(ds, DEFAULTS)
-        assert len(result.dataset) == 1
-        assert result.removed == 0
+        kept, removed = threshold(ds, DEFAULTS)
+        assert len(kept) == 1
+        assert removed == 0
 
     def test_sample_just_over_the_cut_is_removed(self):
         ds = make_dataset([(28.0, 200.0, 161.4)])
-        result = threshold(ds, DEFAULTS)
-        assert len(result.dataset) == 0
-        assert result.removed == 1
+        kept, removed = threshold(ds, DEFAULTS)
+        assert len(kept) == 0
+        assert removed == 1
 
     def test_low_frequency_cut_is_lower(self):
         # fspl(2,1) + 100 = 138.47 < 170
-        result = threshold(make_dataset([(2.0, 500.0, 170.0)]), DEFAULTS)
-        assert result.removed == 1
+        _, removed = threshold(make_dataset([(2.0, 500.0, 170.0)]), DEFAULTS)
+        assert removed == 1
 
     def test_empty_dataset_passes_through(self):
-        result = threshold(Dataset(()), DEFAULTS)
-        assert len(result.dataset) == 0
-        assert result.removed == 0
+        kept, removed = threshold(make_dataset([]), DEFAULTS)
+        assert len(kept) == 0
+        assert removed == 0
 
     def test_preserves_order(self):
         rows = [(28.0, 10.0 * k, 100.0 + k) for k in range(1, 6)]
-        result = threshold(make_dataset(rows), DEFAULTS)
-        assert [s.path_loss for s in result.dataset] == [101.0, 102.0, 103.0, 104.0, 105.0]
+        kept, _ = threshold(make_dataset(rows), DEFAULTS)
+        assert kept.path_loss.tolist() == [101.0, 102.0, 103.0, 104.0, 105.0]
 
     def test_raising_margin_never_removes_more(self):
         ds = make_dataset([(28.0, 50.0, 120.0 + 15.0 * k) for k in range(6)])
-        removed = [threshold(ds, PreprocessSettings(threshold_margin=m)).removed
+        removed = [threshold(ds, PreprocessSettings(threshold_margin=m))[1]
                    for m in (50.0, 75.0, 100.0, 125.0)]
         assert removed == sorted(removed, reverse=True)
 
@@ -64,8 +63,8 @@ class TestBinByDistance:
         ds = make_dataset([(28.0, 10.1, 100.0), (28.0, 11.9, 104.0)])
         out = bin_by_distance(ds, DEFAULTS)
         assert len(out) == 1
-        assert out.samples[0].distance == pytest.approx(11.0)
-        assert out.samples[0].path_loss == pytest.approx(102.0)
+        assert out.distance[0] == pytest.approx(11.0)
+        assert out.path_loss[0] == pytest.approx(102.0)
 
     def test_bin_boundary_separates(self):
         # 11.9 -> bin 5, 12.1 -> bin 6 at 2 m width
@@ -76,25 +75,23 @@ class TestBinByDistance:
     def test_single_sample_unchanged(self):
         ds = make_dataset([(28.0, 33.3, 123.4)])
         out = bin_by_distance(ds, DEFAULTS)
-        assert out.samples[0].distance == 33.3
-        assert out.samples[0].path_loss == 123.4
+        assert out.distance[0] == 33.3
+        assert out.path_loss[0] == 123.4
 
     def test_groups_never_mix_frequencies_or_labels(self):
-        samples = (
-            PathLossSample(28.0, 10.2, 100.0, UMA, Environment.NLOS, "a"),
-            PathLossSample(2.0, 10.4, 100.0, UMA, Environment.NLOS, "a"),
-            PathLossSample(28.0, 10.6, 100.0, UMA, Environment.LOS, "a"),
-            PathLossSample(28.0, 10.8, 100.0, UMI_SC, Environment.NLOS, "a"),
-            PathLossSample(28.0, 11.0, 100.0, UMA, Environment.NLOS, "b"),
-        )
-        out = bin_by_distance(Dataset(samples), DEFAULTS)
+        labels = ((UMA, Environment.NLOS, "a"), (UMA, Environment.LOS, "a"),
+                  (UMI_SC, Environment.NLOS, "a"), (UMA, Environment.NLOS, "b"))
+        ds = Dataset.from_columns([28.0, 2.0, 28.0, 28.0, 28.0],
+                                  [10.2, 10.4, 10.6, 10.8, 11.0], [100.0] * 5,
+                                  [0, 0, 1, 2, 3], labels)
+        out = bin_by_distance(ds, DEFAULTS)
         assert len(out) == 5
 
     def test_linear_average_option(self):
         ds = make_dataset([(28.0, 10.0, 100.0), (28.0, 10.5, 104.0)])
         out = bin_by_distance(ds, PreprocessSettings(bin_average="linear"))
         expected = 10.0 * math.log10((1e10 + 10.0 ** 10.4) / 2.0)
-        assert out.samples[0].path_loss == pytest.approx(expected, abs=1e-12)
+        assert out.path_loss[0] == pytest.approx(expected, abs=1e-12)
 
     def test_idempotent_once_bins_hold_one_sample(self, uma_synthetic):
         once = bin_by_distance(uma_synthetic, DEFAULTS)
@@ -104,9 +101,10 @@ class TestBinByDistance:
     def test_count_conservation(self, uma_synthetic):
         out = bin_by_distance(uma_synthetic, DEFAULTS)
         groups = {}
-        for s in uma_synthetic:
-            key = (s.campaign, s.frequency, s.environment, s.scenario,
-                   math.floor(s.distance / 2.0))
+        for f, d, (scenario, environment, campaign) in zip(
+                uma_synthetic.frequency.tolist(), uma_synthetic.distance.tolist(),
+                uma_synthetic.row_labels()):
+            key = (campaign, f, environment, scenario, math.floor(d / 2.0))
             groups[key] = groups.get(key, 0) + 1
         assert len(out) == len(groups)
         assert sum(groups.values()) == len(uma_synthetic)

@@ -1,5 +1,6 @@
 """Measurement/prediction splits, sweeps, and parameter stability traces."""
 
+import numpy as np
 import pytest
 
 from pathlossfit import (
@@ -9,7 +10,6 @@ from pathlossfit import (
     DistanceClose,
     DistanceFar,
     FrequencyLOO,
-    PathLossSample,
     SweepError,
     eval_ci,
     fit_ci,
@@ -32,23 +32,23 @@ class TestSplit:
     def test_distance_close_zero_gap(self):
         ds = make_dataset([(28.0, 150.0, 110.0), (28.0, 250.0, 120.0)])
         meas, pred = split(ds, DistanceClose(200.0, (0.0,)), 0.0)
-        assert [s.distance for s in pred] == [150.0]
-        assert [s.distance for s in meas] == [250.0]
+        assert pred.distance.tolist() == [150.0]
+        assert meas.distance.tolist() == [250.0]
 
     def test_distance_close_gap_drops_samples(self):
         ds = make_dataset([(28.0, 150.0, 110.0), (28.0, 250.0, 115.0),
                            (28.0, 350.0, 120.0)])
         meas, pred = split(ds, DistanceClose(200.0, (0.0, 100.0)), 100.0)
-        assert [s.distance for s in pred] == [150.0]
-        assert [s.distance for s in meas] == [350.0]
+        assert pred.distance.tolist() == [150.0]
+        assert meas.distance.tolist() == [350.0]
         assert len(ds) - len(meas) - len(pred) == 1  # 250 m falls in the gap
 
     def test_distance_far(self):
         ds = make_dataset([(28.0, 150.0, 110.0), (28.0, 450.0, 115.0),
                            (28.0, 650.0, 125.0)])
         meas, pred = split(ds, DistanceFar(600.0, (0.0, 200.0)), 200.0)
-        assert [s.distance for s in pred] == [650.0]
-        assert [s.distance for s in meas] == [150.0]
+        assert pred.distance.tolist() == [650.0]
+        assert meas.distance.tolist() == [150.0]
 
     def test_frequency_loo(self):
         rows = [(f, 100.0, 110.0) for f in (2.0, 10.0, 18.0, 28.0, 38.0)]
@@ -60,11 +60,11 @@ class TestSplit:
         spec = DistanceClose(200.0, (0.0, 100.0, 300.0))
         for point in spec.delta_grid:
             meas, pred = split(uma_synthetic, spec, point)
-            assert all(s.distance > 200.0 + point for s in meas)
-            assert all(s.distance <= 200.0 for s in pred)
+            assert all(d > 200.0 + point for d in meas.distance.tolist())
+            assert all(d <= 200.0 for d in pred.distance.tolist())
             gap = len(uma_synthetic) - len(meas) - len(pred)
-            in_gap = sum(1 for s in uma_synthetic
-                         if 200.0 < s.distance <= 200.0 + point)
+            in_gap = sum(1 for d in uma_synthetic.distance.tolist()
+                         if 200.0 < d <= 200.0 + point)
             assert gap == in_gap
 
     def test_spec_validation(self):
@@ -112,7 +112,7 @@ class TestPredictionSigma:
 
     def test_empty_prediction_set_rejected(self):
         with pytest.raises(SweepError):
-            prediction_sigma(CIParams(2.9), Dataset(()))
+            prediction_sigma(CIParams(2.9), make_dataset([]))
 
     def test_stays_near_truth_sigma_for_every_delta(self, uma_synthetic):
         # CI truth sigma = 5.7 dB; a CI fit on the disjoint far data predicts
@@ -171,11 +171,9 @@ class TestRunSweep:
     def test_prediction_set_never_influences_parameters(self, uma_synthetic):
         spec = DistanceClose(200.0, (0.0, 100.0))
         base = run_sweep(uma_synthetic, spec, ("ci", "cif"))
-        tampered = Dataset(tuple(
-            PathLossSample(s.frequency, s.distance,
-                           s.path_loss + (25.0 if s.distance <= 200.0 else 0.0),
-                           s.scenario, s.environment, s.campaign)
-            for s in uma_synthetic))
+        f, d, pl = uma_synthetic.arrays()
+        tampered = Dataset.from_columns(f, d, pl + np.where(d <= 200.0, 25.0, 0.0),
+                                        uma_synthetic.codes, uma_synthetic.labels)
         moved = run_sweep(tampered, spec, ("ci", "cif"))
         for p_base, p_moved in zip(base.points, moved.points):
             for e_base, e_moved in zip(p_base.models, p_moved.models):
