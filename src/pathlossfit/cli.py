@@ -47,6 +47,7 @@ from .fitters import (
 from .ingest import IngestError, generate, load_csv, load_spec, write_csv
 from .preprocess import BIN_AVERAGE_MODES, PreprocessSettings, apply as preprocess_apply
 from .sensitivity import (
+    DEFAULT_D_MAX,
     DistanceClose,
     DistanceFar,
     FrequencyLOO,
@@ -233,6 +234,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.split == "frequency-loo" and args.hold_out not in (None, *ds.frequencies):
         raise ConfigError(f"--hold-out {args.hold_out} GHz is not in the data; "
                           f"frequencies present: {list(ds.frequencies)}")
+    if args.split == "distance-close" and args.d_max is None:
+        split_spec = dataclasses.replace(split_spec, d_max=_scenario_d_max(ds))
 
     report = run_sweep(ds, split_spec, args.models,
                        f0=args.f0, d0_bounds=tuple(args.d0_bounds))
@@ -271,6 +274,7 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
     grid = args.delta_grid
     try:
         if args.split == "distance-close":
+            # without --d-max, cmd_sweep sets d_max from the data's scenario
             default = default_close_spec("UMa")
             return DistanceClose(default.d_max if args.d_max is None else args.d_max,
                                  default.delta_grid if grid is None else grid)
@@ -283,6 +287,18 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
     except SweepError as exc:  # malformed grid or cutoff is a config problem
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown split {args.split!r}")
+
+
+def _scenario_d_max(ds: Dataset) -> float:
+    """The default close-in cutoff of the scenarios present in ``ds``
+    (sensitivity.DEFAULT_D_MAX; UMa's 200 m for a scenario without one)."""
+    names = {ds.labels[code][0].name for code in np.unique(ds.codes).tolist()}
+    d_max = {name: DEFAULT_D_MAX.get(name, DEFAULT_D_MAX["UMa"]) for name in sorted(names)}
+    if len(set(d_max.values())) > 1:
+        cutoffs = ", ".join(f"{name} {value:g} m" for name, value in d_max.items())
+        raise ConfigError(f"the data mixes scenarios with different default d_max "
+                          f"({cutoffs}); pass --d-max")
+    return next(iter(d_max.values()), DEFAULT_D_MAX["UMa"])
 
 
 def _sweep_point_dict(point) -> dict:
@@ -438,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--split", required=True,
                        choices=("distance-close", "distance-far", "frequency-loo"))
     sweep.add_argument("--d-max", type=float,
-                       help="close-in cutoff in meters (default 200)")
+                       help="close-in cutoff in meters (default by the data's "
+                            "scenario: UMiSC 50, InHOffice 15, any other 200)")
     sweep.add_argument("--d-min", type=float,
                        help="far cutoff in meters (default 600)")
     sweep.add_argument("--delta-grid", type=_parse_grid,

@@ -407,6 +407,11 @@ def evaluate(params: ModelParams, frequency, distance):
     return _model_kind(params).evaluator(params, frequency, distance)
 
 
+def _mean_frequency(freq_counts: Iterable[tuple[float, int]]) -> float:
+    pairs = tuple(freq_counts)
+    return sum(f * count for f, count in pairs) / sum(count for _, count in pairs)
+
+
 def weighted_mean_frequency(ds: Dataset) -> int:
     """Sample-count-weighted mean frequency, rounded to the nearest integer GHz.
 
@@ -414,9 +419,19 @@ def weighted_mean_frequency(ds: Dataset) -> int:
     """
     if len(ds) == 0:
         raise DomainError("weighted mean frequency of an empty dataset is undefined")
-    total = sum(count for _, count in ds.freq_summary)
-    mean = sum(f * count for f, count in ds.freq_summary) / total
-    return int(math.floor(mean + 0.5))
+    return int(math.floor(_mean_frequency(ds.freq_summary) + 0.5))
+
+
+def auto_f0(freq_counts: Iterable[tuple[float, int]]) -> float:
+    """CIF's automatic balance frequency from (frequency GHz, sample count) pairs.
+
+    It is the count-weighted mean frequency rounded as by
+    :func:`weighted_mean_frequency`, or the unrounded mean where that rounds
+    to 0 GHz (sub-GHz data), since f0 must be positive.
+    """
+    mean = _mean_frequency(freq_counts)
+    rounded = float(math.floor(mean + 0.5))
+    return rounded if rounded > 0 else mean
 
 
 # ---------------------------------------------------------------------------

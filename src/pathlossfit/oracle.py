@@ -19,7 +19,7 @@ from .domain import (
     CIParams,
     Dataset,
     FitReport,
-    weighted_mean_frequency,
+    auto_f0,
 )
 from .fitters import (
     DegenerateDesignError,
@@ -71,7 +71,7 @@ def oracle_fit(ds: Dataset, kind: str, *,
                                           "ab oracle")
         return FitReport.from_residuals(ABParams(alpha, beta), residuals)
     if kind == "cif":
-        f0_value = float(weighted_mean_frequency(ds)) if f0 == "auto" else float(f0)
+        f0_value = auto_f0(ds.freq_summary) if f0 == "auto" else float(f0)
         (a, g), residuals = _lstsq([design.D, design.D * design.f], design.A, "cif oracle")
         n = a + g * f0_value
         if n == 0.0:

@@ -26,7 +26,11 @@ from .fitters import (
     D0_BOUNDS_DEFAULT,
     FITTER_KINDS,
     FitError,
+    Moments,
+    RegressionDesign,
+    fit_moments,
     fit_with_reversion,
+    moments_sigma,
 )
 
 DEFAULT_MODELS = ("abg", "ci", "cif")
@@ -73,6 +77,10 @@ class DistanceClose:
         """(measurement, prediction) masks over ``ds`` at gap ``point``."""
         return ds.distance > self.d_max + point, ds.distance <= self.d_max
 
+    def key_limits(self) -> tuple[float, float, list[float]]:
+        """(sign, prediction limit, measurement limits): see :func:`_moment_points`."""
+        return 1.0, self.d_max, [self.d_max + p for p in self.delta_grid]
+
 
 @dataclass(frozen=True)
 class DistanceFar:
@@ -94,6 +102,10 @@ class DistanceFar:
     def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
         """(measurement, prediction) masks over ``ds`` at gap ``point``."""
         return ds.distance < self.d_min - point, ds.distance >= self.d_min
+
+    def key_limits(self) -> tuple[float, float, list[float]]:
+        """(sign, prediction limit, measurement limits): see :func:`_moment_points`."""
+        return -1.0, -self.d_min, [-(self.d_min - p) for p in self.delta_grid]
 
 
 @dataclass(frozen=True)
@@ -196,40 +208,22 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
               d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> PredictionReport:
     """Fit each model on every measurement set and score it on the prediction set.
 
-    Sweep points whose measurement or prediction set is empty, or whose fits
-    are degenerate, are marked skipped; if every point is skipped the sweep
-    fails, naming the first degeneracy. Deterministic for identical inputs.
+    A distance sweep reads every point off merged moments
+    (:func:`_moment_points`); a frequency hold-out splits the dataset and
+    refits at each point. Sweep points whose measurement or prediction set
+    is empty, or whose fits are degenerate, are marked skipped; if every
+    point is skipped the sweep fails, naming the first degeneracy.
+    Deterministic for identical inputs.
     """
     if not models:
         raise SweepError("at least one model is required")
     for kind in models:
         if kind not in FITTER_KINDS:
             raise SweepError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
-    results = []
-    for point in spec.points(ds):
-        measurement, prediction = split(ds, spec, point)
-        n_gap = len(ds) - len(measurement) - len(prediction)
-        base = dict(point=float(point), n_meas=len(measurement),
-                    n_pred=len(prediction), n_gap=n_gap)
-        if len(measurement) == 0 or len(prediction) == 0:
-            which = "measurement" if len(measurement) == 0 else "prediction"
-            results.append(SweepPoint(skipped=True,
-                                      skip_reason=f"empty {which} set", **base))
-            continue
-        try:
-            entries = []
-            for kind in models:
-                report = fit_with_reversion(measurement, kind, f0=f0,
-                                            d0_bounds=d0_bounds)
-                entries.append(ModelPrediction(
-                    model=kind, params=report.params,
-                    measurement_sigma=report.sigma,
-                    prediction_sigma=prediction_sigma(report.params, prediction),
-                    flags=report.flags))
-        except (FitError, DomainError) as exc:
-            results.append(SweepPoint(skipped=True, skip_reason=str(exc), **base))
-            continue
-        results.append(SweepPoint(skipped=False, models=tuple(entries), **base))
+    if isinstance(spec, FrequencyLOO):
+        results = _refit_points(ds, spec, models, f0, d0_bounds)
+    else:
+        results = _moment_points(ds, spec, models, f0, d0_bounds)
 
     results.sort(key=lambda p: p.point)
     report = PredictionReport(spec=spec, points=tuple(results))
@@ -238,6 +232,90 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
         raise SweepError(f"all sweep points skipped; first degeneracy at "
                          f"point {first.point}: {first.skip_reason}")
     return report
+
+
+def _sweep_point(base: dict, models: tuple[str, ...], score) -> SweepPoint:
+    """The sweep point with counts ``base``, whose entry for each model kind
+    is ``score(kind)``; a fit or model error skips the point."""
+    if base["n_meas"] == 0 or base["n_pred"] == 0:
+        which = "measurement" if base["n_meas"] == 0 else "prediction"
+        return SweepPoint(skipped=True, skip_reason=f"empty {which} set", **base)
+    try:
+        entries = tuple(score(kind) for kind in models)
+    except (FitError, DomainError) as exc:
+        return SweepPoint(skipped=True, skip_reason=str(exc), **base)
+    return SweepPoint(skipped=False, models=entries, **base)
+
+
+def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> list[SweepPoint]:
+    """Each point from a split of ``ds`` and a refit of every model."""
+    def score(kind: str) -> ModelPrediction:
+        report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
+        return ModelPrediction(model=kind, params=report.params,
+                               measurement_sigma=report.sigma,
+                               prediction_sigma=prediction_sigma(report.params, prediction),
+                               flags=report.flags)
+
+    results = []
+    for point in spec.points(ds):
+        measurement, prediction = split(ds, spec, point)
+        base = dict(point=float(point), n_meas=len(measurement), n_pred=len(prediction),
+                    n_gap=len(ds) - len(measurement) - len(prediction))
+        results.append(_sweep_point(base, models, score))
+    return results
+
+
+def _moment_points(ds: Dataset, spec: Union[DistanceClose, DistanceFar], models,
+                   f0, d0_bounds) -> list[SweepPoint]:
+    """Each point of a distance sweep from moments, with no per-point refit.
+
+    With key = sign*distance (sign -1 for the far split), the prediction set
+    is key <= its limit and the measurement set at point k is key > the k-th
+    limit: in key order a prefix and a suffix. The moments of the shells
+    between consecutive limits are merged from the end of the order, so a
+    measurement set's moments come from its own samples only.
+    """
+    sign, prediction_limit, limits = spec.key_limits()
+    order = np.argsort(sign * ds.distance, kind="stable")
+    key = sign * ds.distance[order]
+    n = len(ds)
+    n_pred = int(np.searchsorted(key, prediction_limit, side="right"))
+    starts = np.searchsorted(key, limits, side="right").tolist()
+    if n_pred == 0 or starts[0] == n:  # every point is skipped as empty
+        merged = [None] * len(starts)
+    else:
+        columns = RegressionDesign.from_dataset(ds).columns()[:, order]
+        frequency = ds.frequency[order]
+
+        def moments(lo: int, hi: int) -> Moments:
+            values, counts = np.unique(frequency[lo:hi], return_counts=True)
+            return Moments.of(columns[:, lo:hi],
+                              tuple(zip(values.tolist(), counts.tolist())))
+
+        prediction = moments(0, n_pred)
+        nearest = order[0] if sign > 0 else order[n_pred - 1]  # smallest prediction d
+        merged, tail = [], None
+        for lo, hi in zip(starts[::-1], [n, *starts[:0:-1]]):
+            if hi > lo:
+                tail = moments(lo, hi) if tail is None else tail.merge(moments(lo, hi))
+            merged.append(tail)
+        merged.reverse()
+
+    def score(kind: str) -> ModelPrediction:
+        params, flags = fit_moments(measurement, kind, f0=f0, d0_bounds=d0_bounds)
+        if ds.distance[nearest] < getattr(params, "d0", 1.0):
+            # raises the evaluator's DomainError: the model is undefined below d0
+            evaluate(params, ds.frequency[nearest], ds.distance[nearest])
+        return ModelPrediction(model=kind, params=params,
+                               measurement_sigma=moments_sigma(params, measurement),
+                               prediction_sigma=moments_sigma(params, prediction),
+                               flags=flags)
+
+    results = []
+    for point, start, measurement in zip(spec.points(ds), starts, merged):
+        base = dict(point=float(point), n_meas=n - start, n_pred=n_pred, n_gap=start - n_pred)
+        results.append(_sweep_point(base, models, score))
+    return results
 
 
 @dataclass(frozen=True)

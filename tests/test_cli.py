@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, exit codes, warnings, atomicity."""
 
 import json
+import math
 
 import pytest
 
-from pathlossfit import CIParams, SyntheticSpec, load_csv
+from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
 from pathlossfit.cli import main
 from pathlossfit.ingest import spec_to_dict
 
@@ -31,6 +32,22 @@ def exact_ci_spec_file(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+CSV_HEADER = "frequency_ghz,distance_m,path_loss_db,scenario,environment,campaign\n"
+
+
+def write_csv_rows(path, rows):
+    """A measurement CSV of (frequency, distance, loss, scenario) rows, NLOS."""
+    path.write_text(CSV_HEADER + "".join(f"{f},{d},{pl},{scenario},NLOS,c\n"
+                                         for f, d, pl, scenario in rows),
+                    encoding="utf-8")
+    return path
+
+
+def campaign_rows(scenario, distances=(5.0, 10.0, 30.0, 60.0, 120.0, 250.0, 400.0)):
+    return [(f, d, 40.0 + f + 30.0 * math.log10(d) + (k % 3), scenario)
+            for k, (f, d) in enumerate((f, d) for f in (2.0, 28.0) for d in distances)]
 
 
 def read_report(path):
@@ -152,6 +169,17 @@ class TestFit:
         assert "abg_reverted_to_ab" in doc["models"]["abg"]["flags"]
         assert doc["models"]["cif"]["params"]["b"] == 0.0
 
+    def test_sub_ghz_cif_with_auto_f0_uses_the_unrounded_mean(self, tmp_path):
+        # the weighted mean 0.35 GHz rounds to 0, which is no balance frequency
+        csv_path = write_csv_rows(tmp_path / "sub_ghz.csv", [
+            (0.3, 10, 60, "UMa"), (0.3, 100, 80, "UMa"),
+            (0.4, 20, 70, "UMa"), (0.4, 200, 95, "UMa")])
+        out_dir = tmp_path / "fitout"
+        assert run("fit", "--input", csv_path, "--out-dir", out_dir,
+                   "--models", "cif", "--no-binning") == 0
+        params = read_report(out_dir / "fit_report.json")["models"]["cif"]["params"]
+        assert params["f0"] == pytest.approx(0.35, abs=1e-15)
+
     def test_missing_input_exits_2_without_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "fitout"
         assert run("fit", "--input", tmp_path / "nope.csv", "--out-dir", out_dir) == 2
@@ -226,6 +254,59 @@ class TestSweep:
         sigmas = [p["models"]["ci"]["prediction_sigma_db"]
                   for p in doc["points"] if not p["skipped"]]
         assert sigmas and max(sigmas) - min(sigmas) < 1.0
+
+    @pytest.mark.parametrize("scenario,d_max", [
+        ("UMiSC", 50.0), ("InHOffice", 15.0), ("InHSM", 200.0)])
+    def test_distance_close_d_max_follows_the_scenario(self, tmp_path, scenario, d_max):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=3.0, seed=5,
+                             frequencies=((2.0, 60), (28.0, 60)),
+                             distance_range=(2.0, 400.0), scenario=Scenario(scenario))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_dict(spec)), encoding="utf-8")
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", spec_path, "--out-dir", out_dir,
+                   "--split", "distance-close", "--delta-grid", "0,5",
+                   "--no-binning", "--no-threshold") == 0
+        doc = read_report(out_dir / "sweep_report.json")
+        assert doc["split"]["d_max"] == d_max
+        assert doc["points"][0]["n_pred"] == int((generate(spec).distance <= d_max).sum())
+
+    def test_mixed_scenario_defaults_exit_2_naming_them(self, tmp_path, capsys):
+        csv_path = write_csv_rows(tmp_path / "mixed.csv",
+                                  campaign_rows("UMa") + campaign_rows("UMiSC"))
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--input", csv_path, "--out-dir", out_dir,
+                   "--split", "distance-close", "--no-binning") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UMa 200 m" in err and "UMiSC 50 m" in err and "--d-max" in err
+        assert not out_dir.exists()
+        assert run("sweep", "--input", csv_path, "--out-dir", out_dir,
+                   "--split", "distance-close", "--no-binning", "--d-max", "100") == 0
+
+    def test_d_max_default_reads_only_the_scenarios_left_after_conditioning(self, tmp_path):
+        # UMa and Other share 200 m; the one UMiSC sample is over the threshold
+        rows = (campaign_rows("UMa") + campaign_rows("Other:drive-test")
+                + [(28.0, 100.0, 250.0, "UMiSC")])
+        csv_path = write_csv_rows(tmp_path / "mixed.csv", rows)
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--input", csv_path, "--out-dir", out_dir,
+                   "--split", "distance-close", "--no-binning") == 0
+        doc = read_report(out_dir / "sweep_report.json")
+        assert doc["preprocess"]["removed_by_threshold"] == 1
+        assert doc["split"]["d_max"] == 200.0
+
+    def test_noise_free_distance_sweep_has_zero_sigmas(self, tmp_path, exact_ci_spec_file):
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir,
+                   "--split", "distance-close", "--models", "abg,ab,ci,ci_opt,cif",
+                   "--no-binning", "--no-threshold") == 0
+        doc = read_report(out_dir / "sweep_report.json")
+        sigmas = [model[key] for point in doc["points"] if not point["skipped"]
+                  for model in point["models"].values()
+                  for key in ("measurement_sigma_db", "prediction_sigma_db")]
+        assert len(sigmas) >= 20
+        assert all(math.isfinite(s) and 0.0 <= s < 1e-6 for s in sigmas)
 
     def test_frequency_loo_row_groups(self, tmp_path, ci_spec_file):
         out_dir = tmp_path / "sweepout"
