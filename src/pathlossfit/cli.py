@@ -16,12 +16,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import io
-import json
 import math
 import os
 import sys
-from csv import writer as csv_writer
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +42,7 @@ from .fitters import (
     FitError,
     fit_with_reversion,
 )
-from .ingest import IngestError, generate, load_csv, load_spec, write_csv
+from .ingest import IngestError, float_texts, generate, load_csv, load_spec, write_csv
 from .preprocess import BIN_AVERAGE_MODES, PreprocessSettings, apply as preprocess_apply
 from .sensitivity import (
     DEFAULT_D_MAX,
@@ -155,16 +153,51 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
         raise
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, by repr
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
+    final newline, with each list of floats formatted by :func:`float_texts`."""
+    out: list[str] = []
+    _emit_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj``; ``newline`` starts a line at its indent."""
+    inner = newline + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, float)):
+        text = (int if isinstance(obj, int) else float).__repr__(obj)
+        out.append(_JSON_NONFINITE.get(text, text))
+    elif isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            out += ("," if i else "{", inner, encode_basestring_ascii(key), ": ")
+            _emit_json(obj[key], inner, out)
+        out += (newline, "}")
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
+        texts = float_texts(obj)
+        out += ("[", inner, ("," + inner).join(map(_JSON_NONFINITE.get, texts, texts)),
+                newline, "]")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, item in enumerate(obj):
+            out += ("," if i else "[", inner)
+            _emit_json(item, inner, out)
+        out += (newline, "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv_writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """CSV text of rows whose fields never need quoting (numbers, names, blanks)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _fit_report_dict(report: FitReport) -> dict:
@@ -208,20 +241,17 @@ def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
     alongside the free-space reference."""
     _, d, _ = ds.arrays()
     grid = np.logspace(0.0, np.log10(float(d.max())), CURVE_POINTS)
-    header = ["frequency_ghz", "distance_m", "fspl_db"]
-    header += [f"{kind}_db" for kind in fits]
+    header = ["frequency_ghz", "distance_m", "fspl_db"] + [f"{kind}_db" for kind in fits]
     rows = []
     for freq in ds.frequencies:
-        free_space = fspl(freq, grid)
-        columns = []
+        columns = [float_texts(np.full(grid.size, freq)), float_texts(grid),
+                   float_texts(fspl(freq, grid))]
         for report in fits.values():
-            # a model is undefined below its reference distance (1 m unless fitted)
+            # blank below the model's reference distance (1 m unless fitted)
             valid = grid >= getattr(report.params, "d0", 1.0)
-            values = iter(evaluate(report.params, freq, grid[valid]).tolist())
-            columns.append([repr(next(values)) if ok else "" for ok in valid])
-        for i, x in enumerate(grid):
-            rows.append([repr(float(freq)), repr(float(x)), repr(float(free_space[i]))]
-                        + [col[i] for col in columns])
+            columns.append([""] * int(np.count_nonzero(~valid))
+                           + float_texts(evaluate(report.params, freq, grid[valid])))
+        rows += zip(*columns)
     return _csv_text(header, rows)
 
 
@@ -323,16 +353,17 @@ def _sweep_trace_csv(report: PredictionReport) -> str:
     rows = []
     for point in report.points:
         if point.skipped:
-            rows.append([repr(point.point), "", "", "", "", "",
+            rows.append([point.point, "", "", "", "", "",
                          point.n_meas, point.n_pred, "true"])
             continue
         for entry in point.models:
             for name, value in param_values(entry.params).items():
-                rows.append([repr(point.point), entry.model, name, repr(value),
-                             repr(entry.measurement_sigma),
-                             repr(entry.prediction_sigma),
+                rows.append([point.point, entry.model, name, value,
+                             entry.measurement_sigma, entry.prediction_sigma,
                              point.n_meas, point.n_pred, "false"])
-    return _csv_text(header, rows)
+    texts = iter(float_texts([v for row in rows for v in row if type(v) is float]))
+    return _csv_text(header, ([next(texts) if type(v) is float else v for v in row]
+                              for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ CDF (see :func:`counter_uniform` and :func:`generate`).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
+import orjson
 
 from .domain import (
     Dataset,
@@ -142,18 +144,40 @@ def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
     return np.array(remap, dtype=np.intp)[raw], tuple(labels)
 
 
+def float_texts(values) -> list[str]:
+    """``repr(float(v))`` for each value of a float64 array, formatted by orjson,
+    whose text equals ``repr`` for 0 and 1e-4 <= |v| < 1e16; other values
+    (exponent forms, NaN and infinities) are re-rendered with ``repr``."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))):
+        texts[i] = repr(float(values[i]))
+    return texts if values.size else []
+
+
+CSV_CHUNK = 8192  # rows formatted per write in write_csv
+
+
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write the canonical CSV form: shortest round-trip float text, LF endings."""
-    path = Path(path)
-    label_text = [(str(scenario), environment.value, campaign)
-                  for scenario, environment, campaign in ds.labels]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(
-            (repr(f), repr(d), repr(pl), *label_text[c])
-            for f, d, pl, c in zip(ds.frequency.tolist(), ds.distance.tolist(),
-                                   ds.path_loss.tolist(), ds.codes.tolist()))
+    """Write the canonical CSV form: shortest round-trip float text, LF endings.
+
+    Each label's fields are rendered once by ``csv.writer``, with a CRLF
+    terminator so that a field holding a lone CR is quoted too.
+    """
+    tails = []
+    for scenario, environment, campaign in ds.labels:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(
+            ("", str(scenario), environment.value, campaign))
+        tails.append(buffer.getvalue()[:-2] + "\n")  # ",scenario,environment,campaign\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(ds), CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            floats = [float_texts(c[rows]) for c in (ds.frequency, ds.distance, ds.path_loss)]
+            fh.write("".join(map("{},{},{}{}".format, *floats,
+                                 map(tails.__getitem__, ds.codes[rows].tolist()))))
 
 
 # ---------------------------------------------------------------------------

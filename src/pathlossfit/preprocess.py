@@ -86,16 +86,17 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
 
-    distance = np.empty(sizes.size)
-    path_loss = np.empty(sizes.size)
-    for i, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        index = order[start:start + size]
-        distance[i] = np.mean(d[index])
-        losses = pl[index]
+    # the m groups of size k as one (m, k) matrix: numpy sums each row as it
+    # sums a 1-D array, so each mean is bit-identical to np.mean of the group
+    distance, path_loss = np.empty((2, sizes.size))
+    for k in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == k)
+        members = order[starts[groups, None] + np.arange(k)]
+        distance[groups] = np.mean(d[members], axis=1)
         if settings.bin_average == "db":
-            path_loss[i] = np.mean(losses)
+            path_loss[groups] = np.mean(pl[members], axis=1)
         else:
-            path_loss[i] = 10.0 * np.log10(np.mean(10.0 ** (losses / 10.0)))
+            path_loss[groups] = 10.0 * np.log10(np.mean(10.0 ** (pl[members] / 10.0), axis=1))
     heads = np.sort(first)  # each group's first member, in group order
     return Dataset.from_columns(f[heads], distance, path_loss, ds.codes[heads], ds.labels)
 

@@ -225,6 +225,8 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
     else:
         results = _moment_points(ds, spec, models, f0, d0_bounds)
 
+    if not results:  # a frequency hold-out of a dataset with no samples
+        raise SweepError("no sweep points: the dataset has no samples")
     results.sort(key=lambda p: p.point)
     report = PredictionReport(spec=spec, points=tuple(results))
     if not report.active_points():

@@ -327,6 +327,17 @@ class TestSweep:
         assert "degeneracy" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("rows", [[], [(28.0, 100.0, 500.0, "UMa")]],
+                             ids=["header-only", "all-over-threshold"])
+    def test_frequency_loo_on_no_samples_exits_3(self, tmp_path, capsys, rows):
+        csv_path = write_csv_rows(tmp_path / "empty.csv", rows)
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--input", csv_path, "--out-dir", out_dir,
+                   "--split", "frequency-loo") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_bad_delta_grid_is_config_error(self, tmp_path, ci_spec_file):
         assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", tmp_path,
                    "--split", "distance-close", "--delta-grid", "100,50") == 2
