@@ -158,7 +158,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json
 
 def _json_text(obj) -> str:
     """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
-    final newline, with each list of floats formatted by :func:`float_texts`."""
+    final newline; float lists and 1-D float64 arrays are formatted by :func:`float_texts`."""
     out: list[str] = []
     _emit_json(obj, "\n", out)
     out.append("\n")
@@ -181,9 +181,12 @@ def _emit_json(obj, newline: str, out: list[str]) -> None:
             _emit_json(obj[key], inner, out)
         out += (newline, "}")
     elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
+        _emit_json(np.array(obj), newline, out)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         texts = float_texts(obj)
-        out += ("[", inner, ("," + inner).join(map(_JSON_NONFINITE.get, texts, texts)),
-                newline, "]")
+        if not np.isfinite(obj).all():
+            texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+        out += ("[", inner, ("," + inner).join(texts), newline, "]") if texts else ("[]",)
     elif isinstance(obj, (list, tuple)) and obj:
         for i, item in enumerate(obj):
             out += ("," if i else "[", inner)
@@ -206,7 +209,7 @@ def _fit_report_dict(report: FitReport) -> dict:
         "sigma_db": report.sigma,
         "n_points": report.n_points,
         "flags": list(report.flags),
-        "residuals_db": report.residuals.tolist(),
+        "residuals_db": report.residuals,
     }
 
 

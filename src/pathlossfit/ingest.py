@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 import orjson
@@ -61,42 +62,52 @@ def load_csv(path: str | Path) -> Dataset:
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
     loss) aborts the load with a diagnostic naming the first bad file line.
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
-    IngestError naming the file.
+    IngestError naming the file. Text without quotes or CRs whose lines all
+    hold as many fields as the header is split in bulk; any other text is
+    read row by row with the ``csv`` module, with the same result.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        with path.open("r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError(f"{path}: empty file (missing header)") from None
-            header = [h.strip() for h in header]
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            if missing:
-                raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
-            extra = [c for c in header if c not in CSV_COLUMNS]
-            if extra:
-                warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
-            rows = list(reader)
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # csv.reader takes lines lazily from the bytes, as from a file, so it reads
+    # text that is split in bulk only up to the end of its header.
+    rows = _rows(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                                             newline="")), path)
+    try:
+        header = [h.strip() for h in next(rows)]
+    except StopIteration:
+        raise IngestError(f"{path}: empty file (missing header)") from None
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
+    duplicate = [c for c in CSV_COLUMNS if header.count(c) > 1]
+    if duplicate:
+        raise IngestError(f"{path}: duplicate column(s) {', '.join(duplicate)}")
+    extra = [c for c in header if c not in CSV_COLUMNS]
+    if extra:
+        warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
 
     # Each check notes its first bad row as (row, check order, message). The
     # earliest row wins, then the earlier check. Data row i is file line i + 2.
     problems: list[tuple[int, int, str]] = []
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    short = np.flatnonzero(widths < len(header))
-    if short.size:
-        row = int(short[0])
-        problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
-        rows = rows[:row]
-    columns = list(zip(*rows)) or [()] * len(header)
-    text = {c: columns[header.index(c)] for c in CSV_COLUMNS}
+    columns = _plain_columns(text, len(header))
+    if columns is None:
+        rows = list(rows)
+        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        short = np.flatnonzero(widths < len(header))
+        if short.size:
+            row = int(short[0])
+            problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
+            rows = rows[:row]
+        columns = list(zip(*rows)) or [()] * len(header)
+    fields = {c: columns[header.index(c)] for c in CSV_COLUMNS}
 
-    numbers = [_floats(text[column], column, order, problems)
+    numbers = [_floats(fields[column], column, order, problems)
                for order, column in enumerate(CSV_COLUMNS[:3], start=1)]
-    codes, labels = _labels(text, problems)
+    codes, labels = _labels(fields, problems)
     for order, (name, values) in enumerate(zip(_SAMPLE_COLUMNS, numbers), start=5):
         problem = first_violation(name, values)
         if problem is not None:
@@ -107,10 +118,36 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset.from_columns(*numbers, codes, labels)
 
 
+def _plain_columns(text: str, width: int) -> list[list[str]] | None:
+    """The data columns of text with no quote or CR whose lines all hold
+    ``width`` fields, by one split; None for any other text.
+
+    Each newline stays at the start of the field after it, for ``float`` and
+    the label strip to drop. Every line has ``width`` fields exactly when
+    there are lines x width fields and every ``width``-th one starts a line.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    body = text.removesuffix("\n")
+    lines = body.count("\n") + 1
+    fields = body.replace("\n", ",\n").split(",")
+    if len(fields) != lines * width or "".join(fields[width::width]).count("\n") != lines - 1:
+        return None
+    return [fields[width + k::width] for k in range(width)]
+
+
+def _rows(reader, path: Path):
+    """The reader's rows; a field over ``csv.field_size_limit()`` is an IngestError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 _SAMPLE_COLUMNS = ("frequency", "distance", "path_loss")
 
 
-def _floats(texts: tuple[str, ...], column: str, order: int, problems: list) -> np.ndarray:
+def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np.ndarray:
     """The parsed values; on a bad one, only those before it, and a problem noted."""
     try:
         return np.fromiter(map(float, texts), dtype=float, count=len(texts))

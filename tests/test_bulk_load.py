@@ -1,0 +1,230 @@
+"""Bulk CSV loading: load_csv gives what a csv.reader row pass gives, on plain
+text and on every other kind, reads plain text with csv.reader only up to its
+header, and report residual arrays are written like their lists."""
+
+import csv
+import json
+import math
+import warnings
+
+import numpy as np
+from hypothesis import event, given, settings, strategies as st
+
+from pathlossfit import CIParams, SyntheticSpec, generate
+from pathlossfit import ingest
+from pathlossfit.cli import _json_text
+from pathlossfit.domain import first_violation
+from pathlossfit.ingest import CSV_COLUMNS, IngestError, load_csv, write_csv
+
+
+def reference_load_csv(path):
+    """The row-by-row loader: one csv.reader list per row, then zip."""
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file (missing header)") from None
+        header = [h.strip() for h in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
+        extra = [c for c in header if c not in CSV_COLUMNS]
+        if extra:
+            warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
+        rows = list(reader)
+
+    problems = []
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = np.flatnonzero(widths < len(header))
+    if short.size:
+        row = int(short[0])
+        problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
+        rows = rows[:row]
+    columns = list(zip(*rows)) or [()] * len(header)
+    text = {c: columns[header.index(c)] for c in CSV_COLUMNS}
+
+    numbers = [ingest._floats(text[column], column, order, problems)
+               for order, column in enumerate(CSV_COLUMNS[:3], start=1)]
+    codes, labels = ingest._labels(text, problems)
+    for order, (name, values) in enumerate(zip(ingest._SAMPLE_COLUMNS, numbers), start=5):
+        problem = first_violation(name, values)
+        if problem is not None:
+            problems.append((problem[0], order, problem[1]))
+    if problems:
+        row, _, message = min(problems)
+        raise IngestError(f"{path} line {row + 2}: {message}")
+    return ingest.Dataset.from_columns(*numbers, codes, labels)
+
+
+def duplicated_columns(path):
+    """The required columns the file's header names more than once."""
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    return [c for c in CSV_COLUMNS if header.count(c) > 1]
+
+
+def outcome(loader, path):
+    """(dataset or error message, warning messages) of one load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(path)
+        except IngestError as exc:
+            result = f"IngestError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+# plain field text: no quote, CR, LF or comma; \x0c, \x85 and \u2028 are
+# line breaks to str.splitlines but not to csv
+plain_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters='",\r\n'), max_size=6)
+number_texts = {
+    "frequency_ghz": st.one_of(st.floats(0.5, 100.0).map(repr),
+                               st.sampled_from(["28", " 28 ", "1_0", "2.", "+3", "7e0"])),
+    "distance_m": st.one_of(st.floats(1.0, 5e3).map(repr),
+                            st.sampled_from(["1", "1_000", " 10\x0c", "1e3"])),
+    "path_loss_db": st.one_of(st.floats(-1e3, 1e3).map(repr),
+                              st.sampled_from(["-0", "-0.0", "0", "1_0", "\t99 ", "-1e-300"])),
+}
+label_texts = {
+    "scenario": st.sampled_from(["UMa", "UMiSC", "InHOffice", "InHSM", "Other:tunnel",
+                                 " UMa ", "Other: x"]),
+    "environment": st.sampled_from(["LOS", "NLOS", " NLOS"]),
+    "campaign": plain_text,
+}
+bad_values = {
+    "frequency_ghz": ["", "abc", "0", "-1", "nan"],
+    "distance_m": ["0.5", "inf", "x"],
+    "path_loss_db": ["inf", "1e400", "", "nan"],
+    "scenario": ["Rural", "", "Other:"],
+    "environment": ["los", ""],
+    "campaign": ["a\x00b"],
+}
+MUTATIONS = ("ragged", "blank", "quote", "bad", "nul", "drop column", "duplicate column",
+             "crlf", "cr", "empty", "header only")
+
+
+@st.composite
+def csv_files(draw):
+    """(text, BOM flag, mutations): a valid table, plain unless mutated.
+
+    About half of the files are left unmutated; they are plain and load.
+    """
+    extras = draw(st.lists(st.sampled_from(["note", "x", "note"]), max_size=2))
+    header = draw(st.permutations(list(CSV_COLUMNS) + extras))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append([draw(number_texts[c]) if c in number_texts
+                     else draw(label_texts[c]) if c in label_texts
+                     else draw(plain_text) for c in header])
+    names = [draw(st.sampled_from([name, f" {name}", f"{name}\t"])) for name in header]
+    mutations = draw(st.one_of(st.just([]),
+                               st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)))
+    end = "\n"
+    for mutation in mutations:
+        at = draw(st.integers(0, max(len(rows) - 1, 0)))
+        column = draw(st.integers(0, len(names) - 1))
+        if mutation == "ragged" and rows:
+            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["x"]
+        elif mutation == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif mutation == "quote" and rows and rows[at]:
+            inner = draw(st.sampled_from(["a,b", "l1\nl2", 'say ""hi""', "", "UMa"]))
+            rows[at][min(column, len(rows[at]) - 1)] = f'"{inner}"'
+        elif mutation == "bad" and rows and len(rows[at]) == len(header):
+            name = header[column]
+            rows[at][column] = draw(st.sampled_from(bad_values.get(name, ["?"])))
+        elif mutation == "nul" and rows and rows[at]:
+            rows[at][-1] += "\x00"
+        elif mutation == "drop column":
+            names.pop(column)
+            for row in rows:
+                row[column:column + 1] = []
+        elif mutation == "duplicate column":
+            names.append(draw(st.sampled_from(CSV_COLUMNS + ("x",))))
+            for row in rows:
+                row.append(row[0] if row else "")
+        elif mutation in ("crlf", "cr"):
+            end = "\r\n" if mutation == "crlf" else "\r"
+        elif mutation == "header only":
+            rows = []
+    text = end.join(",".join(line) for line in [names] + rows)
+    if draw(st.booleans()):
+        text += end
+    return "" if "empty" in mutations else text, draw(st.booleans()), mutations
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=csv_files())
+def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, file):
+    text, bom, mutations = file
+    path = tmp_path_factory.mktemp("load") / "in.csv"
+    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    got, got_warnings = outcome(load_csv, path)
+    want, want_warnings = outcome(reference_load_csv, path)
+    duplicated = duplicated_columns(path)
+    if duplicated and not (isinstance(want, str) and "missing column" in want):
+        # the row-by-row loader read the first of the two columns
+        assert got == f"IngestError: {path}: duplicate column(s) {', '.join(duplicated)}"
+        assert got_warnings == []
+        event("duplicate column")
+        return
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        event("rejected")
+        return
+    for column in ("frequency", "distance", "path_loss", "codes"):
+        assert getattr(got, column).dtype == getattr(want, column).dtype
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.labels == want.labels
+    event("plain, loaded" if not mutations else "mutated, loaded")
+
+
+def test_plain_text_is_read_by_csv_reader_only_to_its_header(tmp_path, monkeypatch):
+    spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                         frequencies=((2.0, 1000), (28.0, 1000)),
+                         distance_range=(10.0, 500.0))
+    path = tmp_path / "plain.csv"
+    write_csv(generate(spec), path)
+    yielded = []
+    real_reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for row in real_reader(*args, **kwargs):
+            yielded.append(row)
+            yield row
+
+    monkeypatch.setattr(ingest.csv, "reader", counting_reader)
+    assert len(load_csv(path)) == 2000
+    assert yielded == [list(CSV_COLUMNS)]
+
+
+JSON_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e16, -1e16,
+              1e16 - 2.0, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1]
+
+
+def as_lists(obj):
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(item) for item in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+class TestJsonArrays:
+    def test_float_arrays_are_written_as_their_lists(self):
+        doc = {"edges": np.array(JSON_EDGES), "empty": np.array([]),
+               "finite": np.array([1.5, -2.25, 1e-7]),
+               "models": {"ci": {"residuals_db": np.array([math.nan]), "n": 1}},
+               "strided": np.array(JSON_EDGES)[::3], "list": [np.array([-math.inf, 2.0])]}
+        assert _json_text(doc) == json.dumps(as_lists(doc), indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_subnormal=True),
+                                     st.sampled_from(JSON_EDGES)), max_size=30))
+    def test_matches_json_dumps_of_the_list(self, values):
+        array = np.array(values, dtype=np.float64)
+        assert (_json_text({"r": array})
+                == json.dumps({"r": array.tolist()}, indent=2, sort_keys=True) + "\n")

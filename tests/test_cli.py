@@ -7,7 +7,7 @@ import pytest
 
 from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
 from pathlossfit.cli import main
-from pathlossfit.ingest import spec_to_dict
+from pathlossfit.ingest import spec_to_dict, write_csv
 
 
 @pytest.fixture()
@@ -206,6 +206,35 @@ class TestFit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "latin1.csv" in err and "Traceback" not in err
         assert not (tmp_path / "fitout").exists()
+
+    @pytest.mark.parametrize("campaign", ["c" * 200_000, "c," * 100_000],
+                             ids=["unquoted", "quoted"])
+    def test_campaign_over_the_csv_field_limit(self, tmp_path, capsys, campaign):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=0.0, seed=1,
+                             frequencies=((2.0, 20), (28.0, 20)),
+                             distance_range=(10.0, 500.0), campaign=campaign)
+        path = tmp_path / "long.csv"
+        write_csv(generate(spec), path)
+        code = run("fit", "--input", path, "--out-dir", tmp_path / "fitout")
+        err = capsys.readouterr().err
+        if "," not in campaign:
+            assert code == 0 and (tmp_path / "fitout" / "fit_report.json").exists()
+            assert load_csv(path).labels[0][2] == campaign
+        else:
+            assert code == 2 and not (tmp_path / "fitout").exists()
+            assert err == f"error: {path} line 2: field larger than field limit (131072)\n"
+
+    def test_duplicate_required_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text(CSV_HEADER.replace("\n", ",frequency_ghz,note,note\n")
+                        + "28,100,120.5,UMa,NLOS,c,38,x,y\n", encoding="utf-8")
+        assert run("fit", "--input", path, "--out-dir", tmp_path / "fitout") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: duplicate column(s) frequency_ghz\n")
+        path.write_text(CSV_HEADER.replace("\n", ",note,note\n")
+                        + "28,100,120.5,UMa,NLOS,c,x,y\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="ignoring extra column[(]s[)] note, note"):
+            assert len(load_csv(path)) == 1
 
     def test_requires_exactly_one_source(self, tmp_path, ci_spec_file, capsys):
         assert run("fit", "--out-dir", tmp_path) == 2
