@@ -43,7 +43,8 @@ from .fitters import (
     fit_with_reversion,
 )
 from .ingest import IngestError, float_texts, generate, load_csv, load_spec, write_csv
-from .preprocess import BIN_AVERAGE_MODES, PreprocessSettings, apply as preprocess_apply
+from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
+                         apply as preprocess_apply)
 from .sensitivity import (
     DEFAULT_D_MAX,
     DistanceClose,
@@ -442,7 +443,7 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--f0", type=_parse_f0, default="auto",
                      help="CIF balance frequency in GHz, or 'auto' (weighted mean)")
     sub.add_argument("--d0-bounds", nargs=2, type=float, metavar=("LO", "HI"),
-                     default=list(D0_BOUNDS_DEFAULT),
+                     default=D0_BOUNDS_DEFAULT,
                      help="search bounds for the optimized reference distance")
 
 
@@ -468,6 +469,7 @@ def _preprocess_settings(args: argparse.Namespace) -> PreprocessSettings:
         raise ConfigError(str(exc)) from exc
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathlossfit",
@@ -521,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Error class -> exit code. OSError covers an unreadable input or an
 # unwritable output directory.
 _EXIT_CODES = {ConfigError: EXIT_CONFIG, IngestError: EXIT_CONFIG, OSError: EXIT_CONFIG,
-               SweepError: EXIT_DEGENERATE, FitError: EXIT_RUNTIME, DomainError: EXIT_RUNTIME}
+               BinWidthError: EXIT_CONFIG, SweepError: EXIT_DEGENERATE, FitError: EXIT_RUNTIME,
+               DomainError: EXIT_RUNTIME}
 
 
 def main(argv=None) -> int:

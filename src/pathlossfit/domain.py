@@ -307,7 +307,14 @@ def fspl(frequency: float | np.ndarray, d0: float | np.ndarray = 1.0):
         raise DomainError("frequency must be > 0 GHz")
     if np.any(d0 <= 0):
         raise DomainError("distance must be > 0 m")
-    out = 20.0 * np.log10(4.0 * math.pi * frequency * d0 * 1e9 / SPEED_OF_LIGHT)
+    with np.errstate(over="ignore", divide="ignore"):  # a DomainError below instead
+        out = 20.0 * np.log10(4.0 * math.pi * frequency * d0 * 1e9 / SPEED_OF_LIGHT)
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out) & np.isfinite(frequency) & np.isfinite(d0)
+        if bad.any():
+            f, d = (np.broadcast_to(v, out.shape)[bad][0] for v in (frequency, d0))
+            raise DomainError(f"free-space path loss at {f} GHz and {d} m "
+                              "is out of the float range")
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,28 +6,34 @@ samples. Each is one least-squares solve of a target on at most two
 columns, all linear forms in the variables (1, D, F, G = D*f, A, B): CI
 fits A on D; AB fits B - 2F on D with an intercept; ABG fits B on D and F
 with an intercept; CI-opt fits A on D with an intercept; CIF fits A on D
-and G. The 1x1 or 2x2 normal equations are solved in closed form. The
-``fit_*`` functions fit a dataset and report its residuals;
-:func:`fit_moments` fits a record, which a distance sweep merges from
-shells. An independent solver (SVD least squares and grid searches) lives
-in :mod:`pathlossfit.oracle` for cross-checking.
+and G. The 1x1 or 2x2 normal equations are solved in closed form.
+
+A :class:`Moments` record stacks P sample sets on a leading point axis, and
+every solver works on the whole stack at once. It returns each point's
+parameters, flags and residual form (whose RMS over the samples is
+:func:`moments_sigma`), or the error that a fit of that point alone raises,
+its checks in the same order; a degenerate point changes no other point.
+A fit is a stack of one: the ``fit_*`` functions fit a dataset, report its
+residuals and raise its error, and :func:`fit_moments` does the same for a
+record. :func:`fit_stack` fits every point of a stack, as a
+distance sweep does with the records it merges from shells. An independent
+solver (SVD least squares and grid searches) lives in
+:mod:`pathlossfit.oracle` for cross-checking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .domain import (
-    ABGParams,
-    ABParams,
-    CIFParams,
-    CIOptParams,
-    CIParams,
     D0_BOUNDS_DEFAULT,
+    MODEL_KINDS,
     Dataset,
+    DomainError,
     FitReport,
     ModelParams,
     auto_f0,
@@ -115,200 +121,324 @@ _ONE, _D, _F, _G, _A, _B = np.eye(len(VARIABLES))
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """Sufficient statistics of a nonempty sample set for every fitter: the
-    means of VARIABLES, their centred co-moments sum((x - mean)(x - mean)^T),
-    the (frequency, count) pairs as in ``Dataset.freq_summary``, and the
-    smallest and largest D.
+    """Sufficient statistics of P nonempty sample sets for every fitter,
+    stacked on a leading point axis: the counts ``n`` (P,), the means of
+    VARIABLES ``mean`` (P, 6), their centred co-moments
+    sum((x - mean)(x - mean)^T) ``comoment`` (P, 6, 6), the sample count of
+    each frequency of the shared ascending table ``frequencies`` in
+    ``counts`` (P, n_freq), and the smallest and largest D, ``d_low`` and
+    ``d_high`` (P,). A single sample set is a stack of one.
     """
 
-    n: int
+    n: np.ndarray
     mean: np.ndarray
     comoment: np.ndarray
-    freq_counts: tuple[tuple[float, int], ...]
-    d_low: float
-    d_high: float
+    frequencies: np.ndarray
+    counts: np.ndarray
+    d_low: np.ndarray
+    d_high: np.ndarray
 
     @classmethod
-    def of(cls, columns: np.ndarray, freq_counts) -> "Moments":
-        """Record of the samples in ``columns`` (rows VARIABLES), centred
-        about their own means."""
-        mean = columns.sum(axis=1) / columns.shape[1]
-        centred = columns - mean[:, None]
-        return cls(columns.shape[1], mean, centred @ centred.T, freq_counts,
-                   float(columns[1].min()), float(columns[1].max()))
+    def of(cls, columns: np.ndarray, frequencies, counts,
+           starts: list[int] = (0,)) -> "Moments":
+        """The stack of the samples ``columns[:, s:]`` (rows VARIABLES) for
+        each s of the increasing ``starts``, each below the sample count;
+        ``counts[k]`` counts the samples of shell k (from ``starts[k]`` to the
+        next start) at each of ``frequencies``.
 
-    def merge(self, other: "Moments") -> "Moments":
-        """Record of the union of two disjoint sample sets, by the pairwise
-        update of Chan, Golub & LeVeque (Am. Statistician 37(3), 1983),
-        which stays accurate however thin either set is."""
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        counts = dict(self.freq_counts)
-        for f, count in other.freq_counts:
-            counts[f] = counts.get(f, 0) + count
-        return Moments(n, self.mean + delta * (other.n / n),
-                       self.comoment + other.comoment
-                       + np.outer(delta, delta) * (self.n * other.n / n),
-                       tuple(sorted(counts.items())),
-                       min(self.d_low, other.d_low), max(self.d_high, other.d_high))
+        Each record merges the nonempty shells between consecutive starts
+        from the end by the pairwise update of Chan, Golub & LeVeque (Am.
+        Statistician 37(3), 1983), which stays accurate however thin either
+        part is: each shell is centred about its own means, the tail mean is
+        updated shell by shell, and the co-moments are the running sum of each
+        shell's co-moments and update term, in that order.
+        """
+        n, bounds = columns.shape[1], [*starts, columns.shape[1]]
+        shells = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        sizes = np.array([hi - lo for lo, hi in shells])
+        shell_mean = (np.array([columns[:, lo:hi].sum(axis=1) for lo, hi in shells])
+                      / sizes[:, None])
+        centred = (columns[:, lo:hi] - mean[:, None]
+                   for (lo, hi), mean in zip(shells, shell_mean))
+        comoments = np.array([c @ c.T for c in centred])
+        # from the last shell: its co-moments, then each shell's and its update term
+        terms = np.empty((2 * len(shells) - 1, 6, 6))
+        terms[0], terms[1::2] = comoments[-1], comoments[-2::-1]
+        tail, means, deltas, weights = 0, [], [], []
+        for shell, size in zip(shell_mean.tolist()[::-1], sizes.tolist()[::-1]):
+            if tail:
+                delta = [b - a for a, b in zip(means[-1], shell)]
+                weight = size / (tail + size)
+                means.append([a + d * weight for a, d in zip(means[-1], delta)])
+                deltas.append(delta)
+                weights.append(tail * size / (tail + size))
+            else:
+                means.append(shell)
+            tail += size
+        delta = np.array(deltas).reshape(-1, 6)
+        terms[2::2] = delta[:, :, None] * delta[:, None, :] * np.array(weights)[:, None, None]
+        # each point takes the record of the first nonempty shell from its start
+        at = len(shells) - 1 - np.searchsorted([lo for lo, _ in shells], starts)
+        # shell extremes of D; reduceat gives an empty shell its successor's
+        # first D, which the suffix holds anyway
+        low = np.minimum.accumulate(np.minimum.reduceat(columns[1], starts)[::-1])[::-1]
+        high = np.maximum.accumulate(np.maximum.reduceat(columns[1], starts)[::-1])[::-1]
+        return cls(n - np.array(starts), np.array(means)[at],
+                   np.cumsum(terms, axis=0)[::2][at], np.asarray(frequencies, dtype=float),
+                   np.cumsum(np.asarray(counts)[::-1], axis=0)[::-1], low, high)
+
+    def take(self, index) -> "Moments":
+        """The stack of the points ``index``, in that order."""
+        return Moments(**{f.name: getattr(self, f.name) if f.name == "frequencies"
+                          else getattr(self, f.name)[index] for f in fields(self)})
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    @cached_property
+    def freq_counts(self) -> list[tuple[tuple[float, int], ...]]:
+        """Each point's (frequency, count) pairs, as in ``Dataset.freq_summary``."""
+        table = self.frequencies.tolist()
+        return [tuple((f, c) for f, c in zip(table, row) if c) for row in self.counts.tolist()]
+
+
+def _fail(errors: list, where, error) -> None:
+    """Record ``error`` (one exception, or a list of per-point errors or None)
+    at each point of the mask ``where`` that has no error yet."""
+    for i in np.flatnonzero(where).tolist() if where.any() else ():
+        if errors[i] is None:
+            errors[i] = error[i] if isinstance(error, list) else error
 
 
 def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ...],
-                   intercept: bool, context: str) -> list[float]:
+                   intercept: bool, context: str, errors: list,
+                   where=True) -> list[np.ndarray]:
     """Least-squares coefficients of the linear form ``target`` on one or two
-    ``columns`` over the samples of ``m``.
+    ``columns`` over the samples of each point of ``m``: k arrays of P.
 
     With ``intercept`` the centred normal equations give the column
     coefficients and the intercept mean(y) - sum_j c_j*mean(x_j) is
     appended; without one the raw sums (centred plus n*mean*mean) are used.
-    The system is solved by Cramer's rule; a singular one raises
-    SingularDesignError naming ``context``.
+    Each system is solved by Cramer's rule; a singular one gives zeros and
+    records SingularDesignError naming ``context`` at its point, if the
+    point is in the mask ``where``.
     """
     forms = np.array((target, *columns))
-    mean = forms @ m.mean
+    mean = forms @ m.mean[:, :, None]
     system = forms @ m.comoment @ forms.T
     if not intercept:
-        system += m.n * np.outer(mean, mean)
-    _, *rhs = system[0].tolist()
-    s11 = float(system[1, 1])
-    if len(rhs) == 1:
+        system += m.n[:, None, None] * (mean * mean.transpose(0, 2, 1))
+    rhs, mean = system[:, 0, 1:].T, mean[:, :, 0].T
+    s11 = system[:, 1, 1]
+    if len(columns) == 1:
         det = diagonal = s11
         numerators = rhs
     else:
-        s22, s12 = float(system[2, 2]), float(system[1, 2])
+        s22, s12 = system[:, 2, 2], system[:, 1, 2]
         det = s11 * s22 - s12 * s12
         diagonal = s11 * s22
         numerators = [s22 * rhs[0] - s12 * rhs[1], s11 * rhs[1] - s12 * rhs[0]]
-    if not abs(det) > SINGULARITY_RTOL * diagonal:
-        raise SingularDesignError(f"{context}: normal equations are singular")
-    coefficients = [v / det for v in numerators]
+    ok = np.abs(det) > SINGULARITY_RTOL * diagonal
+    _fail(errors, ~ok & where,
+          SingularDesignError(f"{context}: normal equations are singular"))
+    coefficients = [np.divide(v, det, out=np.zeros(len(m)), where=ok) for v in numerators]
     if intercept:
-        means = mean.tolist()
-        coefficients.append(means[0] - sum(c * x for c, x in zip(coefficients, means[1:])))
+        total = 0.0
+        for c, x in zip(coefficients, mean[1:]):
+            total = total + c * x
+        coefficients.append(mean[0] - total)
     return coefficients
 
 
-# kind -> weights over VARIABLES of the residual path_loss - model(f, d);
+def _log10(values: np.ndarray) -> np.ndarray:
+    # math.log10 per value: numpy's log10 may differ from it in the last bit
+    return np.array([math.log10(v) for v in values.tolist()])
+
+
+# kind -> weights over VARIABLES of the residual path_loss - model(f, d), from
+# the parameter values in MODEL_KINDS order (arrays of P points);
 # CIF's slope n*(1 + b*(f - f0)/f0) on D is n*(1 - b) on D plus n*b/f0 on G.
 _RESIDUAL_FORMS = {
-    "abg": lambda p: (-p.beta, -p.alpha, -p.gamma, 0.0, 0.0, 1.0),
-    "ab": lambda p: (-p.beta, -p.alpha, -p.gamma, 0.0, 0.0, 1.0),
-    "ci": lambda p: (0.0, -p.n, 0.0, 0.0, 1.0, 0.0),
-    "ci_opt": lambda p: (-(2.0 - p.n) * 10.0 * math.log10(p.d0), -p.n, 0.0, 0.0, 1.0, 0.0),
-    "cif": lambda p: (0.0, -p.n * (1.0 - p.b), 0.0, -p.n * p.b / p.f0, 1.0, 0.0),
+    "abg": lambda alpha, beta, gamma: (-beta, -alpha, -gamma, 0.0, 0.0, 1.0),
+    "ab": lambda alpha, beta: (-beta, -alpha, -MODEL_KINDS["ab"].fixed["gamma"],
+                               0.0, 0.0, 1.0),
+    "ci": lambda n: (0.0, -n, 0.0, 0.0, 1.0, 0.0),
+    "ci_opt": lambda n, d0: (-(2.0 - n) * 10.0 * _log10(d0), -n, 0.0, 0.0, 1.0, 0.0),
+    "cif": lambda n, b, f0: (0.0, -n * (1.0 - b), 0.0, -n * b / f0, 1.0, 0.0),
 }
 
 
-def _residual_form(params: ModelParams) -> np.ndarray:
-    """The residual path_loss - model(f, d) of ``params`` as a linear form."""
-    return np.array(_RESIDUAL_FORMS[params.kind](params))
+def _residual_forms(kind: str, values: np.ndarray) -> np.ndarray:
+    """(P, 6) residual forms of ``kind`` at each row of parameter ``values``."""
+    forms = np.empty((len(values), len(VARIABLES)))
+    for j, weight in enumerate(_RESIDUAL_FORMS[kind](*values.T)):
+        forms[:, j] = weight
+    return forms
 
 
-def moments_sigma(params: ModelParams, m: Moments) -> float:
-    """RMS of the residuals of ``params`` over the samples of ``m``: the
-    root of n*(mean residual)^2 plus the centred quadratic form, over n (a
-    sum below 0 from rounding counts as 0)."""
-    form = _residual_form(params)
-    mean = float(form @ m.mean)
-    sse = m.n * mean * mean + float(form @ m.comoment @ form)
-    return math.sqrt(max(sse, 0.0) / m.n)
+def moments_sigma(forms: np.ndarray, m: Moments) -> np.ndarray:
+    """RMS of the residual forms ``forms`` (P, 6) over the samples of each
+    point of ``m`` (or of its one point): the root of n*(mean residual)^2
+    plus the centred quadratic form, over n (a sum below 0 from rounding
+    counts as 0)."""
+    rows = forms[:, None, :]
+    mean = (rows @ m.mean[:, :, None])[:, 0, 0]
+    sse = m.n * mean * mean + (rows @ m.comoment @ forms[:, :, None])[:, 0, 0]
+    return np.sqrt(np.maximum(sse, 0.0) / m.n)
 
 
-def _require_distance_spread(m: Moments, fitter: str) -> None:
-    if not m.d_low < m.d_high:
-        raise DegenerateDesignError(f"{fitter} needs at least two distinct distances")
+def _require_distance_spread(m: Moments, fitter: str, errors: list) -> None:
+    _fail(errors, ~(m.d_low < m.d_high),
+          DegenerateDesignError(f"{fitter} needs at least two distinct distances"))
 
 
-def _require_beyond_one_meter(m: Moments, fitter: str) -> None:
-    if m.d_high == 0.0:  # D >= 0, so every sample is at 1 m
-        raise DegenerateDesignError(
-            f"{fitter} needs at least one sample with d > 1 m (all distances are 1 m)")
+def _require_beyond_one_meter(m: Moments, fitter: str, errors: list) -> None:
+    _fail(errors, m.d_high == 0.0, DegenerateDesignError(  # D >= 0: all samples at 1 m
+        f"{fitter} needs at least one sample with d > 1 m (all distances are 1 m)"))
 
 
-# Each solver takes (m, f0, d0_bounds), fits one kind and returns (params, flags).
-_Solved = tuple[ModelParams, tuple[str, ...]]
-
-def _solve_ci(m: Moments, f0, d0_bounds) -> _Solved:
-    _require_beyond_one_meter(m, "fit_ci")
-    (n,) = _least_squares(m, _A, (_D,), False, "fit_ci")
-    return CIParams(n), ()
+def _single_frequency(m: Moments) -> np.ndarray:
+    return np.count_nonzero(m.counts, axis=1) < 2
 
 
-def _ci_about_fixed_d0(m: Moments, d0: float, flag: str) -> _Solved:
-    """The CI-opt fit with its reference distance fixed at d0, flagged ``flag``:
-    the slope of A - 2*10log10(d0) on D - 10log10(d0), no intercept."""
+# Each solver takes (m, f0 per point, d0_bounds, errors), fits one kind at
+# every point of m and returns the (P, k) parameter values in MODEL_KINDS
+# order and each point's flags; it records each point's first error in
+# ``errors``, checks in the order of a fit of that point alone.
+_Values = tuple[np.ndarray, list[tuple[str, ...]]]
+
+def _solve_ci(m: Moments, f0, d0_bounds, errors: list) -> _Values:
+    _require_beyond_one_meter(m, "fit_ci", errors)
+    (n,) = _least_squares(m, _A, (_D,), False, "fit_ci", errors)
+    return n[:, None], [()] * len(m)
+
+
+def _ci_about_fixed_d0(m: Moments, d0: float) -> tuple[np.ndarray, list]:
+    """The CI-opt slope n with its reference distance fixed at d0, at every
+    point, and each point's error: the slope of A - 2*10log10(d0) on
+    D - 10log10(d0), no intercept."""
+    errors = [None] * len(m)
     b10 = 10.0 * math.log10(d0)
-    if m.d_low == m.d_high == b10:
-        raise DegenerateDesignError(f"all distances equal the reference d0={d0} m")
+    _fail(errors, (m.d_low == m.d_high) & (m.d_high == b10),
+          DegenerateDesignError(f"all distances equal the reference d0={d0} m"))
     (n,) = _least_squares(m, _A - 2.0 * b10 * _ONE, (_D - b10 * _ONE,), False,
-                          "fit_ci_opt")
-    return CIOptParams(n, d0), (flag,)
+                          "fit_ci_opt", errors)
+    return n, errors
 
 
-def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float]) -> _Solved:
+def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) -> _Values:
     lo, hi = d0_bounds
     if not (D0_BOUNDS_DEFAULT[0] <= lo < hi <= D0_BOUNDS_DEFAULT[1]):
-        raise FitError(f"d0 bounds must satisfy 0.1 <= lo < hi <= 50, got {d0_bounds}")
-    _require_distance_spread(m, "fit_ci_opt")
-    n, intercept = _least_squares(m, _A, (_D,), True, "fit_ci_opt")
-
-    if abs(2.0 - n) < N_NEAR_TWO_TOL:
-        return _ci_about_fixed_d0(m, 1.0, FLAG_D0_UNIDENTIFIABLE)
-
+        _fail(errors, np.ones(len(m), dtype=bool),
+              FitError(f"d0 bounds must satisfy 0.1 <= lo < hi <= 50, got {d0_bounds}"))
+        return np.ones((len(m), 2)), [()] * len(m)
+    _require_distance_spread(m, "fit_ci_opt", errors)
+    n, intercept = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors)
+    free = np.abs(2.0 - n) < N_NEAR_TWO_TOL  # d0 unidentifiable: 1 m, flagged
     # Test log10(d0) against the upper bound before exponentiating: for n just
     # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
-    log_d0 = intercept / (10.0 * (2.0 - n))
-    d0 = 10.0 ** log_d0 if log_d0 <= math.log10(hi) + 1.0 else math.inf
-    if d0 < lo or d0 > hi:
-        # refit about each bound and keep the smaller sigma; the bound that the
-        # unconstrained d0 overshot goes first, since min keeps the first of equals
-        bounds = [(lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)]
-        refits = [_ci_about_fixed_d0(m, bound, flag)
-                  for bound, flag in (bounds if d0 < lo else bounds[::-1])]
-        return min(refits, key=lambda refit: moments_sigma(refit[0], m))
-    return CIOptParams(n, d0), ()
+    log_d0 = np.divide(intercept, 10.0 * (2.0 - n), out=np.zeros(len(m)), where=~free)
+    top = math.log10(hi) + 1.0
+    d0 = np.array([10.0 ** v if v <= top else math.inf for v in log_d0.tolist()])
+    low, high = ~free & (d0 < lo), ~free & (d0 > hi)
+    flags = [()] * len(m)
+    # refit about each bound and keep the smaller sigma; the bound that the
+    # unconstrained d0 overshot goes first, since min keeps the first of equals
+    for where, choices in ((free, [(1.0, FLAG_D0_UNIDENTIFIABLE)]),
+                           (low, [(lo, FLAG_D0_CLAMPED_LOW), (hi, FLAG_D0_CLAMPED_HIGH)]),
+                           (high, [(hi, FLAG_D0_CLAMPED_HIGH), (lo, FLAG_D0_CLAMPED_LOW)])):
+        if not where.any():
+            continue
+        refits = [(bound, flag, *_ci_about_fixed_d0(m, bound)) for bound, flag in choices]
+        for *_, refit_errors in refits:
+            _fail(errors, where, refit_errors)
+        sigma = [moments_sigma(_residual_forms("ci_opt", np.column_stack(
+            (slope, np.full(len(m), bound)))), m) for bound, _, slope, _ in refits]
+        second = where & (sigma[-1] < sigma[0])
+        for keep, (bound, flag, slope, _) in ((where & ~second, refits[0]),
+                                              (second, refits[-1])):
+            n[keep], d0[keep] = slope[keep], bound
+            for i in np.flatnonzero(keep).tolist():
+                flags[i] = (flag,)
+    return np.column_stack((n, d0)), flags
 
 
-def _solve_abg(m: Moments, f0, d0_bounds) -> _Solved:
-    if len(m.freq_counts) < 2:
-        raise SingleFrequencyError(
-            "fit_abg needs two distinct frequencies; use fit_ab for "
-            "single-frequency data (frequency slope fixed at 2)")
-    _require_distance_spread(m, "fit_abg")
-    alpha, gamma, beta = _least_squares(m, _B, (_D, _F), True, "fit_abg")
-    return ABGParams(alpha, beta, gamma), ()
+def _solve_abg(m: Moments, f0, d0_bounds, errors: list) -> _Values:
+    _fail(errors, _single_frequency(m), SingleFrequencyError(
+        "fit_abg needs two distinct frequencies; use fit_ab for "
+        "single-frequency data (frequency slope fixed at 2)"))
+    _require_distance_spread(m, "fit_abg", errors)
+    alpha, gamma, beta = _least_squares(m, _B, (_D, _F), True, "fit_abg", errors)
+    return np.column_stack((alpha, beta, gamma)), [()] * len(m)
 
 
-def _solve_ab(m: Moments, f0, d0_bounds) -> _Solved:
-    _require_distance_spread(m, "fit_ab")
-    alpha, beta = _least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab")
-    return ABParams(alpha, beta), ()
+def _solve_ab(m: Moments, f0, d0_bounds, errors: list) -> _Values:
+    _require_distance_spread(m, "fit_ab", errors)
+    alpha, beta = _least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab", errors)
+    return np.column_stack((alpha, beta)), [()] * len(m)
 
 
-def _solve_cif(m: Moments, f0, d0_bounds, allow_single_frequency: bool = True) -> _Solved:
-    f0_value = auto_f0(m.freq_counts) if f0 == "auto" else float(f0)
-    _require_beyond_one_meter(m, "fit_cif")
-    if len(m.freq_counts) < 2:
-        if not allow_single_frequency:
-            raise SingleFrequencyError(
-                "fit_cif needs two distinct frequencies; the model reverts to "
-                "the CI model for the single-frequency case, use fit_ci")
-        (n,) = _least_squares(m, _A, (_D,), False, "fit_cif")
-        return CIFParams(n, 0.0, f0_value), (FLAG_CIF_SINGLE_FREQUENCY,)
+def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
+               allow_single_frequency: bool = True) -> _Values:
+    f0 = np.array([auto_f0(pairs) if value == "auto" else float(value)
+                   for pairs, value in zip(m.freq_counts, f0)])
+    _require_beyond_one_meter(m, "fit_cif", errors)
+    single = _single_frequency(m)
+    if not allow_single_frequency:
+        _fail(errors, single, SingleFrequencyError(
+            "fit_cif needs two distinct frequencies; the model reverts to "
+            "the CI model for the single-frequency case, use fit_ci"))
+    zeros = np.zeros(len(m))
+    (slope,) = (_least_squares(m, _A, (_D,), False, "fit_cif", errors, single)
+                if single.any() else (zeros,))
+    a, g = (_least_squares(m, _A, (_D, _G), False, "fit_cif", errors, ~single)
+            if not single.all() else (zeros, zeros))
+    n = a + g * f0
+    zero = ~single & (np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g * f0)))
+    _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
+    b = np.divide(g * f0, n, out=zeros.copy(), where=~zero & ~single)
+    flags = [(FLAG_CIF_SINGLE_FREQUENCY,) if s else () for s in single.tolist()]
+    return np.column_stack((np.where(single, slope, n), np.where(single, 0.0, b), f0)), flags
 
-    a, g = _least_squares(m, _A, (_D, _G), False, "fit_cif")
-    n = a + g * f0_value
-    if abs(n) <= SINGULARITY_RTOL * (abs(a) + abs(g * f0_value)):
-        raise FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined")
-    return CIFParams(n, g * f0_value / n, f0_value), ()
+
+@dataclass(frozen=True, eq=False)
+class StackedFit:
+    """One model fitted at every point of a Moments stack: each point's
+    params (None at an error), flags, error (None if it fitted) and residual
+    form over VARIABLES, whose RMS over any record is :func:`moments_sigma`."""
+
+    params: list
+    flags: list[tuple[str, ...]]
+    errors: list
+    forms: np.ndarray
+
+    def result(self, i: int = 0) -> tuple[ModelParams, tuple[str, ...]]:
+        """(params, flags) at point ``i``; raises the point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return self.params[i], self.flags[i]
 
 
-def _fit(ds: Dataset, solve, *args) -> FitReport:
-    """Fit ``ds`` with ``solve``; the residuals come from the regression columns."""
-    design = RegressionDesign.from_dataset(ds)
-    columns = design.columns()
-    params, flags = solve(Moments.of(columns, ds.freq_summary), *args)
-    return FitReport.from_residuals(params, _residual_form(params) @ columns, flags)
+def _solve(m: Moments, kind: str, f0, d0_bounds, *args) -> StackedFit:
+    """Fit ``kind`` at every point of ``m``, with each point's f0 ("auto" or GHz)."""
+    errors = [None] * len(m)
+    values, flags = _SOLVERS[kind](m, f0, d0_bounds, errors, *args)
+    params, make = [None] * len(m), MODEL_KINDS[kind].params
+    for i, row in enumerate(values.tolist()):
+        try:
+            params[i] = make(*row) if errors[i] is None else None
+        except DomainError as exc:
+            errors[i] = exc
+    return StackedFit(params, flags, errors, _residual_forms(kind, values))
+
+
+def _fit(ds: Dataset, kind: str, f0="auto", d0_bounds=D0_BOUNDS_DEFAULT, *args) -> FitReport:
+    """Fit ``ds`` as a stack of one; the residuals come from the regression columns."""
+    columns = RegressionDesign.from_dataset(ds).columns()
+    frequencies, counts = zip(*ds.freq_summary)
+    m = Moments.of(columns, frequencies, [counts])
+    params, flags = (fit := _solve(m, kind, [f0], d0_bounds, *args)).result()
+    return FitReport.from_residuals(params, fit.forms[0] @ columns, flags)
 
 
 def fit_ci(ds: Dataset) -> FitReport:
@@ -318,7 +448,7 @@ def fit_ci(ds: Dataset) -> FitReport:
     Requires at least one sample beyond 1 m, otherwise the design carries no
     distance information.
     """
-    return _fit(ds, _solve_ci, "auto", D0_BOUNDS_DEFAULT)
+    return _fit(ds, "ci")
 
 
 def fit_ci_opt(ds: Dataset,
@@ -334,7 +464,7 @@ def fit_ci_opt(ds: Dataset,
     within ~1e-6 of 2 the model is free space and d0 is unidentifiable, so
     d0 = 1 m is reported with a flag.
     """
-    return _fit(ds, _solve_ci_opt, "auto", d0_bounds)
+    return _fit(ds, "ci_opt", "auto", d0_bounds)
 
 
 def fit_abg(ds: Dataset) -> FitReport:
@@ -347,7 +477,7 @@ def fit_abg(ds: Dataset) -> FitReport:
     single-frequency dataset the frequency slope is unidentifiable and the
     caller should use :func:`fit_ab` instead.
     """
-    return _fit(ds, _solve_abg, "auto", D0_BOUNDS_DEFAULT)
+    return _fit(ds, "abg")
 
 
 def fit_ab(ds: Dataset) -> FitReport:
@@ -357,7 +487,7 @@ def fit_ab(ds: Dataset) -> FitReport:
     10*log10(d) with an intercept: alpha = sum(D'y')/sum(D'^2) over the
     mean-removed D' and y', beta = mean(y) - alpha*mean(D).
     """
-    return _fit(ds, _solve_ab, "auto", D0_BOUNDS_DEFAULT)
+    return _fit(ds, "ab")
 
 
 def fit_cif(ds: Dataset, f0: float | str = "auto", *,
@@ -377,7 +507,7 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
     ``allow_single_frequency=True`` the fit reverts to the CI slope with
     b = 0, flagged, which is exact when f0 equals the lone frequency.
     """
-    return _fit(ds, _solve_cif, f0, D0_BOUNDS_DEFAULT, allow_single_frequency)
+    return _fit(ds, "cif", f0, D0_BOUNDS_DEFAULT, allow_single_frequency)
 
 
 # kind -> fitter(ds, f0, d0_bounds). Each entry looks its fitter up by name
@@ -420,12 +550,34 @@ def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
     return replace(report, flags=report.flags + flag) if flag else report
 
 
+def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
+              d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> StackedFit:
+    """:func:`fit_with_reversion` at every point of ``m``: each point takes
+    the single-frequency conventions of its own frequencies, and the points
+    that fit one kind are solved as one stack."""
+    reverted = [_reverted(kind, pairs, f0) for pairs in m.freq_counts]
+    groups: dict = {}
+    for i, (fit_kind, _, flag) in enumerate(reverted):
+        groups.setdefault((fit_kind, flag), []).append(i)
+    if len(groups) == 1 and not flag:
+        return _solve(m, fit_kind, [point_f0 for _, point_f0, _ in reverted], d0_bounds)
+    out = StackedFit([None] * len(m), [()] * len(m), [None] * len(m),
+                     np.empty((len(m), len(VARIABLES))))
+    for (fit_kind, flag), index in groups.items():
+        fit = _solve(m.take(index), fit_kind, [reverted[i][1] for i in index], d0_bounds)
+        out.forms[index] = fit.forms
+        for j, i in enumerate(index):
+            out.params[i], out.flags[i], out.errors[i] = (
+                fit.params[j], fit.flags[j] + flag, fit.errors[j])
+    return out
+
+
 def fit_moments(m: Moments, kind: str, *, f0: float | str = "auto",
-                d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> _Solved:
-    """(params, flags) of :func:`fit_with_reversion` on the samples of ``m``."""
-    kind, f0, flag = _reverted(kind, m.freq_counts, f0)
-    params, flags = _SOLVERS[kind](m, f0, d0_bounds)
-    return params, flags + flag
+                d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT
+                ) -> tuple[ModelParams, tuple[str, ...]]:
+    """(params, flags) of :func:`fit_with_reversion` on the samples of ``m``,
+    a stack of one; raises its error."""
+    return fit_stack(m, kind, f0=f0, d0_bounds=d0_bounds).result()
 
 
 # The one fit entry point under its public name.

@@ -41,6 +41,10 @@ class PreprocessSettings:
             raise DomainError(f"bin_average must be one of {BIN_AVERAGE_MODES}")
 
 
+class BinWidthError(ValueError):
+    """The bin width is too small for the distances: d / bin_width overflows."""
+
+
 @dataclass(frozen=True)
 class PreprocessResult:
     dataset: Dataset
@@ -74,7 +78,11 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
     # ranked, since with a tiny bin width it exceeds 2^63.
     _, freq = np.unique(f, return_inverse=True)
     _, label_freq = np.unique(ds.codes * (freq.max() + 1) + freq, return_inverse=True)
-    bins, bin_index = np.unique(np.floor(d / settings.bin_width), return_inverse=True)
+    with np.errstate(over="ignore"):  # a BinWidthError below instead
+        bins, bin_index = np.unique(np.floor(d / settings.bin_width), return_inverse=True)
+    if not np.isfinite(bins[-1]):
+        raise BinWidthError(f"bin_width {settings.bin_width} m is too small for distances "
+                            f"up to {d.max()} m: distance / bin_width overflows")
     key = label_freq.astype(np.int64) * bins.size + bin_index
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     # renumber groups by first occurrence, then list members group by group

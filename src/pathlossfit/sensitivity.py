@@ -28,7 +28,7 @@ from .fitters import (
     FitError,
     Moments,
     RegressionDesign,
-    fit_moments,
+    fit_stack,
     fit_with_reversion,
     moments_sigma,
 )
@@ -236,34 +236,40 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
     return report
 
 
-def _sweep_point(base: dict, models: tuple[str, ...], score) -> SweepPoint:
-    """The sweep point with counts ``base``, whose entry for each model kind
-    is ``score(kind)``; a fit or model error skips the point."""
+def _sweep_point(base: dict, entries) -> SweepPoint:
+    """The sweep point with counts ``base`` whose models score as ``entries``:
+    each a ModelPrediction, up to a fit or model error that skips the point."""
     if base["n_meas"] == 0 or base["n_pred"] == 0:
         which = "measurement" if base["n_meas"] == 0 else "prediction"
         return SweepPoint(skipped=True, skip_reason=f"empty {which} set", **base)
-    try:
-        entries = tuple(score(kind) for kind in models)
-    except (FitError, DomainError) as exc:
-        return SweepPoint(skipped=True, skip_reason=str(exc), **base)
-    return SweepPoint(skipped=False, models=entries, **base)
+    scored = []
+    for entry in entries:
+        if not isinstance(entry, ModelPrediction):
+            return SweepPoint(skipped=True, skip_reason=str(entry), **base)
+        scored.append(entry)
+    return SweepPoint(skipped=False, models=tuple(scored), **base)
 
 
 def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> list[SweepPoint]:
     """Each point from a split of ``ds`` and a refit of every model."""
-    def score(kind: str) -> ModelPrediction:
-        report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-        return ModelPrediction(model=kind, params=report.params,
-                               measurement_sigma=report.sigma,
-                               prediction_sigma=prediction_sigma(report.params, prediction),
-                               flags=report.flags)
+    def scores(measurement: Dataset, prediction: Dataset):
+        for kind in models:
+            try:
+                report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
+                sigma = prediction_sigma(report.params, prediction)
+            except (FitError, DomainError) as exc:
+                yield exc
+                return
+            yield ModelPrediction(model=kind, params=report.params,
+                                  measurement_sigma=report.sigma, prediction_sigma=sigma,
+                                  flags=report.flags)
 
     results = []
     for point in spec.points(ds):
         measurement, prediction = split(ds, spec, point)
         base = dict(point=float(point), n_meas=len(measurement), n_pred=len(prediction),
                     n_gap=len(ds) - len(measurement) - len(prediction))
-        results.append(_sweep_point(base, models, score))
+        results.append(_sweep_point(base, scores(measurement, prediction)))
     return results
 
 
@@ -275,49 +281,52 @@ def _moment_points(ds: Dataset, spec: Union[DistanceClose, DistanceFar], models,
     is key <= its limit and the measurement set at point k is key > the k-th
     limit: in key order a prefix and a suffix. The moments of the shells
     between consecutive limits are merged from the end of the order, so a
-    measurement set's moments come from its own samples only.
+    measurement set's moments come from its own samples only. The records of
+    the points that have both sets are stacked, and each model is solved
+    once over the stack (:func:`~pathlossfit.fitters.fit_stack`).
     """
     sign, prediction_limit, limits = spec.key_limits()
-    order = np.argsort(sign * ds.distance, kind="stable")
+    order = np.argsort(sign * ds.distance)
     key = sign * ds.distance[order]
+    if np.any(key[1:] == key[:-1]):  # tied distances stay in sample order
+        order = np.argsort(sign * ds.distance, kind="stable")
+        key = sign * ds.distance[order]
     n = len(ds)
     n_pred = int(np.searchsorted(key, prediction_limit, side="right"))
     starts = np.searchsorted(key, limits, side="right").tolist()
-    if n_pred == 0 or starts[0] == n:  # every point is skipped as empty
-        merged = [None] * len(starts)
-    else:
+    # the measurement sets shrink along the sweep: the nonempty ones are a prefix
+    active = sum(start < n for start in starts) if n_pred else 0
+    scored = []
+    if active:
         columns = RegressionDesign.from_dataset(ds).columns()[:, order]
-        frequency = ds.frequency[order]
-
-        def moments(lo: int, hi: int) -> Moments:
-            values, counts = np.unique(frequency[lo:hi], return_counts=True)
-            return Moments.of(columns[:, lo:hi],
-                              tuple(zip(values.tolist(), counts.tolist())))
-
-        prediction = moments(0, n_pred)
+        frequencies, frequency = np.unique(ds.frequency[order], return_inverse=True)
+        bounds = [0, n_pred, *starts[:active], n]
+        counts = [np.bincount(frequency[lo:hi], minlength=frequencies.size)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        prediction = Moments.of(columns[:, :n_pred], frequencies, counts[:1])
+        measurement = Moments.of(columns, frequencies, counts[2:], starts[:active])
         nearest = order[0] if sign > 0 else order[n_pred - 1]  # smallest prediction d
-        merged, tail = [], None
-        for lo, hi in zip(starts[::-1], [n, *starts[:0:-1]]):
-            if hi > lo:
-                tail = moments(lo, hi) if tail is None else tail.merge(moments(lo, hi))
-            merged.append(tail)
-        merged.reverse()
-
-    def score(kind: str) -> ModelPrediction:
-        params, flags = fit_moments(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-        if ds.distance[nearest] < getattr(params, "d0", 1.0):
-            # raises the evaluator's DomainError: the model is undefined below d0
-            evaluate(params, ds.frequency[nearest], ds.distance[nearest])
-        return ModelPrediction(model=kind, params=params,
-                               measurement_sigma=moments_sigma(params, measurement),
-                               prediction_sigma=moments_sigma(params, prediction),
-                               flags=flags)
-
-    results = []
-    for point, start, measurement in zip(spec.points(ds), starts, merged):
-        base = dict(point=float(point), n_meas=n - start, n_pred=n_pred, n_gap=start - n_pred)
-        results.append(_sweep_point(base, models, score))
-    return results
+        near_f, near_d = ds.frequency[nearest], ds.distance[nearest]
+        for kind in models:
+            fit = fit_stack(measurement, kind, f0=f0, d0_bounds=d0_bounds)
+            column = []
+            for params, flags, error, measured, predicted in zip(
+                    fit.params, fit.flags, fit.errors,
+                    moments_sigma(fit.forms, measurement).tolist(),
+                    moments_sigma(fit.forms, prediction).tolist()):
+                if error is None and near_d < getattr(params, "d0", 1.0):
+                    try:  # the evaluator's DomainError: the model is undefined below d0
+                        evaluate(params, near_f, near_d)
+                    except DomainError as exc:
+                        error = exc
+                column.append(error if error is not None else ModelPrediction(
+                    model=kind, params=params, measurement_sigma=measured,
+                    prediction_sigma=predicted, flags=flags))
+            scored.append(column)
+    scored = list(zip(*scored))
+    return [_sweep_point(dict(point=float(point), n_meas=n - start, n_pred=n_pred,
+                              n_gap=start - n_pred), scored[i] if i < active else ())
+            for i, (point, start) in enumerate(zip(spec.points(ds), starts))]
 
 
 @dataclass(frozen=True)

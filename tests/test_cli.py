@@ -6,7 +6,7 @@ import math
 import pytest
 
 from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
-from pathlossfit.cli import main
+from pathlossfit.cli import build_parser, main
 from pathlossfit.ingest import spec_to_dict, write_csv
 
 
@@ -449,3 +449,72 @@ class TestSweep:
         lines = (out_dir / "sweep_trace.csv").read_text().splitlines()
         assert any(line.endswith(",true") for line in lines[1:])
         assert any(line.endswith(",false") for line in lines[1:])
+
+
+# Two rows at each of 28 and 73 GHz: a width of 1e-320 m overflows d / w.
+TINY_WIDTH_ROWS = [(28.0, 100.0, 110.0, "UMa"), (28.0, 200.0, 118.0, "UMa"),
+                   (73.0, 100.0, 120.0, "UMa"), (73.0, 300.0, 125.0, "UMa")]
+# 1e300 GHz is finite and > 0, so the CSV loads; its free-space loss is not finite.
+HUGE_FREQUENCY_ROWS = [(28.0, 100.0, 110.0, "UMa"), (28.0, 200.0, 118.0, "UMa"),
+                       (1e300, 150.0, 120.0, "UMa"), (1e300, 300.0, 125.0, "UMa")]
+
+
+def assert_one_error_line(captured, naming: str) -> None:
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert naming in captured.err
+
+
+class TestOverflow:
+    def test_tiny_bin_width_preprocess_exits_2_without_output(self, tmp_path, capsys):
+        data = write_csv_rows(tmp_path / "in.csv", TINY_WIDTH_ROWS)
+        out = tmp_path / "out.csv"
+        assert run("preprocess", "--input", data, "--out", out, "--bin-width", "1e-320") == 2
+        assert_one_error_line(capsys.readouterr(), "bin_width 1e-320")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_tiny_bin_width_fit_exits_2_without_report(self, tmp_path, capsys):
+        data = write_csv_rows(tmp_path / "in.csv", TINY_WIDTH_ROWS)
+        assert run("fit", "--input", data, "--out-dir", tmp_path / "out",
+                   "--bin-width", "1e-320") == 2
+        assert_one_error_line(capsys.readouterr(), "bin_width 1e-320")
+        assert not (tmp_path / "out").exists()
+
+    def test_bin_width_that_does_not_overflow_still_bins(self, tmp_path, capsys):
+        data = write_csv_rows(tmp_path / "in.csv", TINY_WIDTH_ROWS)
+        out = tmp_path / "out.csv"
+        assert run("preprocess", "--input", data, "--out", out, "--bin-width", "1e-300") == 0
+        assert len(load_csv(out)) == 4
+
+    def test_fspl_overflow_exits_1_with_one_line(self, capsys):
+        assert run("fspl", "1e300", "1e300") == 1
+        assert_one_error_line(capsys.readouterr(), "free-space path loss")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--split", "frequency-loo", "--no-binning"),
+        ("fit",),
+    ], ids=["frequency-loo-sweep", "fit"])
+    def test_huge_frequency_exits_1_without_report(self, tmp_path, capsys, argv):
+        data = write_csv_rows(tmp_path / "in.csv", HUGE_FREQUENCY_ROWS)
+        assert run(*argv, "--input", data, "--out-dir", tmp_path / "out") == 1
+        assert_one_error_line(capsys.readouterr(), "free-space path loss")
+        assert not (tmp_path / "out").exists()
+
+
+class TestParserReuse:
+    def test_flags_of_one_call_do_not_leak_into_the_next(self, tmp_path, ci_spec_file):
+        first, second, fresh = (tmp_path / name for name in ("first", "second", "fresh"))
+        assert run("fit", "--synthetic", ci_spec_file, "--out-dir", first,
+                   "--d0-bounds", "0.5", "20", "--models", "ci_opt") == 0
+        assert run("fit", "--synthetic", ci_spec_file, "--out-dir", second) == 0
+        build_parser.cache_clear()
+        assert run("fit", "--synthetic", ci_spec_file, "--out-dir", fresh) == 0
+        report = read_report(second / "fit_report.json")
+        assert report["d0_bounds"] == [0.1, 50.0]
+        assert sorted(report["models"]) == ["abg", "ci", "cif"]
+        for name in ("fit_report.json", "model_curves.csv"):
+            assert (second / name).read_bytes() == (fresh / name).read_bytes()
+        assert read_report(first / "fit_report.json")["d0_bounds"] == [0.5, 20.0]
+
+    def test_one_parser_serves_every_call(self):
+        assert build_parser() is build_parser()

@@ -225,3 +225,24 @@ class TestValueTypes:
         with pytest.raises(DomainError):
             FitReport(params=CIParams(2.0), sigma=1.0, n_points=3,
                       residuals=(1.0, -1.0))
+
+
+class TestFsplRange:
+    @pytest.mark.parametrize("f,d", [(1e300, 1e300), (1e300, 1.0), (1e-300, 1e-300)])
+    def test_finite_inputs_with_no_finite_loss_raise(self, f, d):
+        with pytest.raises(DomainError, match="out of the float range"):
+            fspl(f, d)
+
+    def test_one_bad_element_raises_for_the_array(self):
+        with pytest.raises(DomainError, match="1e\\+300 GHz"):
+            fspl(np.array([28.0, 1e300]), 1.0)
+
+    @given(f=st.floats(1e-280, 1e280), d=st.floats(1e-20, 1e20))
+    def test_finite_results_keep_the_formula_bits(self, f, d):
+        with np.errstate(all="ignore"):
+            want = 20.0 * np.log10(4.0 * math.pi * np.float64(f) * d * 1e9 / 299_792_458.0)
+        if np.isfinite(want):
+            assert fspl(f, d) == float(want)
+        else:
+            with pytest.raises(DomainError):
+                fspl(f, d)
