@@ -189,8 +189,11 @@ class Moments:
 
     def take(self, index) -> "Moments":
         """The stack of the points ``index``, in that order."""
-        return Moments(**{f.name: getattr(self, f.name) if f.name == "frequencies"
-                          else getattr(self, f.name)[index] for f in fields(self)})
+        out = Moments(**{f.name: getattr(self, f.name) if f.name == "frequencies"
+                         else getattr(self, f.name)[index] for f in fields(self)})
+        if "freq_counts" in vars(self):  # keep the pairs already built
+            vars(out)["freq_counts"] = [self.freq_counts[i] for i in index]
+        return out
 
     def __len__(self) -> int:
         return len(self.n)
@@ -205,16 +208,16 @@ class Moments:
 def _fail(errors: list, where, error) -> None:
     """Record ``error`` (one exception, or a list of per-point errors or None)
     at each point of the mask ``where`` that has no error yet."""
-    for i in np.flatnonzero(where).tolist() if where.any() else ():
+    for i in where.nonzero()[0].tolist():
         if errors[i] is None:
             errors[i] = error[i] if isinstance(error, list) else error
 
 
 def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ...],
                    intercept: bool, context: str, errors: list,
-                   where=True) -> list[np.ndarray]:
+                   where=True) -> np.ndarray:
     """Least-squares coefficients of the linear form ``target`` on one or two
-    ``columns`` over the samples of each point of ``m``: k arrays of P.
+    ``columns`` over the samples of each point of ``m``: (P, k).
 
     With ``intercept`` the centred normal equations give the column
     coefficients and the intercept mean(y) - sum_j c_j*mean(x_j) is
@@ -228,25 +231,23 @@ def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ..
     system = forms @ m.comoment @ forms.T
     if not intercept:
         system += m.n[:, None, None] * (mean * mean.transpose(0, 2, 1))
-    rhs, mean = system[:, 0, 1:].T, mean[:, :, 0].T
-    s11 = system[:, 1, 1]
-    if len(columns) == 1:
-        det = diagonal = s11
+    k, rhs, mean = len(columns), system[:, 0, 1:], mean[:, :, 0]
+    if k == 1:
+        det = diagonal = system[:, 1, 1]
         numerators = rhs
     else:
-        s22, s12 = system[:, 2, 2], system[:, 1, 2]
-        det = s11 * s22 - s12 * s12
-        diagonal = s11 * s22
-        numerators = [s22 * rhs[0] - s12 * rhs[1], s11 * rhs[1] - s12 * rhs[0]]
+        s12 = system[:, 1, 2]
+        diagonal = system[:, 1, 1] * system[:, 2, 2]
+        det = diagonal - s12 * s12
+        s22_s11 = system.diagonal(axis1=1, axis2=2)[:, :0:-1]
+        numerators = s22_s11 * rhs - s12[:, None] * rhs[:, ::-1]
     ok = np.abs(det) > SINGULARITY_RTOL * diagonal
     _fail(errors, ~ok & where,
           SingularDesignError(f"{context}: normal equations are singular"))
-    coefficients = [np.divide(v, det, out=np.zeros(len(m)), where=ok) for v in numerators]
+    coefficients = np.zeros((len(m), k + intercept))
+    np.divide(numerators, det[:, None], out=coefficients[:, :k], where=ok[:, None])
     if intercept:
-        total = 0.0
-        for c, x in zip(coefficients, mean[1:]):
-            total = total + c * x
-        coefficients.append(mean[0] - total)
+        coefficients[:, k] = mean[:, 0] - (coefficients[:, :k] * mean[:, 1:]).sum(axis=1)
     return coefficients
 
 
@@ -309,8 +310,7 @@ _Values = tuple[np.ndarray, list[tuple[str, ...]]]
 
 def _solve_ci(m: Moments, f0, d0_bounds, errors: list) -> _Values:
     _require_beyond_one_meter(m, "fit_ci", errors)
-    (n,) = _least_squares(m, _A, (_D,), False, "fit_ci", errors)
-    return n[:, None], [()] * len(m)
+    return _least_squares(m, _A, (_D,), False, "fit_ci", errors), [()] * len(m)
 
 
 def _ci_about_fixed_d0(m: Moments, d0: float) -> tuple[np.ndarray, list]:
@@ -322,7 +322,7 @@ def _ci_about_fixed_d0(m: Moments, d0: float) -> tuple[np.ndarray, list]:
     _fail(errors, (m.d_low == m.d_high) & (m.d_high == b10),
           DegenerateDesignError(f"all distances equal the reference d0={d0} m"))
     (n,) = _least_squares(m, _A - 2.0 * b10 * _ONE, (_D - b10 * _ONE,), False,
-                          "fit_ci_opt", errors)
+                          "fit_ci_opt", errors).T
     return n, errors
 
 
@@ -333,7 +333,7 @@ def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) 
               FitError(f"d0 bounds must satisfy 0.1 <= lo < hi <= 50, got {d0_bounds}"))
         return np.ones((len(m), 2)), [()] * len(m)
     _require_distance_spread(m, "fit_ci_opt", errors)
-    n, intercept = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors)
+    n, intercept = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors).T
     free = np.abs(2.0 - n) < N_NEAR_TWO_TOL  # d0 unidentifiable: 1 m, flagged
     # Test log10(d0) against the upper bound before exponentiating: for n just
     # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
@@ -368,14 +368,13 @@ def _solve_abg(m: Moments, f0, d0_bounds, errors: list) -> _Values:
         "fit_abg needs two distinct frequencies; use fit_ab for "
         "single-frequency data (frequency slope fixed at 2)"))
     _require_distance_spread(m, "fit_abg", errors)
-    alpha, gamma, beta = _least_squares(m, _B, (_D, _F), True, "fit_abg", errors)
-    return np.column_stack((alpha, beta, gamma)), [()] * len(m)
+    alpha_gamma_beta = _least_squares(m, _B, (_D, _F), True, "fit_abg", errors)
+    return alpha_gamma_beta.take((0, 2, 1), axis=1), [()] * len(m)
 
 
 def _solve_ab(m: Moments, f0, d0_bounds, errors: list) -> _Values:
     _require_distance_spread(m, "fit_ab", errors)
-    alpha, beta = _least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab", errors)
-    return np.column_stack((alpha, beta)), [()] * len(m)
+    return _least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab", errors), [()] * len(m)
 
 
 def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
@@ -389,14 +388,15 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
             "fit_cif needs two distinct frequencies; the model reverts to "
             "the CI model for the single-frequency case, use fit_ci"))
     zeros = np.zeros(len(m))
-    (slope,) = (_least_squares(m, _A, (_D,), False, "fit_cif", errors, single)
+    (slope,) = (_least_squares(m, _A, (_D,), False, "fit_cif", errors, single).T
                 if single.any() else (zeros,))
-    a, g = (_least_squares(m, _A, (_D, _G), False, "fit_cif", errors, ~single)
+    a, g = (_least_squares(m, _A, (_D, _G), False, "fit_cif", errors, ~single).T
             if not single.all() else (zeros, zeros))
-    n = a + g * f0
-    zero = ~single & (np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g * f0)))
+    g_f0 = g * f0
+    n = a + g_f0
+    zero = ~single & (np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0)))
     _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
-    b = np.divide(g * f0, n, out=zeros.copy(), where=~zero & ~single)
+    b = np.divide(g_f0, n, out=zeros.copy(), where=~zero & ~single)
     flags = [(FLAG_CIF_SINGLE_FREQUENCY,) if s else () for s in single.tolist()]
     return np.column_stack((np.where(single, slope, n), np.where(single, 0.0, b), f0)), flags
 
@@ -559,8 +559,6 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
     groups: dict = {}
     for i, (fit_kind, _, flag) in enumerate(reverted):
         groups.setdefault((fit_kind, flag), []).append(i)
-    if len(groups) == 1 and not flag:
-        return _solve(m, fit_kind, [point_f0 for _, point_f0, _ in reverted], d0_bounds)
     out = StackedFit([None] * len(m), [()] * len(m), [None] * len(m),
                      np.empty((len(m), len(VARIABLES))))
     for (fit_kind, flag), index in groups.items():

@@ -286,11 +286,8 @@ def _moment_points(ds: Dataset, spec: Union[DistanceClose, DistanceFar], models,
     once over the stack (:func:`~pathlossfit.fitters.fit_stack`).
     """
     sign, prediction_limit, limits = spec.key_limits()
-    order = np.argsort(sign * ds.distance)
+    order = np.argsort(sign * ds.distance, kind="stable")
     key = sign * ds.distance[order]
-    if np.any(key[1:] == key[:-1]):  # tied distances stay in sample order
-        order = np.argsort(sign * ds.distance, kind="stable")
-        key = sign * ds.distance[order]
     n = len(ds)
     n_pred = int(np.searchsorted(key, prediction_limit, side="right"))
     starts = np.searchsorted(key, limits, side="right").tolist()
