@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .domain import (
@@ -42,7 +43,8 @@ from .fitters import (
     FitError,
     fit_with_reversion,
 )
-from .ingest import IngestError, float_texts, generate, load_csv, load_spec, write_csv
+from .ingest import (IngestError, float_texts, generate, load_csv, load_spec, needs_repr,
+                     write_csv)
 from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
@@ -159,7 +161,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json
 
 def _json_text(obj) -> str:
     """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
-    final newline; float lists and 1-D float64 arrays are formatted by :func:`float_texts`."""
+    final newline. Float lists and 1-D float64 arrays are printed by one orjson
+    dump when no value :func:`needs_repr`, else by :func:`float_texts`."""
     out: list[str] = []
     _emit_json(obj, "\n", out)
     out.append("\n")
@@ -184,10 +187,15 @@ def _emit_json(obj, newline: str, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
         _emit_json(np.array(obj), newline, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        texts = float_texts(obj)
-        if not np.isfinite(obj).all():
-            texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-        out += ("[", inner, ("," + inner).join(texts), newline, "]") if texts else ("[]",)
+        if needs_repr(obj).any():
+            texts = float_texts(obj)
+            if not np.isfinite(obj).all():
+                texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+            body = ("," + inner).join(texts)
+        else:
+            body = orjson.dumps(np.ascontiguousarray(obj), option=orjson.OPT_SERIALIZE_NUMPY)
+            body = body[1:-1].decode().replace(",", "," + inner)
+        out += ("[", inner, body, newline, "]") if obj.size else ("[]",)
     elif isinstance(obj, (list, tuple)) and obj:
         for i, item in enumerate(obj):
             out += ("," if i else "[", inner)

@@ -64,7 +64,9 @@ def load_csv(path: str | Path) -> Dataset:
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
     IngestError naming the file. Text without quotes or CRs whose lines all
     hold as many fields as the header is split in bulk; any other text is
-    read row by row with the ``csv`` module, with the same result.
+    read row by row with the ``csv`` module, with the same result. Each float
+    column is parsed by one orjson call, falling back to ``float`` per field
+    (see :func:`_floats`); no input changes its values or its diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -122,18 +124,21 @@ def _plain_columns(text: str, width: int) -> list[list[str]] | None:
     """The data columns of text with no quote or CR whose lines all hold
     ``width`` fields, by one split; None for any other text.
 
-    Each newline stays at the start of the field after it, for ``float`` and
-    the label strip to drop. Every line has ``width`` fields exactly when
-    there are lines x width fields and every ``width``-th one starts a line.
+    Each newline stays at the start of the field after it, for the float
+    parse and the label strip to drop. Every line has ``width`` fields exactly
+    when there are lines x width fields and every ``width``-th one, the first
+    column, starts a line.
     """
     if '"' in text or "\r" in text:
         return None
     body = text.removesuffix("\n")
-    lines = body.count("\n") + 1
-    fields = body.replace("\n", ",\n").split(",")
-    if len(fields) != lines * width or "".join(fields[width::width]).count("\n") != lines - 1:
+    split = body.replace("\n", ",\n")
+    lines = len(split) - len(body) + 1  # one comma is added per newline
+    fields = split.split(",")
+    if len(fields) != lines * width:
         return None
-    return [fields[width + k::width] for k in range(width)]
+    columns = [fields[width + k::width] for k in range(width)]
+    return columns if "".join(columns[0]).count("\n") == lines - 1 else None
 
 
 def _rows(reader, path: Path):
@@ -145,10 +150,31 @@ def _rows(reader, path: Path):
 
 
 _SAMPLE_COLUMNS = ("frequency", "distance", "path_loss")
+_JSON_NUMBERS = frozenset({float, int})  # the item types orjson gives JSON numbers
 
 
 def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np.ndarray:
-    """The parsed values; on a bad one, only those before it, and a problem noted."""
+    """The parsed values; on a bad one, only those before it, and a problem noted.
+
+    The column is parsed as one JSON array by orjson. The result is kept when
+    it holds one number per field: no field then holds a comma, so each holds
+    one JSON number between JSON whitespace, whose value ``float`` also
+    gives. Integer items are re-read by ``float``, which keeps the sign of
+    ``-0``. Any other column (text such as ``1_0``, ``.5``, ``nan``, ``true``,
+    ``"1"`` or an empty field) is read value by value by ``float``, which
+    names the first bad one.
+    """
+    try:
+        items = orjson.loads(f"[{','.join(texts)}]")
+    except orjson.JSONDecodeError:
+        items = None
+    if items is not None and len(items) == len(texts):
+        kinds = set(map(type, items))
+        if kinds <= _JSON_NUMBERS:
+            if int in kinds:
+                items = [float(t) if type(v) is int else v for v, t in zip(items, texts)]
+            return np.fromiter(items, dtype=np.float64, count=len(items))
+    del items  # not kept through the per-field pass
     try:
         return np.fromiter(map(float, texts), dtype=float, count=len(texts))
     except ValueError:
@@ -164,10 +190,19 @@ def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np
 
 
 def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
-    """Each row's label code and the distinct labels; on a bad label, a problem noted."""
+    """Each row's label code and the distinct labels; on a bad label, a problem noted.
+
+    Rows are coded by their three label texts; a file whose label columns
+    each repeat one text codes every row 0 without hashing the rows.
+    """
+    columns = [text["scenario"], text["environment"], text["campaign"]]
     index: dict[tuple[str, str, str], int] = {}
-    raw = np.array([index.setdefault(key, len(index)) for key in zip(
-        text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
+    if columns[0] and all(c.count(c[0]) == len(c) for c in columns):
+        index[tuple(c[0] for c in columns)] = 0
+        raw = np.zeros(len(columns[0]), dtype=np.intp)
+    else:
+        raw = np.array([index.setdefault(key, len(index)) for key in zip(*columns)],
+                       dtype=np.intp)
     labels: dict[tuple, int] = {}
     remap = []
     for code, (scenario, environment, campaign) in enumerate(index):
@@ -181,14 +216,20 @@ def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
     return np.array(remap, dtype=np.intp)[raw], tuple(labels)
 
 
+def needs_repr(values: np.ndarray) -> np.ndarray:
+    """Where orjson's text of a float64 value differs from ``repr``: orjson's
+    equals ``repr`` for 0 and 1e-4 <= |v| < 1e16, not for exponent forms, NaN
+    and the infinities."""
+    magnitude = np.abs(values)
+    return (values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
 def float_texts(values) -> list[str]:
-    """``repr(float(v))`` for each value of a float64 array, formatted by orjson,
-    whose text equals ``repr`` for 0 and 1e-4 <= |v| < 1e16; other values
-    (exponent forms, NaN and infinities) are re-rendered with ``repr``."""
+    """``repr(float(v))`` for each value of a float64 array, formatted by orjson;
+    the :func:`needs_repr` values are re-rendered with ``repr``."""
     values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(values)
-    for i in np.flatnonzero((values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))):
+    for i in np.flatnonzero(needs_repr(values)):
         texts[i] = repr(float(values[i]))
     return texts if values.size else []
 
@@ -199,8 +240,12 @@ CSV_CHUNK = 8192  # rows formatted per write in write_csv
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write the canonical CSV form: shortest round-trip float text, LF endings.
 
-    Each label's fields are rendered once by ``csv.writer``, with a CRLF
-    terminator so that a field holding a lone CR is quoted too.
+    Each chunk of ``CSV_CHUNK`` rows has its (rows, 3) float block printed by
+    one orjson dump and split into rows; a row holding a :func:`needs_repr`
+    value is printed with ``repr`` instead, so every float is written as
+    ``repr`` writes it. Each label's fields are rendered once by
+    ``csv.writer``, with a CRLF terminator so that a field holding a lone CR
+    is quoted too.
     """
     tails = []
     for scenario, environment, campaign in ds.labels:
@@ -212,8 +257,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, len(ds), CSV_CHUNK):
             rows = slice(start, start + CSV_CHUNK)
-            floats = [float_texts(c[rows]) for c in (ds.frequency, ds.distance, ds.path_loss)]
-            fh.write("".join(map("{},{},{}{}".format, *floats,
+            block = np.column_stack((ds.frequency[rows], ds.distance[rows], ds.path_loss[rows]))
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)  # b"[[f,d,l],[...]]"
+            lines = text[2:-2].decode().split("],[")
+            for i in np.flatnonzero(needs_repr(block).any(axis=1)):
+                lines[i] = ",".join(map(repr, block[i].tolist()))
+            fh.write("".join(map(str.__add__, lines,
                                  map(tails.__getitem__, ds.codes[rows].tolist()))))
 
 

@@ -1,14 +1,18 @@
 """Bulk CSV loading: load_csv gives what a csv.reader row pass gives, on plain
 text and on every other kind, reads plain text with csv.reader only up to its
-header, and report residual arrays are written like their lists."""
+header, parses float columns as float() does field by field without calling it
+on plain files, and report residual arrays are written like their lists."""
 
 import csv
+import io
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from pathlossfit import CIParams, SyntheticSpec, generate
 from pathlossfit import ingest
@@ -199,6 +203,154 @@ def test_plain_text_is_read_by_csv_reader_only_to_its_header(tmp_path, monkeypat
     monkeypatch.setattr(ingest.csv, "reader", counting_reader)
     assert len(load_csv(path)) == 2000
     assert yielded == [list(CSV_COLUMNS)]
+
+
+def reference_floats(texts, column, order, problems):
+    """float() on each field in turn; the first bad one is noted and ends the column."""
+    values = []
+    for row, text in enumerate(texts):
+        try:
+            values.append(float(text))
+        except ValueError:
+            problems.append((row, order, f"unparsable {column} value {text.strip()!r}"))
+            break
+    return np.array(values, dtype=float)
+
+
+def reference_labels(text, problems):
+    """Each row's label code by hashing its three label texts, then the distinct labels."""
+    index = {}
+    raw = np.array([index.setdefault(key, len(index)) for key in zip(
+        text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
+    labels, remap = {}, []
+    for code, (scenario, environment, campaign) in enumerate(index):
+        try:
+            label = (ingest.Scenario.parse(scenario.strip()),
+                     ingest.Environment(environment.strip()), campaign.strip())
+        except (ingest.DomainError, ValueError) as exc:
+            problems.append((int(np.argmax(raw == code)), 4, str(exc)))
+            return raw, ()
+        remap.append(labels.setdefault(label, len(labels)))
+    return np.array(remap, dtype=np.intp)[raw], tuple(labels)
+
+
+@st.composite
+def halfway_texts(draw, low=0.0, high=1e300):
+    """A float's midpoint to the next float up, printed with 17-30 significant
+    digits, with either sign when ``low`` is 0."""
+    below = draw(st.floats(min_value=low, max_value=high))
+    with localcontext() as context:
+        context.prec = 1200
+        middle = (Decimal(below) + Decimal(math.nextafter(below, math.inf))) / 2
+        text = format(middle, f".{draw(st.integers(16, 29))}e")
+    return draw(st.sampled_from(["", "-"] if low == 0.0 else [""])) + text
+
+
+# texts that float() and a JSON parser read differently, or only one of them reads
+FLOAT_TRAPS = ["-0", " -0 ", "\n-0", "28", "1E5", "1.e5", ".5", "+3", "1_0", "\u0663", "nan",
+               "Infinity", "true", "null", '"1"', "1,2", "[1]", "\x0b2.0", "01", "1.", "",
+               " ", "1e400", "-1e-400", "2e-324", "\t99 ", "0x10", "1 2", "]", "[1,2]"]
+float_traps = st.one_of(st.sampled_from(FLOAT_TRAPS),
+                        st.integers(2 ** 64, 10 ** 40).map(lambda n: f"-{n}"))
+
+
+def number_fields(low=-1e300, high=1e300):
+    """JSON number texts of values in [low, high]: shortest reprs, integers
+    (also beyond 2**64) and halfway strings."""
+    return st.one_of(st.floats(low, high).map(repr),
+                     halfway_texts(max(low, 0.0), high),
+                     st.integers(math.ceil(low), min(int(high), 2 ** 80)).map(str))
+
+
+@st.composite
+def with_traps(draw, cells, count=st.sampled_from([0, 0, 1, 2])):
+    """The list ``cells`` of field texts with a few traps put in place of fields."""
+    for _ in range(draw(count)):
+        if cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(float_traps)
+    return cells
+
+
+def each_trap_among_numbers(test):
+    """The test, also run on each trap alone and between two JSON numbers."""
+    for trap in FLOAT_TRAPS:
+        test = example(texts=[trap])(example(texts=["2.5", trap, "7"])(test))
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(number_fields(), max_size=12).flatmap(with_traps))
+@each_trap_among_numbers
+def test_float_column_equals_float_of_each_field(texts):
+    problems, want_problems = [], []
+    got = ingest._floats(texts, "path_loss_db", 3, problems)
+    want = reference_floats(texts, "path_loss_db", 3, want_problems)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert problems == want_problems
+    event("bad field" if problems else "parsed")
+
+
+GOOD_LABELS = [("UMa", "NLOS", "c1"), (" UMa", "NLOS ", "c1"), ("UMiSC", "LOS", "c2"),
+               ("Other:tunnel", "NLOS", "")]
+BAD_LABELS = [("Rural", "LOS", "c1"), ("UMa", "los", "c1")]
+
+
+@st.composite
+def number_rows(draw):
+    """Rows of (frequency, distance, path loss) texts, valid but for traps."""
+    rows = draw(st.lists(st.tuples(number_fields(0.5, 100.0), number_fields(1.0, 5e3),
+                                   number_fields(-1e3, 1e3)), max_size=8))
+    cells = draw(with_traps([text for row in rows for text in row]))
+    return [cells[i:i + 3] for i in range(0, len(cells), 3)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=number_rows(),
+       labels=st.lists(st.sampled_from(GOOD_LABELS), min_size=1, max_size=3),
+       bad_label=st.sampled_from([None, None, None, *BAD_LABELS]), data=st.data())
+def test_load_csv_equals_float_and_label_references(tmp_path_factory, rows, labels,
+                                                     bad_label, data):
+    """One-label and multi-label files, written with csv quoting where a field needs it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row, numbers in enumerate(rows):
+        label = bad_label if bad_label and row == len(rows) // 2 else data.draw(
+            st.sampled_from(labels))
+        writer.writerow(numbers + list(label))
+    path = tmp_path_factory.mktemp("floats") / "in.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    got, got_warnings = outcome(load_csv, path)
+    with mock.patch.object(ingest, "_floats", reference_floats), \
+            mock.patch.object(ingest, "_labels", reference_labels):
+        want, want_warnings = outcome(reference_load_csv, path)
+    assert got_warnings == want_warnings == []
+    if isinstance(want, str):
+        assert got == want
+        event("rejected")
+        return
+    for column in ("frequency", "distance", "path_loss", "codes"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.labels == want.labels
+    event(("no rows", "one label", "several labels")[min(len(got.labels), 2)])
+
+
+def test_plain_text_is_parsed_without_float_per_field(tmp_path, monkeypatch):
+    spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                         frequencies=((2.0, 1000), (28.0, 1000)),
+                         distance_range=(10.0, 500.0))
+    path = tmp_path / "plain.csv"
+    write_csv(generate(spec), path)
+    calls = []
+
+    def counting_float(*args):
+        calls.append(args)
+        return float(*args)
+
+    monkeypatch.setattr(ingest, "float", counting_float, raising=False)
+    assert len(load_csv(path)) == 2000
+    assert calls == []
 
 
 JSON_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e16, -1e16,
