@@ -161,8 +161,9 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json
 
 def _json_text(obj) -> str:
     """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
-    final newline. Float lists and 1-D float64 arrays are printed by one orjson
-    dump when no value :func:`needs_repr`, else by :func:`float_texts`."""
+    final newline. A 1-D float64 array (a residual column) is printed by one
+    orjson dump when no value :func:`needs_repr`, else by :func:`float_texts`;
+    any other float by ``float.__repr__``."""
     out: list[str] = []
     _emit_json(obj, "\n", out)
     out.append("\n")
@@ -184,8 +185,6 @@ def _emit_json(obj, newline: str, out: list[str]) -> None:
             out += ("," if i else "{", inner, encode_basestring_ascii(key), ": ")
             _emit_json(obj[key], inner, out)
         out += (newline, "}")
-    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
-        _emit_json(np.array(obj), newline, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         if needs_repr(obj).any():
             texts = float_texts(obj)

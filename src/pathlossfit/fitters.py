@@ -14,9 +14,9 @@ parameters, flags and residual form (whose RMS over the samples is
 :func:`moments_sigma`), or the error that a fit of that point alone raises,
 its checks in the same order; a degenerate point changes no other point.
 A fit is a stack of one: the ``fit_*`` functions fit a dataset, report its
-residuals and raise its error, and :func:`fit_moments` does the same for a
-record. :func:`fit_stack` fits every point of a stack, as a
-distance sweep does with the records it merges from shells. An independent
+residuals and raise its error. :func:`fit_stack` fits every point of a
+stack, as a distance sweep does with the records it merges from shells, and
+``fit_stack(m, kind).result()`` fits a one-point record. An independent
 solver (SVD least squares and grid searches) lives in
 :mod:`pathlossfit.oracle` for cross-checking.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -72,51 +71,47 @@ class SingleFrequencyError(FitError):
     """The requested multi-frequency fit needs at least two distinct frequencies."""
 
 
+# The regression variables a Moments record covers. A linear form in them is
+# a length-6 weight vector; the weight on "one" is its constant term.
+VARIABLES = ("one", "D", "F", "G", "A", "B")
+_ONE, _D, _F, _G, _A, _B = np.eye(len(VARIABLES))
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionDesign:
-    """Per-sample regression vectors shared by all fitters.
+    """Per-sample regression variables shared by all fitters: the (6, n)
+    array ``variables``, one row per VARIABLES entry and one column per
+    sample, and the frequency ``f`` in GHz. D, F, A and B are its rows:
 
     A: excess loss over free space at 1 m, path_loss - FSPL(f, 1 m), dB
     B: total path loss, dB
     D: 10*log10(distance), nonnegative since d >= 1 m
     F: 10*log10(frequency)
-    f: frequency in GHz (linear regressor for the frequency-weighted model)
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    D: np.ndarray
-    F: np.ndarray
+    variables: np.ndarray
     f: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.A.size
-        if n < 1:
-            raise DegenerateDesignError("regression design needs at least one sample")
-        if not all(v.size == n for v in (self.B, self.D, self.F, self.f)):
-            raise DegenerateDesignError("regression vectors must share one length")
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "RegressionDesign":
         if len(ds) == 0:
             raise DegenerateDesignError("cannot fit an empty dataset")
         f, d, pl = ds.arrays()
-        return cls(A=pl - fspl(f, 1.0), B=pl, D=10.0 * np.log10(d),
-                   F=10.0 * np.log10(f), f=f)
+        D = 10.0 * np.log10(d)
+        return cls(np.stack((np.ones(len(ds)), D, 10.0 * np.log10(f), D * f,
+                             pl - fspl(f, 1.0), pl)), f)
+
+    D = property(lambda self: self.variables[1])
+    F = property(lambda self: self.variables[2])
+    A = property(lambda self: self.variables[4])
+    B = property(lambda self: self.variables[5])
 
     def __len__(self) -> int:
-        return int(self.A.size)
+        return int(self.f.size)
 
     def columns(self) -> np.ndarray:
-        """The 6 x n rows of VARIABLES, one column per sample."""
-        return np.stack((np.ones(len(self)), self.D, self.F, self.D * self.f,
-                         self.A, self.B))
-
-
-# The regression variables a Moments record covers. A linear form in them is
-# a length-6 weight vector; the weight on "one" is its constant term.
-VARIABLES = ("one", "D", "F", "G", "A", "B")
-_ONE, _D, _F, _G, _A, _B = np.eye(len(VARIABLES))
+        """The (6, n) rows of VARIABLES, one column per sample."""
+        return self.variables
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,20 +184,11 @@ class Moments:
 
     def take(self, index) -> "Moments":
         """The stack of the points ``index``, in that order."""
-        out = Moments(**{f.name: getattr(self, f.name) if f.name == "frequencies"
-                         else getattr(self, f.name)[index] for f in fields(self)})
-        if "freq_counts" in vars(self):  # keep the pairs already built
-            vars(out)["freq_counts"] = [self.freq_counts[i] for i in index]
-        return out
+        return Moments(**{f.name: getattr(self, f.name) if f.name == "frequencies"
+                          else getattr(self, f.name)[index] for f in fields(self)})
 
     def __len__(self) -> int:
         return len(self.n)
-
-    @cached_property
-    def freq_counts(self) -> list[tuple[tuple[float, int], ...]]:
-        """Each point's (frequency, count) pairs, as in ``Dataset.freq_summary``."""
-        table = self.frequencies.tolist()
-        return [tuple((f, c) for f, c in zip(table, row) if c) for row in self.counts.tolist()]
 
 
 def _fail(errors: list, where, error) -> None:
@@ -379,8 +365,9 @@ def _solve_ab(m: Moments, f0, d0_bounds, errors: list) -> _Values:
 
 def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
                allow_single_frequency: bool = True) -> _Values:
-    f0 = np.array([auto_f0(pairs) if value == "auto" else float(value)
-                   for pairs, value in zip(m.freq_counts, f0)])
+    table = m.frequencies.tolist()  # an absent frequency adds 0.0 to auto_f0's sums
+    f0 = np.array([auto_f0(zip(table, row)) if value == "auto" else float(value)
+                   for row, value in zip(m.counts.tolist(), f0)])
     _require_beyond_one_meter(m, "fit_cif", errors)
     single = _single_frequency(m)
     if not allow_single_frequency:
@@ -412,11 +399,11 @@ class StackedFit:
     errors: list
     forms: np.ndarray
 
-    def result(self, i: int = 0) -> tuple[ModelParams, tuple[str, ...]]:
-        """(params, flags) at point ``i``; raises the point's error."""
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return self.params[i], self.flags[i]
+    def result(self) -> tuple[ModelParams, tuple[str, ...]]:
+        """(params, flags) at the first point; raises its error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return self.params[0], self.flags[0]
 
 
 def _solve(m: Moments, kind: str, f0, d0_bounds, *args) -> StackedFit:
@@ -525,14 +512,15 @@ _SOLVERS = {"abg": _solve_abg, "ab": _solve_ab, "ci": _solve_ci,
             "ci_opt": _solve_ci_opt, "cif": _solve_cif}
 
 
-def _reverted(kind: str, freq_counts, f0) -> tuple[str, float | str, tuple[str, ...]]:
-    """(kind to fit, its f0, flag to add) under the single-frequency conventions."""
+def _reverted(kind: str, lone: float | None, f0) -> tuple[str, float | str, tuple[str, ...]]:
+    """(kind to fit, its f0, flag to add) under the single-frequency
+    conventions, with ``lone`` the only frequency present, or None."""
     if kind not in _FITTERS:
         raise FitError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
-    if len(freq_counts) == 1 and kind == "abg":
+    if lone is not None and kind == "abg":
         return "ab", f0, (FLAG_ABG_AS_AB,)
-    if len(freq_counts) == 1 and kind == "cif":  # CI slope about the lone frequency
-        return kind, freq_counts[0][0], ()
+    if lone is not None and kind == "cif":  # CI slope about the lone frequency
+        return kind, lone, ()
     return kind, f0, ()
 
 
@@ -545,7 +533,8 @@ def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
     frequency (flagged), instead of failing. Every other request goes to
     the kind's fitter.
     """
-    kind, f0, flag = _reverted(kind, ds.freq_summary, f0)
+    frequencies = ds.frequencies
+    kind, f0, flag = _reverted(kind, frequencies[0] if len(frequencies) == 1 else None, f0)
     report = _FITTERS[kind](ds, f0, d0_bounds)
     return replace(report, flags=report.flags + flag) if flag else report
 
@@ -555,7 +544,9 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
     """:func:`fit_with_reversion` at every point of ``m``: each point takes
     the single-frequency conventions of its own frequencies, and the points
     that fit one kind are solved as one stack."""
-    reverted = [_reverted(kind, pairs, f0) for pairs in m.freq_counts]
+    lowest = m.frequencies[(m.counts > 0).argmax(axis=1)].tolist()
+    reverted = [_reverted(kind, f if single else None, f0)
+                for single, f in zip(_single_frequency(m).tolist(), lowest)]
     groups: dict = {}
     for i, (fit_kind, _, flag) in enumerate(reverted):
         groups.setdefault((fit_kind, flag), []).append(i)
@@ -568,14 +559,6 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
             out.params[i], out.flags[i], out.errors[i] = (
                 fit.params[j], fit.flags[j] + flag, fit.errors[j])
     return out
-
-
-def fit_moments(m: Moments, kind: str, *, f0: float | str = "auto",
-                d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT
-                ) -> tuple[ModelParams, tuple[str, ...]]:
-    """(params, flags) of :func:`fit_with_reversion` on the samples of ``m``,
-    a stack of one; raises its error."""
-    return fit_stack(m, kind, f0=f0, d0_bounds=d0_bounds).result()
 
 
 # The one fit entry point under its public name.

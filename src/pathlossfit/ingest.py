@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,8 +162,8 @@ def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np
     one JSON number between JSON whitespace, whose value ``float`` also
     gives. Integer items are re-read by ``float``, which keeps the sign of
     ``-0``. Any other column (text such as ``1_0``, ``.5``, ``nan``, ``true``,
-    ``"1"`` or an empty field) is read value by value by ``float``, which
-    names the first bad one.
+    ``"1"`` or an empty field) is read field by field by ``float``, which
+    gives the same values and stops at the first bad one, naming it.
     """
     try:
         items = orjson.loads(f"[{','.join(texts)}]")
@@ -175,18 +176,14 @@ def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np
                 items = [float(t) if type(v) is int else v for v, t in zip(items, texts)]
             return np.fromiter(items, dtype=np.float64, count=len(items))
     del items  # not kept through the per-field pass
-    try:
-        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(float(text))
-            except ValueError:
-                problems.append((len(values), order,
-                                 f"unparsable {column} value {text.strip()!r}"))
-                return np.array(values, dtype=float)
-        raise
+    values = []
+    for text in texts:
+        try:
+            values.append(float(text))
+        except ValueError:
+            problems.append((len(values), order, f"unparsable {column} value {text.strip()!r}"))
+            break
+    return np.array(values, dtype=float)
 
 
 def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
@@ -377,23 +374,42 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
     }
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number (an int or float, not a bool) as a float; else ValueError."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind`` (a bool is no int); else ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> SyntheticSpec:
+    """The spec of its JSON form; a malformed value is a "bad synthetic spec"."""
     try:
+        truth = params_from_dict(data["truth"])
+        for name, value in vars(truth).items():
+            _number(value, f"truth {name}")
         return SyntheticSpec(
-            truth=params_from_dict(data["truth"]),
-            frequencies=tuple((entry["frequency_ghz"], entry["count"])
+            truth=truth,
+            frequencies=tuple((_number(entry["frequency_ghz"], "frequency_ghz"),
+                               _typed(entry["count"], int, "count"))
                               for entry in data["frequencies"]),
-            distance_range=tuple(data["distance_range"]),
-            sigma=float(data["sigma"]),
-            seed=int(data["seed"]),
+            distance_range=tuple(_number(v, "distance_range") for v in data["distance_range"]),
+            sigma=_number(data["sigma"], "sigma"),
+            seed=_typed(data["seed"], int, "seed"),
             distance_law=data.get("distance_law", "log-uniform"),
-            scenario=Scenario.parse(data.get("scenario", "Other")),
+            scenario=Scenario.parse(_typed(data.get("scenario", "Other"), str, "scenario")),
             environment=Environment(data.get("environment", "NLOS")),
-            campaign=data.get("campaign", "synthetic"),
+            campaign=_typed(data.get("campaign", "synthetic"), str, "campaign"),
         )
     except IngestError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"bad synthetic spec: {exc}") from exc
 
 

@@ -227,7 +227,6 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
 
     if not results:  # a frequency hold-out of a dataset with no samples
         raise SweepError("no sweep points: the dataset has no samples")
-    results.sort(key=lambda p: p.point)
     report = PredictionReport(spec=spec, points=tuple(results))
     if not report.active_points():
         first = results[0]

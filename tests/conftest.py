@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,22 @@ from pathlossfit import (
     SyntheticSpec,
     generate,
 )
+
+
+# Malformed values of one top-level field of a synthetic spec's JSON form:
+# wherever a spec is read, each is an IngestError "bad synthetic spec".
+BAD_SPEC_FIELDS = [
+    ("seed", "x"), ("environment", "LOSS"), ("sigma", "abc"),
+    ("frequencies", [{"frequency_ghz": 2.0, "count": "many"}]),
+    ("scenario", 5), ("scenario", None), ("campaign", 5),
+    ("sigma", math.nan), ("sigma", math.inf), ("distance_range", [60.0, math.inf]),
+    ("frequencies", [{"frequency_ghz": math.nan, "count": 5}]),
+    ("frequencies", [{"frequency_ghz": math.inf, "count": 5}]),
+    ("truth", {"kind": "ci", "n": math.nan}),
+    ("frequencies", [{"frequency_ghz": 2.0, "count": 2.5}]),
+    ("frequencies", [{"frequency_ghz": 2.0, "count": True}]),
+    ("seed", 1.7),
+]
 
 
 def make_dataset(rows) -> Dataset:

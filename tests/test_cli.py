@@ -8,6 +8,7 @@ import pytest
 from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
 from pathlossfit.cli import build_parser, main
 from pathlossfit.ingest import spec_to_dict, write_csv
+from conftest import BAD_SPEC_FIELDS
 
 
 @pytest.fixture()
@@ -109,6 +110,23 @@ class TestGenerate:
         assert run("generate", "--spec", tmp_path / "nope.json",
                    "--out", tmp_path / "x.csv") == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
+    @pytest.mark.parametrize("field,value", BAD_SPEC_FIELDS)
+    def test_bad_spec_value_exits_2_with_one_line_and_no_output(
+            self, tmp_path, ci_spec_file, capsys, command, field, value):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({**json.loads(ci_spec_file.read_text()), field: value}),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {"generate": ("generate", "--spec", spec, "--out", out),
+                "fit": ("fit", "--synthetic", spec, "--out-dir", out),
+                "sweep": ("sweep", "--synthetic", spec, "--out-dir", out,
+                          "--split", "distance-close")}[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad synthetic spec: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_byte_order_mark_spec_writes_the_same_csv(self, tmp_path, ci_spec_file):
         bom_spec = tmp_path / "bom.json"
@@ -235,6 +253,13 @@ class TestFit:
                         + "28,100,120.5,UMa,NLOS,c,x,y\n", encoding="utf-8")
         with pytest.warns(UserWarning, match="ignoring extra column[(]s[)] note, note"):
             assert len(load_csv(path)) == 1
+
+    def test_header_only_csv_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER, encoding="utf-8")
+        assert run("fit", "--input", path, "--out-dir", tmp_path / "fitout") == 1
+        assert capsys.readouterr().err == "error: cannot fit an empty dataset\n"
+        assert not (tmp_path / "fitout").exists()
 
     def test_requires_exactly_one_source(self, tmp_path, ci_spec_file, capsys):
         assert run("fit", "--out-dir", tmp_path) == 2

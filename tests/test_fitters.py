@@ -37,6 +37,7 @@ from pathlossfit import (
     prediction_sigma,
 )
 from pathlossfit.fitters import (
+    FITTER_KINDS,
     FLAG_ABG_AS_AB,
     FLAG_CIF_SINGLE_FREQUENCY,
     FLAG_D0_UNIDENTIFIABLE,
@@ -414,6 +415,11 @@ class TestFitWithReversion:
         ds = noisy(CIParams(3.0), (28.0,), 4.0, seed=3)
         with pytest.raises(FitError, match="unknown model kind"):
             fit_model(ds, "ciff")
+
+    @pytest.mark.parametrize("kind", FITTER_KINDS)
+    def test_empty_dataset_cannot_be_fitted(self, kind):
+        with pytest.raises(DegenerateDesignError, match="^cannot fit an empty dataset$"):
+            fit_model(make_dataset([]), kind)
 
     def test_fit_model_is_the_one_entry_point(self):
         assert fit_model is fit_with_reversion

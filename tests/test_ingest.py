@@ -24,6 +24,7 @@ from pathlossfit import (
     write_csv,
 )
 from pathlossfit.ingest import counter_uniforms, load_spec, spec_from_dict, spec_to_dict
+from conftest import BAD_SPEC_FIELDS
 
 VALID_HEADER = "frequency_ghz,distance_m,path_loss_db,scenario,environment,campaign\n"
 
@@ -334,10 +335,7 @@ class TestSpecJson:
         with pytest.raises(IngestError, match="spec.json.*not UTF-8"):
             load_spec(path)
 
-    @pytest.mark.parametrize("field,value", [
-        ("seed", "x"), ("environment", "LOSS"), ("sigma", "abc"),
-        ("frequencies", [{"frequency_ghz": 2.0, "count": "many"}]),
-    ])
+    @pytest.mark.parametrize("field,value", BAD_SPEC_FIELDS)
     def test_malformed_values_are_ingest_errors(self, field, value):
         spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=11,
                              frequencies=((2.0, 5),), distance_range=(60.0, 1238.0))

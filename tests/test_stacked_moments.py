@@ -28,7 +28,6 @@ from pathlossfit.fitters import (
     Moments,
     RegressionDesign,
     SingularDesignError,
-    fit_moments,
     fit_stack,
     moments_sigma,
 )
@@ -90,7 +89,7 @@ def assert_point_equal(m: Moments, whole, i: int, alone) -> None:
 
 def solve_every_way(m: Moments, f0, d0_bounds) -> dict:
     """fit_stack of ``m`` for every kind, checked point by point against
-    stacks of one and against fit_moments; no warning may be raised."""
+    stacks of one and against their result(); no warning may be raised."""
     fits = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -100,7 +99,7 @@ def solve_every_way(m: Moments, f0, d0_bounds) -> dict:
                 alone = fit_stack(m.take([i]), kind, f0=f0, d0_bounds=d0_bounds)
                 assert_point_equal(m, whole, i, alone)
                 try:
-                    result = fit_moments(m.take([i]), kind, f0=f0, d0_bounds=d0_bounds)
+                    result = fit_stack(m.take([i]), kind, f0=f0, d0_bounds=d0_bounds).result()
                 except (fitters.FitError, fitters.DomainError) as exc:
                     want = whole.errors[i]
                     assert (type(exc), str(exc)) == (type(want), str(want))
