@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
@@ -537,11 +538,16 @@ _EXIT_CODES = {ConfigError: EXIT_CONFIG, IngestError: EXIT_CONFIG, OSError: EXIT
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    with warnings.catch_warnings():
+        # every warning shown is one line, and a UserWarning is shown each time it
+        # is raised; other kinds keep their filters (pytest makes RuntimeWarnings errors)
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except tuple(_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -396,11 +396,15 @@ def params_to_dict(params: ModelParams) -> dict[str, float | str]:
 
 
 def params_from_dict(data: Mapping[str, object]) -> ModelParams:
-    """Inverse of :func:`params_to_dict`."""
+    """Inverse of :func:`params_to_dict`; a bool or str value is an error."""
     entry = MODEL_KINDS.get(data["kind"])
     if entry is None:
         raise DomainError(f"unknown model kind {data['kind']!r}")
-    return entry.params(*(float(data[name]) for name in entry.names))
+    values = [data[name] for name in entry.names]
+    for name, value in zip(entry.names, values):
+        if isinstance(value, (bool, str)):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+    return entry.params(*map(float, values))
 
 
 def param_values(params: ModelParams) -> dict[str, float]:

@@ -141,45 +141,33 @@ class Moments:
         ``counts[k]`` counts the samples of shell k (from ``starts[k]`` to the
         next start) at each of ``frequencies``.
 
-        Each record merges the nonempty shells between consecutive starts
-        from the end by the pairwise update of Chan, Golub & LeVeque (Am.
-        Statistician 37(3), 1983), which stays accurate however thin either
-        part is: each shell is centred about its own means, the tail mean is
-        updated shell by shell, and the co-moments are the running sum of each
-        shell's co-moments and update term, in that order.
+        The records are built from the last shell back by the pairwise update
+        of Chan, Golub & LeVeque (Am. Statistician 37(3), 1983), which stays
+        accurate however thin either part is: each shell is centred about its
+        own means and folded into the running tail record; the tail mean moves
+        towards the shell's by the shell's share of the samples, and the
+        co-moments add the shell's and then the update term, in that order. The
+        empty shell of a repeated start repeats the record of the next shell.
         """
-        n, bounds = columns.shape[1], [*starts, columns.shape[1]]
-        shells = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        sizes = np.array([hi - lo for lo, hi in shells])
-        shell_mean = (np.array([columns[:, lo:hi].sum(axis=1) for lo, hi in shells])
-                      / sizes[:, None])
-        centred = (columns[:, lo:hi] - mean[:, None]
-                   for (lo, hi), mean in zip(shells, shell_mean))
-        comoments = np.array([c @ c.T for c in centred])
-        # from the last shell: its co-moments, then each shell's and its update term
-        terms = np.empty((2 * len(shells) - 1, 6, 6))
-        terms[0], terms[1::2] = comoments[-1], comoments[-2::-1]
-        tail, means, deltas, weights = 0, [], [], []
-        for shell, size in zip(shell_mean.tolist()[::-1], sizes.tolist()[::-1]):
-            if tail:
-                delta = [b - a for a, b in zip(means[-1], shell)]
-                weight = size / (tail + size)
-                means.append([a + d * weight for a, d in zip(means[-1], delta)])
-                deltas.append(delta)
-                weights.append(tail * size / (tail + size))
-            else:
-                means.append(shell)
-            tail += size
-        delta = np.array(deltas).reshape(-1, 6)
-        terms[2::2] = delta[:, :, None] * delta[:, None, :] * np.array(weights)[:, None, None]
-        # each point takes the record of the first nonempty shell from its start
-        at = len(shells) - 1 - np.searchsorted([lo for lo, _ in shells], starts)
-        # shell extremes of D; reduceat gives an empty shell its successor's
-        # first D, which the suffix holds anyway
-        low = np.minimum.accumulate(np.minimum.reduceat(columns[1], starts)[::-1])[::-1]
-        high = np.maximum.accumulate(np.maximum.reduceat(columns[1], starts)[::-1])[::-1]
-        return cls(n - np.array(starts), np.array(means)[at],
-                   np.cumsum(terms, axis=0)[::2][at], np.asarray(frequencies, dtype=float),
+        bounds, records = [*starts, columns.shape[1]], []
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            if hi == lo:
+                records.append(records[-1])
+                continue
+            shell, size = columns[:, lo:hi], hi - lo
+            mean = shell.sum(axis=1) / size
+            centred = shell - mean[:, None]
+            comoment, low, high = centred @ centred.T, shell[1].min(), shell[1].max()
+            if records:
+                tail, tail_mean, tail_comoment, tail_low, tail_high = records[-1]
+                delta = mean - tail_mean
+                comoment = (tail_comoment + comoment
+                            + np.outer(delta, delta) * (tail * size / (tail + size)))
+                mean = tail_mean + delta * (size / (tail + size))
+                low, high, size = min(low, tail_low), max(high, tail_high), tail + size
+            records.append((size, mean, comoment, low, high))
+        n, mean, comoment, low, high = map(np.array, zip(*records[::-1]))
+        return cls(n, mean, comoment, np.asarray(frequencies, dtype=float),
                    np.cumsum(np.asarray(counts)[::-1], axis=0)[::-1], low, high)
 
     def take(self, index) -> "Moments":

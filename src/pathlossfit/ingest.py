@@ -295,7 +295,9 @@ class SyntheticSpec:
 
     ``frequencies`` holds (frequency GHz, sample count) pairs; distances are
     drawn per ``distance_law`` over ``distance_range``; shadowing is IID
-    zero-mean Gaussian with standard deviation ``sigma`` dB.
+    zero-mean Gaussian with standard deviation ``sigma`` dB. Counts and the
+    seed must be ints (not bools), the campaign a str, and frequencies, range
+    ends, sigma and truth values finite numbers, whoever builds the spec.
     """
 
     truth: ModelParams
@@ -309,10 +311,15 @@ class SyntheticSpec:
     campaign: str = "synthetic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frequencies",
-                           tuple((float(f), int(c)) for f, c in self.frequencies))
-        object.__setattr__(self, "distance_range",
-                           tuple(float(v) for v in self.distance_range))
+        for name, value in vars(self.truth).items():
+            _number(value, f"truth {name}")
+        object.__setattr__(self, "frequencies", tuple(
+            (_number(f, "frequency_ghz"), _typed(c, int, "count")) for f, c in self.frequencies))
+        object.__setattr__(self, "distance_range", tuple(
+            _number(v, "distance_range") for v in self.distance_range))
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
+        _typed(self.seed, int, "seed")
+        _typed(self.campaign, str, "campaign")
         if not self.frequencies:
             raise IngestError("synthetic spec needs at least one frequency")
         for f, count in self.frequencies:
@@ -375,37 +382,34 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """A finite JSON number (an int or float, not a bool) as a float; else ValueError."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    """A finite number (an int or float, not a bool) as a float; else a bad spec."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise IngestError(f"bad synthetic spec: {name} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _typed(value, kind: type, name: str):
-    """``value`` if its type is exactly ``kind`` (a bool is no int); else ValueError."""
+    """``value`` if its type is exactly ``kind`` (a bool is no int); else a bad spec."""
     if type(value) is not kind:
-        raise ValueError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+        raise IngestError(f"bad synthetic spec: {name} must be a JSON {kind.__name__}, "
+                          f"got {value!r}")
     return value
 
 
 def spec_from_dict(data: dict) -> SyntheticSpec:
     """The spec of its JSON form; a malformed value is a "bad synthetic spec"."""
     try:
-        truth = params_from_dict(data["truth"])
-        for name, value in vars(truth).items():
-            _number(value, f"truth {name}")
         return SyntheticSpec(
-            truth=truth,
-            frequencies=tuple((_number(entry["frequency_ghz"], "frequency_ghz"),
-                               _typed(entry["count"], int, "count"))
+            truth=params_from_dict(data["truth"]),
+            frequencies=tuple((entry["frequency_ghz"], entry["count"])
                               for entry in data["frequencies"]),
-            distance_range=tuple(_number(v, "distance_range") for v in data["distance_range"]),
-            sigma=_number(data["sigma"], "sigma"),
-            seed=_typed(data["seed"], int, "seed"),
+            distance_range=data["distance_range"],
+            sigma=data["sigma"],
+            seed=data["seed"],
             distance_law=data.get("distance_law", "log-uniform"),
             scenario=Scenario.parse(_typed(data.get("scenario", "Other"), str, "scenario")),
             environment=Environment(data.get("environment", "NLOS")),
-            campaign=_typed(data.get("campaign", "synthetic"), str, "campaign"),
+            campaign=data.get("campaign", "synthetic"),
         )
     except IngestError:
         raise

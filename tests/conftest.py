@@ -23,7 +23,8 @@ BAD_SPEC_FIELDS = [
     ("truth", {"kind": "ci", "n": math.nan}),
     ("frequencies", [{"frequency_ghz": 2.0, "count": 2.5}]),
     ("frequencies", [{"frequency_ghz": 2.0, "count": True}]),
-    ("seed", 1.7),
+    ("seed", 1.7), ("seed", True),
+    ("truth", {"kind": "ci", "n": True}), ("truth", {"kind": "ci", "n": "2.9"}),
 ]
 
 

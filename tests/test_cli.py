@@ -254,6 +254,18 @@ class TestFit:
         with pytest.warns(UserWarning, match="ignoring extra column[(]s[)] note, note"):
             assert len(load_csv(path)) == 1
 
+    def test_extra_column_warns_in_one_line_on_every_call(self, tmp_path, exact_ci_spec_file,
+                                                          capsys):
+        raw, path = tmp_path / "raw.csv", tmp_path / "extra.csv"
+        assert run("generate", "--spec", exact_ci_spec_file, "--out", raw) == 0
+        header, *rows = raw.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{header},note\n" + "".join(f"{row},x\n" for row in rows),
+                        encoding="utf-8")
+        for _ in range(2):
+            assert run("fit", "--input", path, "--out-dir", tmp_path / "fitout") == 0
+            assert capsys.readouterr().err == (
+                f"warning: {path}: ignoring extra column(s) note\n")
+
     def test_header_only_csv_exits_1_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER, encoding="utf-8")

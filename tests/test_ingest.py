@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -302,6 +303,17 @@ class TestGenerate:
             SyntheticSpec(**{**good, "seed": -1})
         with pytest.raises(IngestError):
             SyntheticSpec(**{**good, "distance_law": "gaussian"})
+
+    @pytest.mark.parametrize("field,value", [
+        ("frequencies", ((2.0, 2.5),)), ("frequencies", ((2.0, True),)),
+        ("frequencies", ((math.nan, 10),)), ("seed", True), ("seed", 7.0),
+        ("sigma", math.nan), ("sigma", "5.0"), ("distance_range", (10.0, math.inf)),
+        ("campaign", 5), ("truth", CIParams(math.nan))])
+    def test_python_callers_meet_the_json_rules(self, field, value):
+        good = dict(truth=CIParams(2.9), sigma=5.0, seed=7,
+                    frequencies=((2.0, 10),), distance_range=(10.0, 400.0))
+        with pytest.raises(IngestError, match="^bad synthetic spec: "):
+            SyntheticSpec(**{**good, field: value})
 
     def test_truth_domain_violation_surfaces(self):
         # CI-opt truth with d0 above the sampled range is unevaluable there

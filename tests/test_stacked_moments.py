@@ -182,3 +182,45 @@ def test_least_squares_calls_do_not_grow_with_the_points(monkeypatch, uma_synthe
         # count: per reversion group one fit, and for CI-opt at most one refit
         # about 1 m and two about the bounds for each side that d0 overshot
         assert max(counts) <= 8, (kind, counts)
+
+
+@st.composite
+def suffixes(draw):
+    """Random (6, n) columns, each row offset and scaled, nondecreasing
+    starts below n (repeats likely), and each shell's frequency counts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    offset = rng.choice([0.0, 1.0, -50.0, 1e3], (6, 1))
+    scale = rng.choice([1e-3, 1.0, 30.0], (6, 1))
+    columns = offset + scale * rng.standard_normal((6, n))
+    starts = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
+    frequency = rng.integers(0, TABLE.size, n)
+    bounds = [*starts, n]
+    counts = np.array([np.bincount(frequency[lo:hi], minlength=TABLE.size)
+                       for lo, hi in zip(bounds, bounds[1:])])
+    return columns, starts, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=suffixes())
+def test_each_record_holds_the_moments_of_its_suffix(case):
+    columns, starts, counts = case
+    m = Moments.of(columns, TABLE, counts, starts)
+    assert len(m) == len(starts) and m.frequencies.tolist() == TABLE.tolist()
+    for i, s in enumerate(starts):
+        suffix = columns[:, s:]
+        assert m.n[i] == suffix.shape[1]
+        assert m.counts[i].tolist() == counts[i:].sum(axis=0).tolist()
+        assert (m.d_low[i], m.d_high[i]) == (suffix[1].min(), suffix[1].max())
+        # against a two-pass mean and co-moments, relative to each variable's scale
+        mean = suffix.mean(axis=1)
+        centred = suffix - mean[:, None]
+        scale = np.abs(suffix).max(axis=1)
+        assert np.all(np.abs(m.mean[i] - mean) <= 1e-12 * scale)
+        assert np.all(np.abs(m.comoment[i] - centred @ centred.T)
+                      <= 1e-12 * m.n[i] * np.outer(scale, scale))
+    for i in range(1, len(starts)):
+        if starts[i] == starts[i - 1]:
+            for name in ("n", "mean", "comoment", "counts", "d_low", "d_high"):
+                row = getattr(m, name)
+                assert row[i].tobytes() == row[i - 1].tobytes(), name
