@@ -50,8 +50,6 @@ from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
     DEFAULT_D_MAX,
-    DistanceClose,
-    DistanceFar,
     FrequencyLOO,
     PredictionReport,
     SplitSpec,
@@ -313,22 +311,16 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
     for flag, split in _SPLIT_FLAGS.items():
         if getattr(args, flag[2:].replace("-", "_")) is not None and args.split != split:
             raise ConfigError(f"{flag} does not apply to --split {args.split}")
-    grid = args.delta_grid
+    if args.split == "frequency-loo":
+        return FrequencyLOO(args.hold_out)
+    # the default spec with each given flag replaced into it; without --d-max,
+    # cmd_sweep sets d_max from the data's scenario
+    spec = default_close_spec() if args.split == "distance-close" else default_far_spec()
+    given = {"d_max": args.d_max, "d_min": args.d_min, "delta_grid": args.delta_grid}
     try:
-        if args.split == "distance-close":
-            # without --d-max, cmd_sweep sets d_max from the data's scenario
-            default = default_close_spec("UMa")
-            return DistanceClose(default.d_max if args.d_max is None else args.d_max,
-                                 default.delta_grid if grid is None else grid)
-        if args.split == "distance-far":
-            default = default_far_spec()
-            return DistanceFar(default.d_min if args.d_min is None else args.d_min,
-                               default.delta_grid if grid is None else grid)
-        if args.split == "frequency-loo":
-            return FrequencyLOO(args.hold_out)
+        return dataclasses.replace(spec, **{k: v for k, v in given.items() if v is not None})
     except SweepError as exc:  # malformed grid or cutoff is a config problem
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown split {args.split!r}")
 
 
 def _scenario_d_max(ds: Dataset) -> float:
@@ -477,9 +469,17 @@ def _preprocess_settings(args: argparse.Namespace) -> PreprocessSettings:
         raise ConfigError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose malformed command line raises ConfigError: one ``error:``
+    line from main, no usage block (subparsers take the same class)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathlossfit",
         description="Fit and compare multi-frequency path loss models "
                     "(ABG/AB, CI, CI-opt, CIF)")
@@ -536,14 +536,13 @@ _EXIT_CODES = {ConfigError: EXIT_CONFIG, IngestError: EXIT_CONFIG, OSError: EXIT
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings():
         # every warning shown is one line, and a UserWarning is shown each time it
         # is raised; other kinds keep their filters (pytest makes RuntimeWarnings errors)
         warnings.simplefilter("always", UserWarning)
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except tuple(_EXIT_CODES) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -97,9 +97,9 @@ class RegressionDesign:
         if len(ds) == 0:
             raise DegenerateDesignError("cannot fit an empty dataset")
         f, d, pl = ds.arrays()
+        A = pl - fspl(f, 1.0)  # first: its DomainError, not an overflow warning from D * f
         D = 10.0 * np.log10(d)
-        return cls(np.stack((np.ones(len(ds)), D, 10.0 * np.log10(f), D * f,
-                             pl - fspl(f, 1.0), pl)), f)
+        return cls(np.stack((np.ones(len(ds)), D, 10.0 * np.log10(f), D * f, A, pl)), f)
 
     D = property(lambda self: self.variables[1])
     F = property(lambda self: self.variables[2])

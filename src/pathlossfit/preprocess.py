@@ -104,7 +104,13 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
         if settings.bin_average == "db":
             path_loss[groups] = np.mean(pl[members], axis=1)
         else:
-            path_loss[groups] = 10.0 * np.log10(np.mean(10.0 ** (pl[members] / 10.0), axis=1))
+            with np.errstate(over="ignore", divide="ignore"):  # a DomainError below instead
+                mean = 10.0 * np.log10(np.mean(10.0 ** (pl[members] / 10.0), axis=1))
+            if not np.isfinite(mean).all():
+                losses = pl[members[~np.isfinite(mean)]]
+                raise DomainError(f"linear bin averaging is out of the float range for "
+                                  f"path losses from {losses.min()} to {losses.max()} dB")
+            path_loss[groups] = mean
     heads = np.sort(first)  # each group's first member, in group order
     return Dataset.from_columns(f[heads], distance, path_loss, ds.codes[heads], ds.labels)
 

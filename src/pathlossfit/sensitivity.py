@@ -9,7 +9,7 @@ two sets grow apart in distance or as each frequency is held out in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -45,67 +45,56 @@ class SweepError(ValueError):
     """A sweep or prediction score could not be produced."""
 
 
-def _validated_grid(grid) -> tuple[float, ...]:
-    grid = tuple(float(g) for g in grid)
-    if not grid:
-        raise SweepError("delta grid must be nonempty")
-    if not all(0 <= g < math.inf for g in grid):
-        raise SweepError("delta grid values must be finite and nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise SweepError("delta grid must be strictly increasing")
-    return grid
+class _DistanceSplit:
+    """The rule of both distance splits: with key = sign*distance and limit =
+    sign*cutoff (sign +1 close-in, -1 far), the prediction set is key <= limit
+    and the measurement set at gap p is key > limit + p. Negation rounds
+    symmetrically, so the far sets are exactly d >= d_min and d < d_min - p."""
+
+    cutoff = property(lambda self: getattr(self, fields(self)[0].name))  # d_max or d_min
+
+    def __post_init__(self) -> None:
+        if not 0 < self.cutoff < math.inf:
+            raise SweepError(f"{fields(self)[0].name} must be finite and > 0 m, "
+                             f"got {self.cutoff}")
+        grid = tuple(float(g) for g in self.delta_grid)
+        if not grid:
+            raise SweepError("delta grid must be nonempty")
+        if not all(0 <= g < math.inf for g in grid):
+            raise SweepError("delta grid values must be finite and nonnegative")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise SweepError("delta grid must be strictly increasing")
+        object.__setattr__(self, "delta_grid", grid)
+
+    def points(self, ds: Dataset) -> tuple[float, ...]:
+        return self.delta_grid
+
+    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
+        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
+        key, limit = self.sign * ds.distance, self.sign * self.cutoff
+        return key > limit + point, key <= limit
 
 
 @dataclass(frozen=True)
-class DistanceClose:
+class DistanceClose(_DistanceSplit):
     """Prediction set d <= d_max; measurement set d > d_max + delta."""
 
     d_max: float
     delta_grid: tuple[float, ...]
 
     kind = "distance_close"
-
-    def __post_init__(self) -> None:
-        if not 0 < self.d_max < math.inf:
-            raise SweepError(f"d_max must be finite and > 0 m, got {self.d_max}")
-        object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
-
-    def points(self, ds: Dataset) -> tuple[float, ...]:
-        return self.delta_grid
-
-    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
-        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
-        return ds.distance > self.d_max + point, ds.distance <= self.d_max
-
-    def key_limits(self) -> tuple[float, float, list[float]]:
-        """(sign, prediction limit, measurement limits): see :func:`_moment_points`."""
-        return 1.0, self.d_max, [self.d_max + p for p in self.delta_grid]
+    sign = 1.0
 
 
 @dataclass(frozen=True)
-class DistanceFar:
+class DistanceFar(_DistanceSplit):
     """Prediction set d >= d_min; measurement set d < d_min - delta."""
 
     d_min: float
     delta_grid: tuple[float, ...]
 
     kind = "distance_far"
-
-    def __post_init__(self) -> None:
-        if not 0 < self.d_min < math.inf:
-            raise SweepError(f"d_min must be finite and > 0 m, got {self.d_min}")
-        object.__setattr__(self, "delta_grid", _validated_grid(self.delta_grid))
-
-    def points(self, ds: Dataset) -> tuple[float, ...]:
-        return self.delta_grid
-
-    def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
-        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
-        return ds.distance < self.d_min - point, ds.distance >= self.d_min
-
-    def key_limits(self) -> tuple[float, float, list[float]]:
-        """(sign, prediction limit, measurement limits): see :func:`_moment_points`."""
-        return -1.0, -self.d_min, [-(self.d_min - p) for p in self.delta_grid]
+    sign = -1.0
 
 
 @dataclass(frozen=True)
@@ -131,28 +120,27 @@ class FrequencyLOO:
 SplitSpec = Union[DistanceClose, DistanceFar, FrequencyLOO]
 
 
-def steps(stop: float, step: float = 50.0, start: float = 0.0) -> tuple[float, ...]:
-    """Inclusive arithmetic grid start, start+step, ... up to stop."""
+def steps(stop: float, step: float = 50.0) -> tuple[float, ...]:
+    """Inclusive arithmetic grid 0, step, 2*step, ... up to stop."""
     if step <= 0:
         raise SweepError("step must be positive")
     out = []
     k = 0
-    while (value := start + k * step) <= stop + 1e-9:
+    while (value := k * step) <= stop + 1e-9:
         out.append(value)
         k += 1
     return tuple(out)
 
 
-def default_close_spec(scenario_name: str = "UMa", *,
-                       delta_stop: float = 600.0, step: float = 50.0) -> DistanceClose:
+def default_close_spec(scenario_name: str = "UMa") -> DistanceClose:
     if scenario_name not in DEFAULT_D_MAX:
         raise SweepError(f"no default d_max for scenario {scenario_name!r}; "
                          f"known: {sorted(DEFAULT_D_MAX)}")
-    return DistanceClose(DEFAULT_D_MAX[scenario_name], steps(delta_stop, step))
+    return DistanceClose(DEFAULT_D_MAX[scenario_name], steps(600.0))
 
 
-def default_far_spec(*, delta_stop: float = 400.0, step: float = 50.0) -> DistanceFar:
-    return DistanceFar(DEFAULT_D_MIN, steps(delta_stop, step))
+def default_far_spec() -> DistanceFar:
+    return DistanceFar(DEFAULT_D_MIN, steps(400.0))
 
 
 def split(ds: Dataset, spec: SplitSpec, point: float) -> tuple[Dataset, Dataset]:
@@ -272,24 +260,22 @@ def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> list[S
     return results
 
 
-def _moment_points(ds: Dataset, spec: Union[DistanceClose, DistanceFar], models,
-                   f0, d0_bounds) -> list[SweepPoint]:
+def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> list[SweepPoint]:
     """Each point of a distance sweep from moments, with no per-point refit.
 
-    With key = sign*distance (sign -1 for the far split), the prediction set
-    is key <= its limit and the measurement set at point k is key > the k-th
-    limit: in key order a prefix and a suffix. The moments of the shells
-    between consecutive limits are merged from the end of the order, so a
-    measurement set's moments come from its own samples only. The records of
-    the points that have both sets are stacked, and each model is solved
-    once over the stack (:func:`~pathlossfit.fitters.fit_stack`).
+    In the order of the spec's key (:class:`_DistanceSplit`) the prediction
+    set is a prefix and each measurement set a suffix. The moments of the
+    shells between consecutive limits are merged from the end of the order,
+    so a measurement set's moments come from its own samples only. The
+    records of the points that have both sets are stacked, and each model is
+    solved once over the stack (:func:`~pathlossfit.fitters.fit_stack`).
     """
-    sign, prediction_limit, limits = spec.key_limits()
+    sign, limit = spec.sign, spec.sign * spec.cutoff
     order = np.argsort(sign * ds.distance, kind="stable")
     key = sign * ds.distance[order]
     n = len(ds)
-    n_pred = int(np.searchsorted(key, prediction_limit, side="right"))
-    starts = np.searchsorted(key, limits, side="right").tolist()
+    n_pred = int(np.searchsorted(key, limit, side="right"))
+    starts = np.searchsorted(key, [limit + p for p in spec.delta_grid], side="right").tolist()
     # the measurement sets shrink along the sweep: the nonempty ones are a prefix
     active = sum(start < n for start in starts) if n_pred else 0
     scored = []

@@ -538,6 +538,57 @@ class TestOverflow:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("argv,code", [
+        (("fit",), 1), (("sweep", "--split", "frequency-loo"), 3),
+    ], ids=["fit", "frequency-loo-sweep"])
+    def test_frequency_past_the_product_range_gives_no_numpy_warning(self, tmp_path, capsys,
+                                                                     argv, code):
+        # 20 dB * 1e307 GHz overflows: the fspl error must come before that product
+        rows = [(1e307, 100.0, 120.0, "UMa"), (1e307, 200.0, 130.0, "UMa"),
+                (2.0, 300.0, 110.0, "UMa")]
+        data = write_csv_rows(tmp_path / "in.csv", rows)
+        assert run(*argv, "--input", data, "--out-dir", tmp_path / "out",
+                   "--no-threshold", "--no-binning") == code
+        assert_one_error_line(capsys.readouterr(),
+                              "free-space path loss at 1e+307 GHz and 1.0 m")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("losses,naming", [
+        ((4000.0, 120.0), "path losses from 120.0 to 4000.0 dB"),
+        ((-4000.0, -4000.0), "path losses from -4000.0 to -4000.0 dB"),
+    ], ids=["power-overflows", "power-underflows"])
+    def test_linear_average_out_of_range_exits_1_without_output(self, tmp_path, capsys,
+                                                                losses, naming):
+        data = write_csv_rows(tmp_path / "in.csv",
+                              [(2.0, 100.0, losses[0], "UMa"), (2.0, 100.5, losses[1], "UMa")])
+        assert run("preprocess", "--input", data, "--out", tmp_path / "out.csv",
+                   "--no-threshold", "--bin-average", "linear") == 1
+        assert_one_error_line(capsys.readouterr(), f"linear bin averaging is out of the "
+                                                   f"float range for {naming}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+class TestMalformedCommandLine:
+    @pytest.mark.parametrize("argv,message", [
+        (("fit", "--f0", "abc"), "argument --f0: --f0 expects 'auto' or a number in GHz"),
+        (("fit", "--models", "foo"), "argument --models: unknown model(s) foo; "
+                                     "choose from abg, ab, ci, ci_opt, cif"),
+        (("fit", "--models", ","), "argument --models: --models needs at least one model"),
+        (("sweep", "--split", "distance-close", "--delta-grid", "a"),
+         "argument --delta-grid: --delta-grid expects comma-separated numbers"),
+        (("fit", "--bogus"), "unrecognized arguments: --bogus"),
+        (("sweep",), "the following arguments are required: --split"),
+        ((), "the following arguments are required: command"),
+    ], ids=["f0", "unknown-model", "no-model", "delta-grid", "unknown-flag", "no-split",
+            "no-command"])
+    def test_exits_2_with_one_error_line_and_no_usage(self, tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParserReuse:
     def test_flags_of_one_call_do_not_leak_into_the_next(self, tmp_path, ci_spec_file):
         first, second, fresh = (tmp_path / name for name in ("first", "second", "fresh"))

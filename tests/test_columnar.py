@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathlossfit import (
     CIParams,
@@ -106,12 +106,21 @@ def bin_by_rows(ds, settings):
 
 
 class TestAgainstRowReferences:
+    # samples exactly at each limit, where the sum d + p rounds (1.1 + 2.2 is not 3.3)
     @given(rows=rows, d_max=st.floats(1.0, 1500.0), point=st.floats(0.0, 1000.0))
+    @example(rows=[(2.0, d, 100.0, LABELS[0]) for d in (200.0, 250.0)], d_max=200.0,
+             point=50.0)
+    @example(rows=[(2.0, d, 100.0, LABELS[0]) for d in (1.1, 3.3, 1.1 + 2.2)], d_max=1.1,
+             point=2.2)
     def test_distance_close_split(self, rows, d_max, point):
         ds, spec = dataset(rows), DistanceClose(d_max, (0.0,))
         assert split(ds, spec, point) == split_by_rows(ds, spec, point)
 
     @given(rows=rows, d_min=st.floats(1.0, 1500.0), point=st.floats(0.0, 1000.0))
+    @example(rows=[(2.0, d, 100.0, LABELS[0]) for d in (600.0, 550.0)], d_min=600.0,
+             point=50.0)
+    @example(rows=[(2.0, d, 100.0, LABELS[0]) for d in (3.3, 1.1, 3.3 - 2.2)], d_min=3.3,
+             point=2.2)
     def test_distance_far_split(self, rows, d_min, point):
         ds, spec = dataset(rows), DistanceFar(d_min, (0.0,))
         assert split(ds, spec, point) == split_by_rows(ds, spec, point)

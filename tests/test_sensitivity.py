@@ -162,6 +162,18 @@ class TestRunSweep:
         assert entries["cif"].params.f0 == 28.0
         assert entries["cif"].params.b == 0.0
 
+    def test_a_fit_error_skips_only_its_hold_out(self):
+        # holding out 2 GHz leaves the 28 GHz samples, all at 50 m: abg, reverted
+        # to ab on one frequency, cannot fit a slope there
+        rows = [(2.0, d, 60.0 + 30.0 * np.log10(d) + k % 3)
+                for k, d in enumerate((10.0, 30.0, 100.0, 300.0, 700.0))]
+        rows += [(28.0, 50.0, 110.0 + k) for k in range(4)]
+        held_2, held_28 = run_sweep(make_dataset(rows), FrequencyLOO()).points
+        assert held_2.skipped
+        assert held_2.skip_reason == "fit_ab needs at least two distinct distances"
+        assert not held_28.skipped
+        assert [e.model for e in held_28.models] == ["abg", "ci", "cif"]
+
     def test_deterministic(self, uma_synthetic):
         spec = DistanceClose(200.0, (0.0, 200.0, 400.0))
         first = run_sweep(uma_synthetic, spec, ("abg", "ci", "cif"))

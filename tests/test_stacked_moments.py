@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathlossfit import ABParams, Dataset, DistanceClose, fspl, run_sweep
@@ -160,6 +161,18 @@ def test_a_sigma_tie_keeps_the_bound_that_d0_overshot(monkeypatch):
     fit = fit_stack(m, "ci_opt")
     assert fit.flags == [(FLAG_D0_CLAMPED_LOW,), (FLAG_D0_CLAMPED_HIGH,)]
     assert [params.d0 for params in fit.params] == [0.1, 50.0]
+
+
+def test_a_bad_f0_is_an_error_at_every_point(noisy_multifreq):
+    with pytest.raises(fitters.DomainError, match=r"^f0 must be > 0 GHz, got -1\.0$"):
+        fitters.fit_cif(noisy_multifreq, f0=-1.0)
+    rng = np.random.default_rng(3)
+    m = stacked([record(rng, "spread", (2.0, 28.0), "ci", 6) for _ in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_stack(m, "cif", f0=-1.0)
+    assert fit.params == [None] * 3
+    assert [str(error) for error in fit.errors] == ["f0 must be > 0 GHz, got -1.0"] * 3
 
 
 def test_least_squares_calls_do_not_grow_with_the_points(monkeypatch, uma_synthetic):

@@ -46,6 +46,16 @@ COMMANDS = (
      "--no-binning", "--no-threshold", "--split", "distance-close", "--delta-grid", DENSE_GRID),
     ("sweep", "--input", "raw.csv", "--out-dir", "sweep-loo-raw", *ALL_MODELS,
      "--no-binning", "--no-threshold", "--split", "frequency-loo"),
+    ("sweep", "--input", "raw.csv", "--out-dir", "sweep-close-flags", *ALL_MODELS,
+     "--split", "distance-close", "--d-max", "150", "--delta-grid", "0,100,250"),
+    ("sweep", "--input", "raw.csv", "--out-dir", "sweep-far-flags", *ALL_MODELS,
+     "--split", "distance-far", "--d-min", "500", "--delta-grid", "0,50,300"),
+    ("sweep", "--input", "raw.csv", "--out-dir", "sweep-hold-out", *ALL_MODELS,
+     "--split", "frequency-loo", "--hold-out", "28"),
+    ("fit", "--input", "raw.csv", "--out-dir", "fit-linear", *ALL_MODELS,
+     "--bin-average", "linear"),
+    ("fit", "--synthetic", "spec.json", "--seed", "3", "--out-dir", "fit-synthetic",
+     *ALL_MODELS),
 )
 
 
