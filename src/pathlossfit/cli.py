@@ -135,8 +135,11 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
     """Stage every output to a temp file, then rename all (atomic per file).
 
     Each value is the file's text, or a function that writes the file to the
-    path it is given.
+    path it is given. A target that is a directory is refused before anything
+    is written; a failed write or rename removes every staged file.
     """
+    if directory := next((path for path in files if path.is_dir()), None):
+        raise ConfigError(f"output path is a directory: {directory}")
     staged = []
     try:
         for path, content in files.items():

@@ -188,8 +188,7 @@ def _fail(errors: list, where, error) -> None:
 
 
 def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ...],
-                   intercept: bool, context: str, errors: list,
-                   where=True) -> np.ndarray:
+                   intercept: bool, context: str, errors: list) -> np.ndarray:
     """Least-squares coefficients of the linear form ``target`` on one or two
     ``columns`` over the samples of each point of ``m``: (P, k).
 
@@ -197,8 +196,7 @@ def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ..
     coefficients and the intercept mean(y) - sum_j c_j*mean(x_j) is
     appended; without one the raw sums (centred plus n*mean*mean) are used.
     Each system is solved by Cramer's rule; a singular one gives zeros and
-    records SingularDesignError naming ``context`` at its point, if the
-    point is in the mask ``where``.
+    records SingularDesignError naming ``context`` at its point.
     """
     forms = np.array((target, *columns))
     mean = forms @ m.mean[:, :, None]
@@ -216,8 +214,7 @@ def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ..
         s22_s11 = system.diagonal(axis1=1, axis2=2)[:, :0:-1]
         numerators = s22_s11 * rhs - s12[:, None] * rhs[:, ::-1]
     ok = np.abs(det) > SINGULARITY_RTOL * diagonal
-    _fail(errors, ~ok & where,
-          SingularDesignError(f"{context}: normal equations are singular"))
+    _fail(errors, ~ok, SingularDesignError(f"{context}: normal equations are singular"))
     coefficients = np.zeros((len(m), k + intercept))
     np.divide(numerators, det[:, None], out=coefficients[:, :k], where=ok[:, None])
     if intercept:
@@ -362,18 +359,16 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
         _fail(errors, single, SingleFrequencyError(
             "fit_cif needs two distinct frequencies; the model reverts to "
             "the CI model for the single-frequency case, use fit_ci"))
-    zeros = np.zeros(len(m))
-    (slope,) = (_least_squares(m, _A, (_D,), False, "fit_cif", errors, single).T
-                if single.any() else (zeros,))
-    a, g = (_least_squares(m, _A, (_D, _G), False, "fit_cif", errors, ~single).T
-            if not single.all() else (zeros, zeros))
+    if single.all():  # every point holds one frequency or none: fit_stack splits them
+        (n,) = _least_squares(m, _A, (_D,), False, "fit_cif", errors).T
+        return np.column_stack((n, np.zeros(len(m)), f0)), [(FLAG_CIF_SINGLE_FREQUENCY,)] * len(m)
+    a, g = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors).T
     g_f0 = g * f0
     n = a + g_f0
-    zero = ~single & (np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0)))
+    zero = np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0))
     _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
-    b = np.divide(g_f0, n, out=zeros.copy(), where=~zero & ~single)
-    flags = [(FLAG_CIF_SINGLE_FREQUENCY,) if s else () for s in single.tolist()]
-    return np.column_stack((np.where(single, slope, n), np.where(single, 0.0, b), f0)), flags
+    b = np.divide(g_f0, n, out=np.zeros(len(m)), where=~zero)
+    return np.column_stack((n, b, f0)), [()] * len(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,22 +525,23 @@ def fit_with_reversion(ds: Dataset, kind: str, *, f0: float | str = "auto",
 def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
               d0_bounds: tuple[float, float] = D0_BOUNDS_DEFAULT) -> StackedFit:
     """:func:`fit_with_reversion` at every point of ``m``: each point takes
-    the single-frequency conventions of its own frequencies, and the points
-    that fit one kind are solved as one stack."""
+    the single-frequency conventions of its own frequencies. Those depend only
+    on whether a point holds one frequency, so the multi-frequency points and
+    the single-frequency points are each solved as one stack."""
+    single = _single_frequency(m)
     lowest = m.frequencies[(m.counts > 0).argmax(axis=1)].tolist()
-    reverted = [_reverted(kind, f if single else None, f0)
-                for single, f in zip(_single_frequency(m).tolist(), lowest)]
-    groups: dict = {}
-    for i, (fit_kind, _, flag) in enumerate(reverted):
-        groups.setdefault((fit_kind, flag), []).append(i)
+    reverted = [_reverted(kind, f if lone else None, f0)
+                for lone, f in zip(single.tolist(), lowest)]
     out = StackedFit([None] * len(m), [()] * len(m), [None] * len(m),
                      np.empty((len(m), len(VARIABLES))))
-    for (fit_kind, flag), index in groups.items():
-        fit = _solve(m.take(index), fit_kind, [reverted[i][1] for i in index], d0_bounds)
-        out.forms[index] = fit.forms
-        for j, i in enumerate(index):
-            out.params[i], out.flags[i], out.errors[i] = (
-                fit.params[j], fit.flags[j] + flag, fit.errors[j])
+    for index in (np.flatnonzero(~single), np.flatnonzero(single)):
+        if index.size:
+            fit_kind, _, flag = reverted[index[0]]
+            fit = _solve(m.take(index), fit_kind, [reverted[i][1] for i in index], d0_bounds)
+            out.forms[index] = fit.forms
+            for j, i in enumerate(index.tolist()):
+                out.params[i], out.flags[i], out.errors[i] = (
+                    fit.params[j], fit.flags[j] + flag, fit.errors[j])
     return out
 
 

@@ -223,40 +223,35 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
     return report
 
 
-def _sweep_point(base: dict, entries) -> SweepPoint:
-    """The sweep point with counts ``base`` whose models score as ``entries``:
-    each a ModelPrediction, up to a fit or model error that skips the point."""
-    if base["n_meas"] == 0 or base["n_pred"] == 0:
-        which = "measurement" if base["n_meas"] == 0 else "prediction"
-        return SweepPoint(skipped=True, skip_reason=f"empty {which} set", **base)
-    scored = []
-    for entry in entries:
-        if not isinstance(entry, ModelPrediction):
-            return SweepPoint(skipped=True, skip_reason=str(entry), **base)
-        scored.append(entry)
-    return SweepPoint(skipped=False, models=tuple(scored), **base)
+def _sweep_point(point: float, n_meas: int, n_pred: int, n_gap: int, outcome) -> SweepPoint:
+    """The sweep point with these counts whose models scored ``outcome``: their
+    ModelPredictions in a list, or the first error. An error or an empty set skips it."""
+    base = (float(point), n_meas, n_pred, n_gap)
+    if n_meas == 0 or n_pred == 0:
+        which = "measurement" if n_meas == 0 else "prediction"
+        return SweepPoint(*base, skipped=True, skip_reason=f"empty {which} set")
+    if isinstance(outcome, list):
+        return SweepPoint(*base, skipped=False, models=tuple(outcome))
+    return SweepPoint(*base, skipped=True, skip_reason=str(outcome))
 
 
 def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> list[SweepPoint]:
     """Each point from a split of ``ds`` and a refit of every model."""
-    def scores(measurement: Dataset, prediction: Dataset):
-        for kind in models:
-            try:
-                report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-                sigma = prediction_sigma(report.params, prediction)
-            except (FitError, DomainError) as exc:
-                yield exc
-                return
-            yield ModelPrediction(model=kind, params=report.params,
-                                  measurement_sigma=report.sigma, prediction_sigma=sigma,
-                                  flags=report.flags)
-
     results = []
     for point in spec.points(ds):
         measurement, prediction = split(ds, spec, point)
-        base = dict(point=float(point), n_meas=len(measurement), n_pred=len(prediction),
-                    n_gap=len(ds) - len(measurement) - len(prediction))
-        results.append(_sweep_point(base, scores(measurement, prediction)))
+        outcome = []
+        for kind in models if len(measurement) and len(prediction) else ():  # empty set: no fit
+            try:
+                report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
+                predicted = prediction_sigma(report.params, prediction)
+            except (FitError, DomainError) as exc:
+                outcome = exc
+                break
+            outcome.append(ModelPrediction(kind, report.params, report.sigma, predicted,
+                                           report.flags))
+        results.append(_sweep_point(point, len(measurement), len(prediction),
+                                    len(ds) - len(measurement) - len(prediction), outcome))
     return results
 
 
@@ -278,7 +273,7 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     starts = np.searchsorted(key, [limit + p for p in spec.delta_grid], side="right").tolist()
     # the measurement sets shrink along the sweep: the nonempty ones are a prefix
     active = sum(start < n for start in starts) if n_pred else 0
-    scored = []
+    outcomes = [[] for _ in starts]  # the inactive points keep theirs empty
     if active:
         columns = RegressionDesign.from_dataset(ds).columns()[:, order]
         frequencies, frequency = np.unique(ds.frequency[order], return_inverse=True)
@@ -291,24 +286,21 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
         near_f, near_d = ds.frequency[nearest], ds.distance[nearest]
         for kind in models:
             fit = fit_stack(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-            column = []
-            for params, flags, error, measured, predicted in zip(
+            for i, (params, flags, error, measured, predicted) in enumerate(zip(
                     fit.params, fit.flags, fit.errors,
                     moments_sigma(fit.forms, measurement).tolist(),
-                    moments_sigma(fit.forms, prediction).tolist()):
+                    moments_sigma(fit.forms, prediction).tolist())):
+                if not isinstance(outcomes[i], list):
+                    continue  # the point stopped at an earlier model's error
                 if error is None and near_d < getattr(params, "d0", 1.0):
                     try:  # the evaluator's DomainError: the model is undefined below d0
                         evaluate(params, near_f, near_d)
                     except DomainError as exc:
                         error = exc
-                column.append(error if error is not None else ModelPrediction(
-                    model=kind, params=params, measurement_sigma=measured,
-                    prediction_sigma=predicted, flags=flags))
-            scored.append(column)
-    scored = list(zip(*scored))
-    return [_sweep_point(dict(point=float(point), n_meas=n - start, n_pred=n_pred,
-                              n_gap=start - n_pred), scored[i] if i < active else ())
-            for i, (point, start) in enumerate(zip(spec.points(ds), starts))]
+                outcomes[i] = error if error is not None else [*outcomes[i], ModelPrediction(
+                    kind, params, measured, predicted, flags)]
+    return [_sweep_point(point, n - start, n_pred, start - n_pred, outcome)
+            for point, start, outcome in zip(spec.points(ds), starts, outcomes)]
 
 
 @dataclass(frozen=True)

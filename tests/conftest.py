@@ -25,6 +25,7 @@ BAD_SPEC_FIELDS = [
     ("frequencies", [{"frequency_ghz": 2.0, "count": True}]),
     ("seed", 1.7), ("seed", True),
     ("truth", {"kind": "ci", "n": True}), ("truth", {"kind": "ci", "n": "2.9"}),
+    ("truth", {"kind": "foo", "n": 2.9}),
 ]
 
 

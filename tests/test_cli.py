@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestGenerate:
         assert err.startswith("error: bad synthetic spec: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("frequency", [0, -2])
+    def test_nonpositive_frequency_exits_2_with_its_own_message(self, tmp_path, ci_spec_file,
+                                                              capsys, frequency):
+        doc = json.loads(ci_spec_file.read_text())
+        doc["frequencies"][0]["frequency_ghz"] = frequency
+        spec, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("generate", "--spec", spec, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: synthetic frequency must be > 0 GHz, got {float(frequency)}\n")
+        assert not out.exists()
+
     def test_byte_order_mark_spec_writes_the_same_csv(self, tmp_path, ci_spec_file):
         bom_spec = tmp_path / "bom.json"
         bom_spec.write_bytes(b"\xef\xbb\xbf" + ci_spec_file.read_bytes())
@@ -197,6 +210,17 @@ class TestFit:
                    "--models", "cif", "--no-binning") == 0
         params = read_report(out_dir / "fit_report.json")["models"]["cif"]["params"]
         assert params["f0"] == pytest.approx(0.35, abs=1e-15)
+
+    def test_synthetic_seed_override_fits_the_generated_campaign(self, tmp_path,
+                                                                 ci_spec_file):
+        raw, models = tmp_path / "raw.csv", ("--models", "abg,ab,ci,ci_opt,cif")
+        assert run("generate", "--spec", ci_spec_file, "--seed", 3, "--out", raw) == 0
+        assert run("fit", "--input", raw, "--out-dir", tmp_path / "csv", *models) == 0
+        assert run("fit", "--synthetic", ci_spec_file, "--seed", 3,
+                   "--out-dir", tmp_path / "synthetic", *models) == 0
+        synthetic = read_report(tmp_path / "synthetic" / "fit_report.json")
+        assert synthetic["input"]["seed"] == 3
+        assert synthetic["models"] == read_report(tmp_path / "csv" / "fit_report.json")["models"]
 
     def test_missing_input_exits_2_without_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "fitout"
@@ -566,6 +590,39 @@ class TestOverflow:
         assert_one_error_line(capsys.readouterr(), f"linear bin averaging is out of the "
                                                    f"float range for {naming}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+class TestOutputTargets:
+    @pytest.mark.parametrize("argv,blocked", [
+        (("fit",), "model_curves.csv"),
+        (("sweep", "--split", "distance-close"), "sweep_trace.csv"),
+    ], ids=["fit", "sweep"])
+    def test_a_directory_target_exits_2_and_writes_nothing(self, tmp_path, exact_ci_spec_file,
+                                                           capsys, argv, blocked):
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)
+        assert run(*argv, "--synthetic", exact_ci_spec_file, "--out-dir", out_dir) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              f"output path is a directory: {out_dir / blocked}")
+        assert [p.name for p in out_dir.iterdir()] == [blocked]
+        assert not any((out_dir / blocked).iterdir())
+
+    def test_a_failed_rename_leaves_no_staged_file(self, tmp_path, exact_ci_spec_file,
+                                                   capsys, monkeypatch):
+        real, targets = os.replace, []
+
+        def replace(src, dst):
+            targets.append(dst)
+            if len(targets) == 2:
+                raise OSError("rename failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out_dir = tmp_path / "out"
+        assert run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir) == 2
+        assert_one_error_line(capsys.readouterr(), "rename failed")
+        # the file renamed before the failure stays; no staged file is left
+        assert [p.name for p in out_dir.iterdir()] == ["fit_report.json"]
 
 
 class TestMalformedCommandLine:

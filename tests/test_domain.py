@@ -16,6 +16,7 @@ from pathlossfit import (
     CIFParams,
     CIOptParams,
     CIParams,
+    Dataset,
     DomainError,
     Environment,
     FitReport,
@@ -29,6 +30,7 @@ from pathlossfit import (
     fspl,
     params_from_dict,
     params_to_dict,
+    rms,
     weighted_mean_frequency,
 )
 from conftest import make_dataset
@@ -86,6 +88,11 @@ class TestEvalAbg:
     def test_rejects_distance_below_one_meter(self):
         with pytest.raises(DomainError):
             eval_abg(ABGParams(2.0, 30.0, 2.0), 28.0, 0.9)
+
+    @pytest.mark.parametrize("f", [0.0, -2.0])
+    def test_rejects_frequency_not_above_zero(self, f):
+        with pytest.raises(DomainError, match="frequency must be > 0 GHz"):
+            eval_abg(ABGParams(2.0, 30.0, 2.0), f, 10.0)
 
     def test_ab_params_evaluate_with_gamma_two(self):
         ab = ABParams(2.6, 34.0)
@@ -146,6 +153,11 @@ class TestEvalCif:
         with pytest.raises(DomainError):
             eval_cif(CIFParams(3.0, 0.0, 17.0), 29.0, 0.5)
 
+    @pytest.mark.parametrize("f", [0.0, -2.0])
+    def test_rejects_frequency_not_above_zero(self, f):
+        with pytest.raises(DomainError, match="frequency must be > 0 GHz"):
+            eval_cif(CIFParams(3.0, 0.0, 17.0), f, 10.0)
+
 
 @given(
     d1=st.floats(1.0, 2000.0), d2=st.floats(1.0, 2000.0),
@@ -193,6 +205,32 @@ class TestValueTypes:
         assert Scenario.parse("Other").label == ""
         with pytest.raises(DomainError):
             Scenario.parse("Suburban")
+
+    def test_only_other_carries_a_label(self):
+        with pytest.raises(DomainError, match="only the Other scenario carries"):
+            Scenario("UMa", "x")
+
+    def test_dataset_columns_must_share_one_length(self):
+        with pytest.raises(DomainError, match="dataset columns must share one length"):
+            Dataset.from_columns([2.0, 28.0], [10.0], [90.0, 100.0])
+
+    def test_dataset_label_needs_a_scenario(self):
+        with pytest.raises(DomainError, match="a label is"):
+            Dataset.from_columns([2.0], [10.0], [90.0],
+                                 labels=(("UMa", Environment.NLOS, "c"),))
+
+    def test_dataset_equality_and_repr(self):
+        ds = make_dataset([(28.0, 5.0, 100.0), (2.0, 5.0, 90.0)])
+        assert ds.__eq__("x") is NotImplemented and ds != "x"
+        assert repr(ds) == "Dataset(n=2, frequencies=(2.0, 28.0))"
+
+    def test_evaluate_rejects_an_unknown_parameter_type(self):
+        with pytest.raises(DomainError, match="unknown parameter type object"):
+            evaluate(object(), 1.0, 1.0)
+
+    def test_rms_of_nothing_is_undefined(self):
+        with pytest.raises(DomainError, match="RMS of an empty sequence"):
+            rms([])
 
     def test_environment_values(self):
         assert Environment("LOS") is Environment.LOS

@@ -10,6 +10,7 @@ from pathlossfit import (
     DistanceClose,
     DistanceFar,
     FrequencyLOO,
+    PredictionReport,
     SweepError,
     eval_ci,
     fit_ci,
@@ -97,6 +98,10 @@ class TestDefaults:
     def test_unknown_scenario(self):
         with pytest.raises(SweepError):
             default_close_spec("InHSM")
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(SweepError, match="step must be positive"):
+            steps(10.0, 0.0)
 
 
 class TestPredictionSigma:
@@ -226,6 +231,10 @@ class TestParameterTrace:
         trace = parameter_trace(report)
         assert [(r[0], r[1], r[2]) for r in trace.rows] == [
             (0.0, "ci", "n"), (100.0, "ci", "n")]
+
+    def test_an_empty_report_has_no_trace(self):
+        with pytest.raises(SweepError, match="empty prediction report"):
+            parameter_trace(PredictionReport(DistanceClose(100.0, (0.0,)), ()))
 
     def test_unknown_range_lookup(self, noisy_multifreq):
         report = run_sweep(noisy_multifreq, DistanceClose(100.0, (0.0,)), ("ci",))

@@ -32,6 +32,7 @@ FACTORS = (1, 5, 10)
 UMA_COUNTS = ((2, 583), (10, 581), (18, 468), (28, 225), (38, 12))
 ALL_MODELS = ("--models", "abg,ab,ci,ci_opt,cif")
 DENSE_GRID = ",".join(str(5 * k) for k in range(121))
+TAIL_GRID = ",".join(str(900 + 5 * k) for k in range(28))  # reaches single-frequency sets
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -56,6 +57,8 @@ COMMANDS = (
      "--bin-average", "linear"),
     ("fit", "--synthetic", "spec.json", "--seed", "3", "--out-dir", "fit-synthetic",
      *ALL_MODELS),
+    ("sweep", "--input", "raw.csv", "--out-dir", "sweep-tail", *ALL_MODELS,
+     "--no-binning", "--no-threshold", "--split", "distance-close", "--delta-grid", TAIL_GRID),
 )
 
 
