@@ -10,9 +10,10 @@ and G. The 1x1 or 2x2 normal equations are solved in closed form.
 
 A :class:`Moments` record stacks P sample sets on a leading point axis, and
 every solver works on the whole stack at once. It returns each point's
-parameters, flags and residual form (whose RMS over the samples is
-:func:`moments_sigma`), or the error that a fit of that point alone raises,
-its checks in the same order; a degenerate point changes no other point.
+parameters, flags and the residual form its solve minimised (whose RMS over
+the samples is :func:`moments_sigma`), or the error that a fit of that point
+alone raises, its checks in the same order; a degenerate point changes no
+other point.
 A fit is a stack of one: the ``fit_*`` functions fit a dataset, report its
 residuals and raise its error. :func:`fit_stack` fits every point of a
 stack, as a distance sweep does with the records it merges from shells, and
@@ -188,9 +189,11 @@ def _fail(errors: list, where, error) -> None:
 
 
 def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ...],
-                   intercept: bool, context: str, errors: list) -> np.ndarray:
-    """Least-squares coefficients of the linear form ``target`` on one or two
-    ``columns`` over the samples of each point of ``m``: (P, k).
+                   intercept: bool, context: str, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of the linear form ``target`` on one or two
+    ``columns`` over the samples of each point of ``m``: the coefficients
+    (P, k) and the residual forms (P, 6) that the fit minimised,
+    target - sum_j c_j*column_j (less the intercept on "one").
 
     With ``intercept`` the centred normal equations give the column
     coefficients and the intercept mean(y) - sum_j c_j*mean(x_j) is
@@ -198,9 +201,9 @@ def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ..
     Each system is solved by Cramer's rule; a singular one gives zeros and
     records SingularDesignError naming ``context`` at its point.
     """
-    forms = np.array((target, *columns))
-    mean = forms @ m.mean[:, :, None]
-    system = forms @ m.comoment @ forms.T
+    basis = np.array((target, *columns))
+    mean = basis @ m.mean[:, :, None]
+    system = basis @ m.comoment @ basis.T
     if not intercept:
         system += m.n[:, None, None] * (mean * mean.transpose(0, 2, 1))
     k, rhs, mean = len(columns), system[:, 0, 1:], mean[:, :, 0]
@@ -217,35 +220,11 @@ def _least_squares(m: Moments, target: np.ndarray, columns: tuple[np.ndarray, ..
     _fail(errors, ~ok, SingularDesignError(f"{context}: normal equations are singular"))
     coefficients = np.zeros((len(m), k + intercept))
     np.divide(numerators, det[:, None], out=coefficients[:, :k], where=ok[:, None])
+    forms = target - coefficients[:, :k] @ basis[1:]
     if intercept:
         coefficients[:, k] = mean[:, 0] - (coefficients[:, :k] * mean[:, 1:]).sum(axis=1)
-    return coefficients
-
-
-def _log10(values: np.ndarray) -> np.ndarray:
-    # math.log10 per value: numpy's log10 may differ from it in the last bit
-    return np.array([math.log10(v) for v in values.tolist()])
-
-
-# kind -> weights over VARIABLES of the residual path_loss - model(f, d), from
-# the parameter values in MODEL_KINDS order (arrays of P points);
-# CIF's slope n*(1 + b*(f - f0)/f0) on D is n*(1 - b) on D plus n*b/f0 on G.
-_RESIDUAL_FORMS = {
-    "abg": lambda alpha, beta, gamma: (-beta, -alpha, -gamma, 0.0, 0.0, 1.0),
-    "ab": lambda alpha, beta: (-beta, -alpha, -MODEL_KINDS["ab"].fixed["gamma"],
-                               0.0, 0.0, 1.0),
-    "ci": lambda n: (0.0, -n, 0.0, 0.0, 1.0, 0.0),
-    "ci_opt": lambda n, d0: (-(2.0 - n) * 10.0 * _log10(d0), -n, 0.0, 0.0, 1.0, 0.0),
-    "cif": lambda n, b, f0: (0.0, -n * (1.0 - b), 0.0, -n * b / f0, 1.0, 0.0),
-}
-
-
-def _residual_forms(kind: str, values: np.ndarray) -> np.ndarray:
-    """(P, 6) residual forms of ``kind`` at each row of parameter ``values``."""
-    forms = np.empty((len(values), len(VARIABLES)))
-    for j, weight in enumerate(_RESIDUAL_FORMS[kind](*values.T)):
-        forms[:, j] = weight
-    return forms
+        forms[:, 0] -= coefficients[:, k]
+    return coefficients, forms
 
 
 def moments_sigma(forms: np.ndarray, m: Moments) -> np.ndarray:
@@ -275,26 +254,27 @@ def _single_frequency(m: Moments) -> np.ndarray:
 
 # Each solver takes (m, f0 per point, d0_bounds, errors), fits one kind at
 # every point of m and returns the (P, k) parameter values in MODEL_KINDS
-# order and each point's flags; it records each point's first error in
-# ``errors``, checks in the order of a fit of that point alone.
-_Values = tuple[np.ndarray, list[tuple[str, ...]]]
+# order, the (P, 6) residual forms of the solve that gave them and each
+# point's flags; it records each point's first error in ``errors``, checks
+# in the order of a fit of that point alone.
+_Values = tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]
 
 def _solve_ci(m: Moments, f0, d0_bounds, errors: list) -> _Values:
     _require_beyond_one_meter(m, "fit_ci", errors)
-    return _least_squares(m, _A, (_D,), False, "fit_ci", errors), [()] * len(m)
+    return (*_least_squares(m, _A, (_D,), False, "fit_ci", errors), [()] * len(m))
 
 
-def _ci_about_fixed_d0(m: Moments, d0: float) -> tuple[np.ndarray, list]:
+def _ci_about_fixed_d0(m: Moments, d0: float) -> tuple[np.ndarray, np.ndarray, list]:
     """The CI-opt slope n with its reference distance fixed at d0, at every
-    point, and each point's error: the slope of A - 2*10log10(d0) on
-    D - 10log10(d0), no intercept."""
+    point, its residual forms and each point's error: the slope of
+    A - 2*10log10(d0) on D - 10log10(d0), no intercept."""
     errors = [None] * len(m)
     b10 = 10.0 * math.log10(d0)
     _fail(errors, (m.d_low == m.d_high) & (m.d_high == b10),
           DegenerateDesignError(f"all distances equal the reference d0={d0} m"))
-    (n,) = _least_squares(m, _A - 2.0 * b10 * _ONE, (_D - b10 * _ONE,), False,
-                          "fit_ci_opt", errors).T
-    return n, errors
+    slope, forms = _least_squares(m, _A - 2.0 * b10 * _ONE, (_D - b10 * _ONE,), False,
+                                  "fit_ci_opt", errors)
+    return slope[:, 0], forms, errors
 
 
 def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) -> _Values:
@@ -302,9 +282,10 @@ def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) 
     if not (D0_BOUNDS_DEFAULT[0] <= lo < hi <= D0_BOUNDS_DEFAULT[1]):
         _fail(errors, np.ones(len(m), dtype=bool),
               FitError(f"d0 bounds must satisfy 0.1 <= lo < hi <= 50, got {d0_bounds}"))
-        return np.ones((len(m), 2)), [()] * len(m)
+        return np.ones((len(m), 2)), np.zeros((len(m), len(VARIABLES))), [()] * len(m)
     _require_distance_spread(m, "fit_ci_opt", errors)
-    n, intercept = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors).T
+    coefficients, forms = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors)
+    n, intercept = coefficients.T
     free = np.abs(2.0 - n) < N_NEAR_TWO_TOL  # d0 unidentifiable: 1 m, flagged
     # Test log10(d0) against the upper bound before exponentiating: for n just
     # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
@@ -323,15 +304,14 @@ def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) 
         refits = [(bound, flag, *_ci_about_fixed_d0(m, bound)) for bound, flag in choices]
         for *_, refit_errors in refits:
             _fail(errors, where, refit_errors)
-        sigma = [moments_sigma(_residual_forms("ci_opt", np.column_stack(
-            (slope, np.full(len(m), bound)))), m) for bound, _, slope, _ in refits]
+        sigma = [moments_sigma(refit_forms, m) for *_, refit_forms, _ in refits]
         second = where & (sigma[-1] < sigma[0])
-        for keep, (bound, flag, slope, _) in ((where & ~second, refits[0]),
-                                              (second, refits[-1])):
-            n[keep], d0[keep] = slope[keep], bound
+        for keep, (bound, flag, slope, refit_forms, _) in ((where & ~second, refits[0]),
+                                                           (second, refits[-1])):
+            n[keep], d0[keep], forms[keep] = slope[keep], bound, refit_forms[keep]
             for i in np.flatnonzero(keep).tolist():
                 flags[i] = (flag,)
-    return np.column_stack((n, d0)), flags
+    return np.column_stack((n, d0)), forms, flags
 
 
 def _solve_abg(m: Moments, f0, d0_bounds, errors: list) -> _Values:
@@ -339,13 +319,13 @@ def _solve_abg(m: Moments, f0, d0_bounds, errors: list) -> _Values:
         "fit_abg needs two distinct frequencies; use fit_ab for "
         "single-frequency data (frequency slope fixed at 2)"))
     _require_distance_spread(m, "fit_abg", errors)
-    alpha_gamma_beta = _least_squares(m, _B, (_D, _F), True, "fit_abg", errors)
-    return alpha_gamma_beta.take((0, 2, 1), axis=1), [()] * len(m)
+    alpha_gamma_beta, forms = _least_squares(m, _B, (_D, _F), True, "fit_abg", errors)
+    return alpha_gamma_beta.take((0, 2, 1), axis=1), forms, [()] * len(m)
 
 
 def _solve_ab(m: Moments, f0, d0_bounds, errors: list) -> _Values:
     _require_distance_spread(m, "fit_ab", errors)
-    return _least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab", errors), [()] * len(m)
+    return (*_least_squares(m, _B - 2.0 * _F, (_D,), True, "fit_ab", errors), [()] * len(m))
 
 
 def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
@@ -360,22 +340,31 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
             "fit_cif needs two distinct frequencies; the model reverts to "
             "the CI model for the single-frequency case, use fit_ci"))
     if single.all():  # every point holds one frequency or none: fit_stack splits them
-        (n,) = _least_squares(m, _A, (_D,), False, "fit_cif", errors).T
-        return np.column_stack((n, np.zeros(len(m)), f0)), [(FLAG_CIF_SINGLE_FREQUENCY,)] * len(m)
-    a, g = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors).T
+        slope, forms = _least_squares(m, _A, (_D,), False, "fit_cif", errors)
+        return (np.column_stack((slope[:, 0], np.zeros(len(m)), f0)), forms,
+                [(FLAG_CIF_SINGLE_FREQUENCY,)] * len(m))
+    slopes, forms = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors)
+    a, g = slopes.T
     g_f0 = g * f0
     n = a + g_f0
     zero = np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0))
     _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
     b = np.divide(g_f0, n, out=np.zeros(len(m)), where=~zero)
-    return np.column_stack((n, b, f0)), [()] * len(m)
+    # (n, b, f0) must give back a and g*f at the data's frequencies (times f0,
+    # which may be 0); far from them b rounds to 1 and n*(1 - b) loses a
+    f_top, scale = (m.frequencies * (m.counts > 0)).max(axis=1), np.abs(f0)
+    lost = (np.abs(n * (1.0 - b) - a) * scale + np.abs(n * b - g_f0) * f_top
+            > SINGULARITY_RTOL * (np.abs(a) + np.abs(g) * f_top) * scale)
+    _fail(errors, lost, FitError("fit_cif: f0 too far from the data to write (a, g) as (n, b)"))
+    return np.column_stack((n, b, f0)), forms, [()] * len(m)
 
 
 @dataclass(frozen=True, eq=False)
 class StackedFit:
     """One model fitted at every point of a Moments stack: each point's
-    params (None at an error), flags, error (None if it fitted) and residual
-    form over VARIABLES, whose RMS over any record is :func:`moments_sigma`."""
+    params (None at an error), flags, error (None if it fitted) and the
+    residual form over VARIABLES that its solve minimised, whose RMS over any
+    record is :func:`moments_sigma`."""
 
     params: list
     flags: list[tuple[str, ...]]
@@ -392,14 +381,14 @@ class StackedFit:
 def _solve(m: Moments, kind: str, f0, d0_bounds, *args) -> StackedFit:
     """Fit ``kind`` at every point of ``m``, with each point's f0 ("auto" or GHz)."""
     errors = [None] * len(m)
-    values, flags = _SOLVERS[kind](m, f0, d0_bounds, errors, *args)
+    values, forms, flags = _SOLVERS[kind](m, f0, d0_bounds, errors, *args)
     params, make = [None] * len(m), MODEL_KINDS[kind].params
     for i, row in enumerate(values.tolist()):
         try:
             params[i] = make(*row) if errors[i] is None else None
         except DomainError as exc:
             errors[i] = exc
-    return StackedFit(params, flags, errors, _residual_forms(kind, values))
+    return StackedFit(params, flags, errors, forms)
 
 
 def _fit(ds: Dataset, kind: str, f0="auto", d0_bounds=D0_BOUNDS_DEFAULT, *args) -> FitReport:
@@ -470,7 +459,9 @@ def fit_cif(ds: Dataset, f0: float | str = "auto", *,
     intermediate slopes a = n*(1-b) and g = n*b/f0 solve the two-column
     system A on D and D*f, [[sum(D^2), sum(D^2 f)], [sum(D^2 f), sum(D^2 f^2)]]
     [a, g] = [sum(D*A), sum(D*f*A)]; n = a + g*f0 and b = g*f0/n. An n that
-    is zero to working precision leaves b undefined and is an error.
+    is zero to working precision leaves b undefined, and an f0 so far from
+    the data that (n, b, f0) lose a or g to SINGULARITY_RTOL loses the fit:
+    both are errors. The residuals are those of (a, g), alike at every f0.
 
     Single-frequency data cannot separate a from g; by default that is an
     error directing the caller to :func:`fit_ci`. With

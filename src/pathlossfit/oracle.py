@@ -1,6 +1,7 @@
 """Brute-force and generic-solver fits used to cross-check the closed forms.
 
-Nothing here reuses the least-squares core of :mod:`.fitters`: the grid
+Nothing here reuses the least-squares core or the regression design of
+:mod:`.fitters`: the columns are built here from the dataset, the grid
 searches scan the objective directly, and the linear fits solve an explicit
 design matrix by SVD least squares (``numpy.linalg.lstsq``), without
 forming normal equations. Intended for tests and for auditing a fit on a
@@ -20,13 +21,9 @@ from .domain import (
     Dataset,
     FitReport,
     auto_f0,
+    fspl,
 )
-from .fitters import (
-    DegenerateDesignError,
-    FitError,
-    RegressionDesign,
-    SingularDesignError,
-)
+from .fitters import DegenerateDesignError, FitError, SingularDesignError
 
 _CHUNK = 20_000  # grid rows evaluated per block to bound memory
 
@@ -37,6 +34,15 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     # tiny nudge so e.g. (50 - 0.1) / 0.01 includes the upper endpoint
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
+
+
+def _columns(ds: Dataset) -> tuple[np.ndarray, ...]:
+    """(D, F, A, B, f) of ``ds``: D = 10*log10(d), F = 10*log10(f), the
+    excess loss over free space at 1 m A = pl - FSPL(f, 1 m), B = pl, and f."""
+    if len(ds) == 0:
+        raise DegenerateDesignError("cannot fit an empty dataset")
+    f, d, pl = ds.arrays()
+    return 10.0 * np.log10(d), 10.0 * np.log10(f), pl - fspl(f, 1.0), pl, f
 
 
 def _lstsq(columns: list[np.ndarray], y: np.ndarray,
@@ -56,23 +62,21 @@ def oracle_fit(ds: Dataset, kind: str, *,
                f0: float | str = "auto") -> FitReport:
     """Minimum-sigma fit by dense grid search (ci, ci_opt) or SVD least
     squares on an explicit design matrix (abg, ab, cif)."""
-    design = RegressionDesign.from_dataset(ds)
+    D, F, A, B, f = _columns(ds)
     if kind == "ci":
-        return _oracle_ci_grid(design, n_grid)
+        return _oracle_ci_grid(D, A, n_grid)
     if kind == "ci_opt":
-        return _oracle_ci_opt_grid(design, d0_grid)
-    one = np.ones(len(design))
+        return _oracle_ci_opt_grid(D, A, d0_grid)
+    one = np.ones(len(ds))
     if kind == "abg":
-        (alpha, beta, gamma), residuals = _lstsq([design.D, one, design.F], design.B,
-                                                 "abg oracle")
+        (alpha, beta, gamma), residuals = _lstsq([D, one, F], B, "abg oracle")
         return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals)
     if kind == "ab":
-        (alpha, beta), residuals = _lstsq([design.D, one], design.B - 2.0 * design.F,
-                                          "ab oracle")
+        (alpha, beta), residuals = _lstsq([D, one], B - 2.0 * F, "ab oracle")
         return FitReport.from_residuals(ABParams(alpha, beta), residuals)
     if kind == "cif":
         f0_value = auto_f0(ds.freq_summary) if f0 == "auto" else float(f0)
-        (a, g), residuals = _lstsq([design.D, design.D * design.f], design.A, "cif oracle")
+        (a, g), residuals = _lstsq([D, D * f], A, "cif oracle")
         n = a + g * f0_value
         if n == 0.0:
             raise FitError("cif oracle: fitted n is zero, b undefined")
@@ -80,33 +84,29 @@ def oracle_fit(ds: Dataset, kind: str, *,
     raise FitError(f"unknown oracle kind {kind!r}")
 
 
-def _oracle_ci_grid(design: RegressionDesign, n_grid) -> FitReport:
+def _oracle_ci_grid(D: np.ndarray, A: np.ndarray, n_grid) -> FitReport:
     candidates = _grid(*n_grid)
-    if candidates.size == 0:
-        raise FitError("empty n grid")
     best_n, best_sigma = 0.0, np.inf
     for start in range(0, candidates.size, _CHUNK):
         block = candidates[start:start + _CHUNK]
-        res = design.A[None, :] - block[:, None] * design.D[None, :]
+        res = A[None, :] - block[:, None] * D[None, :]
         sigmas = np.sqrt(np.mean(res * res, axis=1))
         i = int(np.argmin(sigmas))
         if sigmas[i] < best_sigma:
             best_sigma, best_n = float(sigmas[i]), float(block[i])
-    return FitReport.from_residuals(CIParams(best_n), design.A - best_n * design.D)
+    return FitReport.from_residuals(CIParams(best_n), A - best_n * D)
 
 
-def _oracle_ci_opt_grid(design: RegressionDesign, d0_grid) -> FitReport:
-    if np.unique(design.D).size < 2:
+def _oracle_ci_opt_grid(D: np.ndarray, A: np.ndarray, d0_grid) -> FitReport:
+    if np.unique(D).size < 2:
         raise DegenerateDesignError("ci_opt oracle needs two distinct distances")
     d0s = _grid(*d0_grid)
-    if d0s.size == 0:
-        raise FitError("empty d0 grid")
     best = (np.inf, 0.0, 1.0)  # sigma, n, d0
     for start in range(0, d0s.size, _CHUNK):
         block = d0s[start:start + _CHUNK]
         b10 = 10.0 * np.log10(block)[:, None]
-        d_shift = design.D[None, :] - b10
-        a_shift = design.A[None, :] - 2.0 * b10
+        d_shift = D[None, :] - b10
+        a_shift = A[None, :] - 2.0 * b10
         den = np.sum(d_shift * d_shift, axis=1)
         n = np.sum(d_shift * a_shift, axis=1) / den
         res = a_shift - n[:, None] * d_shift
@@ -116,12 +116,12 @@ def _oracle_ci_opt_grid(design: RegressionDesign, d0_grid) -> FitReport:
             best = (float(sigmas[i]), float(n[i]), float(block[i]))
     _, n_best, d0_best = best
     b10 = 10.0 * np.log10(d0_best)
-    residuals = (design.A - 2.0 * b10) - n_best * (design.D - b10)
+    residuals = (A - 2.0 * b10) - n_best * (D - b10)
     return FitReport.from_residuals(CIOptParams(n_best, d0_best), residuals)
 
 
 def ci_slope_lstsq(ds: Dataset) -> float:
     """CI slope by SVD least squares (numpy lstsq), independent of the closed form."""
-    design = RegressionDesign.from_dataset(ds)
-    solution, *_ = np.linalg.lstsq(design.D[:, None], design.A, rcond=None)
+    D, _, A, _, _ = _columns(ds)
+    solution, *_ = np.linalg.lstsq(D[:, None], A, rcond=None)
     return float(solution[0])

@@ -211,6 +211,13 @@ class TestFit:
         params = read_report(out_dir / "fit_report.json")["models"]["cif"]["params"]
         assert params["f0"] == pytest.approx(0.35, abs=1e-15)
 
+    def test_cif_f0_too_far_from_the_data_exits_1(self, tmp_path, ci_spec_file, capsys):
+        assert run("fit", "--synthetic", ci_spec_file, "--out-dir", tmp_path / "out",
+                   "--models", "cif", "--f0", "1e100") == 1
+        assert capsys.readouterr().err == (
+            "error: fit_cif: f0 too far from the data to write (a, g) as (n, b)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_synthetic_seed_override_fits_the_generated_campaign(self, tmp_path,
                                                                  ci_spec_file):
         raw, models = tmp_path / "raw.csv", ("--models", "abg,ab,ci,ci_opt,cif")

@@ -25,6 +25,7 @@ from pathlossfit import (
     SingularDesignError,
     SyntheticSpec,
     eval_abg,
+    evaluate,
     fit_ab,
     fit_abg,
     fit_ci,
@@ -35,6 +36,7 @@ from pathlossfit import (
     generate,
     param_values,
     prediction_sigma,
+    rms,
 )
 from pathlossfit.fitters import (
     FITTER_KINDS,
@@ -241,6 +243,22 @@ class TestFitCif:
                 for f in (2.0, 28.0) for d in (10.0, 50.0, 100.0, 400.0)]
         with pytest.raises(FitError, match="undefined"):
             fit_cif(make_dataset(rows), f0=15.0)
+
+    @pytest.mark.parametrize("f0", [1e-3, 1e3, 1e6])
+    def test_f0_only_rewrites_the_fitted_surface(self, uma_synthetic, f0):
+        # the reported (n, b, f0) evaluate to the surface whose sigma is reported
+        report = fit_cif(uma_synthetic, f0=f0)
+        f, d, pl = uma_synthetic.arrays()
+        assert rms(pl - evaluate(report.params, f, d)) == pytest.approx(
+            report.sigma, rel=1e-9, abs=0.0)
+        assert report.sigma == pytest.approx(
+            fit_cif(uma_synthetic, f0=12.0).sigma, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("f0", [1e12, 1e18, 1e100])
+    def test_an_f0_whose_params_lose_the_fit_is_an_error(self, uma_synthetic, f0):
+        # once g*f0 >> a, b rounds to 1 and n*(1 - b) no longer gives back a
+        with pytest.raises(FitError, match="^fit_cif: f0 too far from the data"):
+            fit_cif(uma_synthetic, f0=f0)
 
 
 class TestNormalEquationStationarity:

@@ -13,7 +13,9 @@ from pathlossfit import (
     CIParams,
     Dataset,
     DistanceClose,
+    FitError,
     SyntheticSpec,
+    evaluate,
     fit_ab,
     fit_abg,
     fit_ci,
@@ -21,9 +23,11 @@ from pathlossfit import (
     fit_cif,
     fspl,
     generate,
+    rms,
     split,
 )
 from pathlossfit.fitters import RegressionDesign
+from pathlossfit.oracle import oracle_fit
 
 UMA_COUNTS = ((2.0, 583), (10.0, 581), (18.0, 468), (28.0, 225), (38.0, 12))
 
@@ -128,3 +132,24 @@ def test_scaling_distances_keeps_the_ci_opt_slope(seed, frequencies, scale):
     scaled = fit_ci_opt(noisy_design(seed, frequencies, 15, scale))
     assume(not base.flags and not scaled.flags)  # a clamped d0 pins the slope
     assert scaled.params.n == pytest.approx(base.params.n, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frequencies=frequency_sets,
+       n_per=st.integers(4, 40), log_ratio=st.floats(-3.0, 6.0))
+def test_cif_sigma_does_not_depend_on_f0(seed, frequencies, n_per, log_ratio):
+    # f0 from 1e-3 to 1e6 times the mean frequency only rewrites (n, b), or,
+    # where (n, b) cannot carry the solved slopes, is an error
+    ds = noisy_design(seed, frequencies, n_per)
+    f0 = float(np.mean(ds.frequency)) * 10.0 ** log_ratio
+    try:
+        report = fit_cif(ds, f0=f0)
+    except FitError as exc:
+        assert str(exc).startswith("fit_cif: f0 too far from the data")
+        return
+    assert report.sigma == pytest.approx(fit_cif(ds).sigma, rel=1e-12, abs=0.0)
+    assert report.sigma == pytest.approx(oracle_fit(ds, "cif", f0=f0).sigma,
+                                         rel=1e-9, abs=0.0)
+    f, d, pl = ds.arrays()
+    assert rms(pl - evaluate(report.params, f, d)) == pytest.approx(
+        report.sigma, rel=1e-9, abs=0.0)

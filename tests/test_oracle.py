@@ -1,14 +1,18 @@
 """Grid-search and generic-solver oracle behavior (bracketing, agreement)."""
 
+import numpy as np
 import pytest
 
 from pathlossfit import (
     CIParams,
     CIFParams,
+    Dataset,
+    DegenerateDesignError,
     SingularDesignError,
     SyntheticSpec,
     fit_ci,
     fit_ci_opt,
+    fspl,
     generate,
     prediction_sigma,
 )
@@ -72,6 +76,23 @@ class TestGenericSolvers:
             oracle_fit(noisy_ds, "ci", n_grid=(0.0, 10.0, -1.0))
         with pytest.raises(FitError):
             oracle_fit(noisy_ds, "ci", n_grid=(10.0, 0.0, 0.1))
+
+    def test_cif_oracle_rejects_a_zero_slope(self):
+        # loss exactly at free space: both slopes solve to 0, so n = 0
+        f, d = np.repeat([2.0, 28.0], 2), np.tile([10.0, 100.0], 2)
+        with pytest.raises(FitError, match="n is zero"):
+            oracle_fit(Dataset.from_columns(f, d, fspl(f, 1.0)), "cif", f0=15.0)
+
+    def test_ci_opt_oracle_needs_two_distances(self):
+        rows = [(f, 100.0, 120.0 + f) for f in (2.0, 28.0, 28.0)]
+        with pytest.raises(DegenerateDesignError, match="two distinct distances"):
+            oracle_fit(make_dataset(rows), "ci_opt")
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DegenerateDesignError, match="^cannot fit an empty dataset$"):
+            oracle_fit(make_dataset([]), "cif")
+        with pytest.raises(DegenerateDesignError, match="^cannot fit an empty dataset$"):
+            ci_slope_lstsq(make_dataset([]))
 
     def test_unknown_kind_rejected(self, noisy_ds):
         with pytest.raises(FitError):

@@ -14,7 +14,8 @@ byte-identical:
          <(python3 tools/output_digests.py src)
 
 The spec is the README's UMa campaign with each per-frequency count
-multiplied by the factor.
+multiplied by the factor. ``tools/output_compare.py`` runs the same matrix
+on two checkouts and compares their outputs value by value instead.
 """
 
 from __future__ import annotations
@@ -72,26 +73,44 @@ def spec(seed: int, factor: int) -> dict:
             "distance_range": [60, 1238], "scenario": "UMa", "environment": "NLOS"}
 
 
-def digest_lines(src: Path, seed: int, factor: int):
+def run_commands(src: Path, seed: int, factor: int, work: Path):
+    """Write the spec into the directory ``work`` and run COMMANDS there with
+    ``src`` first on the import path; yield each argv and its completed run."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    (work / "spec.json").write_text(json.dumps(spec(seed, factor)), encoding="utf-8")
+    for argv in COMMANDS:
+        yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
+                                   cwd=work, env=env, capture_output=True)
+
+
+def written_files(work: Path) -> list[Path]:
+    return sorted(p.relative_to(work) for p in work.rglob("*") if p.is_file())
+
+
+def digest_lines(src: Path, seed: int, factor: int):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "spec.json").write_text(json.dumps(spec(seed, factor)), encoding="utf-8")
-        for argv in COMMANDS:
-            done = subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
-                                  cwd=work, env=env, capture_output=True)
+        for argv, done in run_commands(src, seed, factor, work):
             yield (f"{seed} x{factor} exit={done.returncode} stdout={sha256(done.stdout)} "
                    f"stderr={sha256(done.stderr)} {' '.join(argv)}")
-        for path in sorted(p for p in work.rglob("*") if p.is_file()):
-            yield f"{seed} x{factor} {sha256(path.read_bytes())} {path.relative_to(work)}"
+        for path in written_files(work):
+            yield f"{seed} x{factor} {sha256((work / path).read_bytes())} {path}"
+
+
+def src_dirs(args: list[str], count: int, usage: str) -> list[Path] | None:
+    """The ``count`` SRC_DIR arguments resolved, or None (after printing
+    ``usage``) unless there are ``count`` and each holds ``pathlossfit/``."""
+    if len(args) != count or not all((Path(arg) / "pathlossfit").is_dir() for arg in args):
+        print(f"usage: {usage} (each SRC_DIR the directory holding pathlossfit/)",
+              file=sys.stderr)
+        return None
+    return [Path(arg).resolve() for arg in args]
 
 
 def main() -> int:
-    if len(sys.argv) != 2 or not (Path(sys.argv[1]) / "pathlossfit").is_dir():
-        print("usage: output_digests.py SRC_DIR (the directory holding pathlossfit/)",
-              file=sys.stderr)
+    if (srcs := src_dirs(sys.argv[1:], 1, "output_digests.py SRC_DIR")) is None:
         return 2
-    src = Path(sys.argv[1]).resolve()
+    (src,) = srcs
     for seed in SEEDS:
         for factor in FACTORS:
             for line in digest_lines(src, seed, factor):
