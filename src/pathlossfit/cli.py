@@ -261,7 +261,7 @@ def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
                    float_texts(fspl(freq, grid))]
         for report in fits.values():
             # blank below the model's reference distance (1 m unless fitted)
-            valid = grid >= getattr(report.params, "d0", 1.0)
+            valid = grid >= report.params.d0
             columns.append([""] * int(np.count_nonzero(~valid))
                            + float_texts(evaluate(report.params, freq, grid[valid])))
         rows += zip(*columns)

@@ -227,6 +227,7 @@ class ABGParams:
     gamma: float
 
     kind = "abg"
+    d0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,7 @@ class ABParams:
     beta: float
 
     kind = "ab"
+    d0 = 1.0
 
     @property
     def gamma(self) -> float:  # the fixed slope, kept in MODEL_KINDS
@@ -280,6 +282,7 @@ class CIFParams:
     f0: float
 
     kind = "cif"
+    d0 = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f0) and self.f0 > 0):
@@ -290,8 +293,9 @@ ModelParams = Union[ABGParams, ABParams, CIParams, CIOptParams, CIFParams]
 
 
 # ---------------------------------------------------------------------------
-# Forward model evaluation. All functions accept scalars or numpy arrays and
-# return mean path loss in dB (shadowing is the synthetic generator's job).
+# Forward model evaluation: mean path loss in dB. Every kind is defined for
+# f > 0 and d >= its params' d0 (1 m unless CI-opt fitted it); evaluate checks
+# that one rule, then applies the kind's formula from MODEL_KINDS.
 # ---------------------------------------------------------------------------
 
 def fspl(frequency: float | np.ndarray, d0: float | np.ndarray = 1.0):
@@ -318,68 +322,40 @@ def fspl(frequency: float | np.ndarray, d0: float | np.ndarray = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_abg(params: ABGParams | ABParams, frequency, distance):
-    """Mean path loss of the floating-intercept (ABG/AB) model, valid for d >= 1 m."""
-    frequency = np.asarray(frequency, dtype=float)
-    distance = np.asarray(distance, dtype=float)
-    if np.any(frequency <= 0):
-        raise DomainError("frequency must be > 0 GHz")
-    if np.any(distance < 1.0):
-        raise DomainError("ABG model is defined for d >= 1 m")
-    out = (10.0 * params.alpha * np.log10(distance) + params.beta
-           + 10.0 * params.gamma * np.log10(frequency))
-    return float(out) if out.ndim == 0 else out
+def _abg_loss(p: ABGParams | ABParams, f, d):
+    return 10.0 * p.alpha * np.log10(d) + p.beta + 10.0 * p.gamma * np.log10(f)
 
 
-def eval_ci(params: CIParams | CIOptParams, frequency, distance):
-    """Mean path loss of the close-in model: FSPL(f, d0) + 10*n*log10(d/d0).
-
-    Valid for d >= d0; at d = d0 the loss equals free space exactly, which is
-    the model's physical anchor.
-    """
-    frequency = np.asarray(frequency, dtype=float)
-    distance = np.asarray(distance, dtype=float)
-    d0 = params.d0
-    if np.any(distance < d0):
-        raise DomainError(f"CI model with d0={d0} m is defined for d >= d0")
-    out = fspl(frequency, d0) + 10.0 * params.n * np.log10(distance / d0)
-    return float(out) if np.ndim(out) == 0 else out
+def _ci_loss(p: CIParams | CIOptParams, f, d):  # free space at d = d0, the anchor
+    return fspl(f, p.d0) + 10.0 * p.n * np.log10(d / p.d0)
 
 
-def eval_cif(params: CIFParams, frequency, distance):
-    """Mean path loss of the frequency-weighted close-in model (1 m anchor).
-
-    The distance slope is n*(1 + b*(f - f0)/f0); it reduces to the CI model
-    when b = 0 or when f = f0.
-    """
-    frequency = np.asarray(frequency, dtype=float)
-    distance = np.asarray(distance, dtype=float)
-    if np.any(frequency <= 0):
-        raise DomainError("frequency must be > 0 GHz")
-    if np.any(distance < 1.0):
-        raise DomainError("CIF model is defined for d >= 1 m")
-    slope = 10.0 * params.n * (1.0 + params.b * (frequency - params.f0) / params.f0)
-    out = fspl(frequency, 1.0) + slope * np.log10(distance)
-    return float(out) if np.ndim(out) == 0 else out
+def _cif_loss(p: CIFParams, f, d):  # CI's slope where b = 0 or f = f0
+    return fspl(f, 1.0) + 10.0 * p.n * (1.0 + p.b * (f - p.f0) / p.f0) * np.log10(d)
 
 
 @dataclass(frozen=True)
 class ModelKind:
     """One model kind: its parameter class, the names of its fitted values in
-    constructor order, its evaluator, and any constants reported alongside."""
+    constructor order, its mean loss formula(params, f, d) on checked float
+    arrays, its text for d < d0 (with ``{d0}``) and any constants reported alongside."""
 
     params: type
     names: tuple[str, ...]
-    evaluator: Callable
+    formula: Callable
+    below_d0: str
     fixed: Mapping[str, float] = field(default_factory=dict)
 
 
+_ABG_BELOW_D0 = "ABG model is defined for d >= 1 m"
+_CI_BELOW_D0 = "CI model with d0={d0} m is defined for d >= d0"
+
 MODEL_KINDS: dict[str, ModelKind] = {
-    "abg": ModelKind(ABGParams, ("alpha", "beta", "gamma"), eval_abg),
-    "ab": ModelKind(ABParams, ("alpha", "beta"), eval_abg, {"gamma": 2.0}),
-    "ci": ModelKind(CIParams, ("n",), eval_ci),
-    "ci_opt": ModelKind(CIOptParams, ("n", "d0"), eval_ci),
-    "cif": ModelKind(CIFParams, ("n", "b", "f0"), eval_cif),
+    "abg": ModelKind(ABGParams, ("alpha", "beta", "gamma"), _abg_loss, _ABG_BELOW_D0),
+    "ab": ModelKind(ABParams, ("alpha", "beta"), _abg_loss, _ABG_BELOW_D0, {"gamma": 2.0}),
+    "ci": ModelKind(CIParams, ("n",), _ci_loss, _CI_BELOW_D0),
+    "ci_opt": ModelKind(CIOptParams, ("n", "d0"), _ci_loss, _CI_BELOW_D0),
+    "cif": ModelKind(CIFParams, ("n", "b", "f0"), _cif_loss, "CIF model is defined for d >= 1 m"),
 }
 
 
@@ -414,33 +390,39 @@ def param_values(params: ModelParams) -> dict[str, float]:
 
 
 def evaluate(params: ModelParams, frequency, distance):
-    """Evaluate any fitted parameter set at (frequency GHz, distance m)."""
-    return _model_kind(params).evaluator(params, frequency, distance)
+    """Mean path loss in dB of any fitted parameter set at (frequency GHz,
+    distance m), scalars or arrays; a DomainError where f <= 0 or d < d0."""
+    entry = _model_kind(params)
+    frequency = np.asarray(frequency, dtype=float)
+    distance = np.asarray(distance, dtype=float)
+    if np.any(frequency <= 0):
+        raise DomainError("frequency must be > 0 GHz")
+    if np.any(distance < params.d0):
+        raise DomainError(entry.below_d0.format(d0=params.d0))
+    out = entry.formula(params, frequency, distance)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _mean_frequency(freq_counts: Iterable[tuple[float, int]]) -> float:
-    pairs = tuple(freq_counts)
-    return sum(f * count for f, count in pairs) / sum(count for _, count in pairs)
+eval_abg = eval_ci = eval_cif = evaluate  # the per-kind names, kept for callers
 
 
 def weighted_mean_frequency(ds: Dataset) -> int:
-    """Sample-count-weighted mean frequency, rounded to the nearest integer GHz.
-
-    Ties round half away from zero (14.5 -> 15). Raises on an empty dataset.
-    """
+    """:func:`auto_f0` of the dataset as an int GHz (0 below a 0.5 GHz mean);
+    raises on an empty dataset."""
     if len(ds) == 0:
         raise DomainError("weighted mean frequency of an empty dataset is undefined")
-    return int(math.floor(_mean_frequency(ds.freq_summary) + 0.5))
+    return int(auto_f0(ds.freq_summary))
 
 
 def auto_f0(freq_counts: Iterable[tuple[float, int]]) -> float:
     """CIF's automatic balance frequency from (frequency GHz, sample count) pairs.
 
-    It is the count-weighted mean frequency rounded as by
-    :func:`weighted_mean_frequency`, or the unrounded mean where that rounds
-    to 0 GHz (sub-GHz data), since f0 must be positive.
+    It is the count-weighted mean frequency rounded to the nearest integer
+    GHz, ties half away from zero (14.5 -> 15), or the unrounded mean where
+    that rounds to 0 GHz (sub-GHz data), since f0 must be positive.
     """
-    mean = _mean_frequency(freq_counts)
+    pairs = tuple(freq_counts)
+    mean = sum(f * count for f, count in pairs) / sum(count for _, count in pairs)
     rounded = float(math.floor(mean + 0.5))
     return rounded if rounded > 0 else mean
 

@@ -21,11 +21,13 @@ from .domain import (
     Dataset,
     FitReport,
     auto_f0,
+    evaluate,
     fspl,
 )
-from .fitters import DegenerateDesignError, FitError, SingularDesignError
+from .fitters import SINGULARITY_RTOL, DegenerateDesignError, FitError, SingularDesignError
 
 _CHUNK = 20_000  # grid rows evaluated per block to bound memory
+_SURFACE_RTOL = 1e-9  # CIF params give back the solve's residuals to this x max|pl|
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -61,7 +63,12 @@ def oracle_fit(ds: Dataset, kind: str, *,
                d0_grid: tuple[float, float, float] = (0.1, 50.0, 0.01),
                f0: float | str = "auto") -> FitReport:
     """Minimum-sigma fit by dense grid search (ci, ci_opt) or SVD least
-    squares on an explicit design matrix (abg, ab, cif)."""
+    squares on an explicit design matrix (abg, ab, cif).
+
+    As in ``fit_cif``, an n that is zero to SINGULARITY_RTOL, or CIF params
+    whose evaluated surface misses the solve's residuals by more than
+    _SURFACE_RTOL*max|pl| (an f0 too far from the data), is a FitError.
+    """
     D, F, A, B, f = _columns(ds)
     if kind == "ci":
         return _oracle_ci_grid(D, A, n_grid)
@@ -78,9 +85,13 @@ def oracle_fit(ds: Dataset, kind: str, *,
         f0_value = auto_f0(ds.freq_summary) if f0 == "auto" else float(f0)
         (a, g), residuals = _lstsq([D, D * f], A, "cif oracle")
         n = a + g * f0_value
-        if n == 0.0:
+        if abs(n) <= SINGULARITY_RTOL * (abs(a) + abs(g * f0_value)):
             raise FitError("cif oracle: fitted n is zero, b undefined")
-        return FitReport.from_residuals(CIFParams(n, g * f0_value / n, f0_value), residuals)
+        params = CIFParams(n, g * f0_value / n, f0_value)
+        params_residuals = B - evaluate(params, f, ds.distance)
+        if not np.max(np.abs(params_residuals - residuals)) <= _SURFACE_RTOL * np.max(np.abs(B)):
+            raise FitError("cif oracle: f0 too far from the data for (n, b) to carry the fit")
+        return FitReport.from_residuals(params, residuals)
     raise FitError(f"unknown oracle kind {kind!r}")
 
 

@@ -292,8 +292,8 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
                     moments_sigma(fit.forms, prediction).tolist())):
                 if not isinstance(outcomes[i], list):
                     continue  # the point stopped at an earlier model's error
-                if error is None and near_d < getattr(params, "d0", 1.0):
-                    try:  # the evaluator's DomainError: the model is undefined below d0
+                if error is None and near_d < params.d0:
+                    try:  # evaluate's DomainError: the model is undefined below d0
                         evaluate(params, near_f, near_d)
                     except DomainError as exc:
                         error = exc

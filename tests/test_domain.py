@@ -159,6 +159,34 @@ class TestEvalCif:
             eval_cif(CIFParams(3.0, 0.0, 17.0), f, 10.0)
 
 
+# each kind's params, the d0 they carry and the kind's text below that d0
+DOMAIN_CASES = [
+    (ABGParams(3.5, 13.6, 2.4), 1.0, "ABG model is defined for d >= 1 m"),
+    (ABParams(3.5, 13.6), 1.0, "ABG model is defined for d >= 1 m"),
+    (CIParams(2.9), 1.0, "CI model with d0=1.0 m is defined for d >= d0"),
+    (CIOptParams(2.2, 7.25), 7.25, "CI model with d0=7.25 m is defined for d >= d0"),
+    (CIFParams(3.1, 0.1, 17.0), 1.0, "CIF model is defined for d >= 1 m"),
+]
+
+
+@pytest.mark.parametrize("params,d0,below_d0", DOMAIN_CASES,
+                         ids=[params.kind for params, _, _ in DOMAIN_CASES])
+def test_every_kind_is_defined_for_positive_f_and_d_from_its_d0(params, d0, below_d0):
+    assert params.d0 == d0
+    for f in (0.0, -2.0):
+        for d in (d0, d0 / 2):  # f is checked first, below d0 too
+            with pytest.raises(DomainError, match=r"^frequency must be > 0 GHz$"):
+                evaluate(params, f, d)
+    with pytest.raises(DomainError) as below:
+        evaluate(params, 28.0, np.nextafter(d0, 0.0))
+    assert str(below.value) == below_d0
+    at_d0 = evaluate(params, 28.0, d0)
+    assert type(at_d0) is float and math.isfinite(at_d0)
+    curve = evaluate(params, np.array([28.0, 73.0]), np.array([d0, 10.0 * d0]))
+    assert isinstance(curve, np.ndarray) and curve.shape == (2,)
+    assert eval_abg is eval_ci is eval_cif is evaluate
+
+
 @given(
     d1=st.floats(1.0, 2000.0), d2=st.floats(1.0, 2000.0),
     f=st.floats(0.5, 100.0), slope=st.floats(0.0, 6.0),

@@ -1,5 +1,7 @@
 """Grid-search and generic-solver oracle behavior (bracketing, agreement)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from pathlossfit import (
     DegenerateDesignError,
     SingularDesignError,
     SyntheticSpec,
+    evaluate,
     fit_ci,
     fit_ci_opt,
     fspl,
     generate,
     prediction_sigma,
+    rms,
 )
 from pathlossfit.fitters import FitError
 from pathlossfit.oracle import ci_slope_lstsq, oracle_fit
@@ -82,6 +86,29 @@ class TestGenericSolvers:
         f, d = np.repeat([2.0, 28.0], 2), np.tile([10.0, 100.0], 2)
         with pytest.raises(FitError, match="n is zero"):
             oracle_fit(Dataset.from_columns(f, d, fspl(f, 1.0)), "cif", f0=15.0)
+
+    def test_cif_oracle_rejects_a_slope_zero_to_rounding(self):
+        # slope 3*(1 - f/15) is zero at f0 = 15 but solves to n ~ 9e-16, which
+        # fit_cif rejects; the oracle used to report b ~ -3e15 from it
+        rows = [(f, d, fspl(f, 1.0) + 30.0 * (1.0 - f / 15.0) * math.log10(d))
+                for f in (2.0, 28.0) for d in (10.0, 50.0, 100.0, 400.0)]
+        with pytest.raises(FitError, match="n is zero"):
+            oracle_fit(make_dataset(rows), "cif", f0=15.0)
+
+    @pytest.mark.parametrize("f0", [1e12, 1e100])
+    def test_cif_oracle_rejects_an_f0_its_params_cannot_carry(self, f0):
+        # b rounds to 1 and n*(1 - b) loses a: at 1e100 the params evaluate
+        # to a 74 dB sigma while the solve's residuals give 5.7 dB
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=20160505,
+                             frequencies=((2.0, 58), (10.0, 58), (28.0, 22)),
+                             distance_range=(60.0, 1238.0))
+        ds = generate(spec)
+        report = oracle_fit(ds, "cif", f0=12.0)
+        f, d, pl = ds.arrays()
+        assert rms(pl - evaluate(report.params, f, d)) == pytest.approx(
+            report.sigma, rel=1e-9, abs=0.0)
+        with pytest.raises(FitError, match="f0 too far from the data"):
+            oracle_fit(ds, "cif", f0=f0)
 
     def test_ci_opt_oracle_needs_two_distances(self):
         rows = [(f, 100.0, 120.0 + f) for f in (2.0, 28.0, 28.0)]

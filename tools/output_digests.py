@@ -13,9 +13,16 @@ byte-identical:
     diff <(python3 tools/output_digests.py ../parent/src) \\
          <(python3 tools/output_digests.py src)
 
-The spec is the README's UMa campaign with each per-frequency count
-multiplied by the factor. ``tools/output_compare.py`` runs the same matrix
-on two checkouts and compares their outputs value by value instead.
+Two specs are written, each per-frequency count multiplied by the factor:
+``spec.json``, the README's UMa campaign, and ``short.json``, a CI-opt
+truth (n 2.2, d0 10 m) at 28 and 73 GHz over 10-200 m in an InHOffice LOS
+scenario. Its close sweep (d_max the InHOffice default of 15 m), its
+frequency hold-out and its CI-opt fit with d0 in [5, 50] m reach the text
+``CI model with d0=... m is defined for d >= d0``: as the skip reason of the
+sweep points whose fitted d0 lies above their nearest prediction distance
+(or on stderr, exit 3, where that skips every point), and as the blanks below
+d0 in the CI-opt curve. ``tools/output_compare.py`` runs the same matrix on
+two checkouts and compares their outputs value by value instead.
 """
 
 from __future__ import annotations
@@ -60,6 +67,13 @@ COMMANDS = (
      *ALL_MODELS),
     ("sweep", "--input", "raw.csv", "--out-dir", "sweep-tail", *ALL_MODELS,
      "--no-binning", "--no-threshold", "--split", "distance-close", "--delta-grid", TAIL_GRID),
+    ("generate", "--spec", "short.json", "--out", "short.csv"),
+    ("sweep", "--input", "short.csv", "--out-dir", "short-close", *ALL_MODELS,
+     "--split", "distance-close", "--no-binning", "--delta-grid", "0,5,10,20,40"),
+    ("sweep", "--input", "short.csv", "--out-dir", "short-loo", *ALL_MODELS,
+     "--split", "frequency-loo", "--no-binning"),
+    ("fit", "--input", "short.csv", "--out-dir", "short-fit", *ALL_MODELS,
+     "--d0-bounds", "5", "50"),
 )
 
 
@@ -73,11 +87,18 @@ def spec(seed: int, factor: int) -> dict:
             "distance_range": [60, 1238], "scenario": "UMa", "environment": "NLOS"}
 
 
+def short_spec(seed: int, factor: int) -> dict:
+    return {"truth": {"kind": "ci_opt", "n": 2.2, "d0": 10.0}, "sigma": 2.0, "seed": seed,
+            "frequencies": [{"frequency_ghz": f, "count": 150 * factor} for f in (28, 73)],
+            "distance_range": [10, 200], "scenario": "InHOffice", "environment": "LOS"}
+
+
 def run_commands(src: Path, seed: int, factor: int, work: Path):
-    """Write the spec into the directory ``work`` and run COMMANDS there with
+    """Write the specs into the directory ``work`` and run COMMANDS there with
     ``src`` first on the import path; yield each argv and its completed run."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    (work / "spec.json").write_text(json.dumps(spec(seed, factor)), encoding="utf-8")
+    for name, make in (("spec.json", spec), ("short.json", short_spec)):
+        (work / name).write_text(json.dumps(make(seed, factor)), encoding="utf-8")
     for argv in COMMANDS:
         yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
                                    cwd=work, env=env, capture_output=True)
