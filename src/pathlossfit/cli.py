@@ -18,6 +18,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -34,7 +35,6 @@ from .domain import (
     FitReport,
     evaluate,
     fspl,
-    param_values,
     params_to_dict,
 )
 from .fitters import (
@@ -44,8 +44,8 @@ from .fitters import (
     FitError,
     fit_with_reversion,
 )
-from .ingest import (IngestError, float_texts, generate, load_csv, load_spec, needs_repr,
-                     write_csv)
+from .ingest import (NOT_REPR_SCANS, IngestError, float_texts, generate, load_csv, load_spec,
+                     needs_repr, write_csv)
 from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
@@ -159,17 +159,40 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, by repr
+_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
+# a line whose value is a bare number: indent, an optional key, the number, a comma
+_NUMBER_LINE = re.compile(rb' *(?:"(?:[^"\\]|\\.)*": )?(-?\d[-+.\deE]*),?')
 
 
 def _json_text(obj) -> str:
     """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
-    final newline. A 1-D float64 array (a residual column) is printed by one
-    orjson dump when no value :func:`needs_repr`, else by :func:`float_texts`;
-    any other float by ``float.__repr__``."""
-    out: list[str] = []
-    _emit_json(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    final newline. A document that orjson writes without ``null`` (None, NaN
+    or an infinity), non-ASCII text or DEL (json escapes both) is one orjson
+    dump, with each bare float on a line that the scans hit respelled by
+    ``repr``. Any other takes the per-node writer :func:`_emit_json`, as does
+    one that orjson rejects (an array, an int beyond 64 bits, a lone
+    surrogate, a dataclass, a datetime). orjson writes a plain Enum or a UUID
+    by value where json raises; reports hold neither."""
+    try:
+        text = orjson.dumps(obj, option=_ORJSON_OPTIONS)
+    except TypeError:  # orjson.JSONEncodeError
+        text = None
+    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
+        out: list[str] = []
+        _emit_json(obj, "\n", out)
+        out.append("\n")
+        return "".join(out)
+    starts = {text.rfind(b"\n", 0, hit.start()) + 1
+              for scan in NOT_REPR_SCANS for hit in scan.finditer(text)}
+    pieces, end = [], 0
+    for start in sorted(starts):
+        line = _NUMBER_LINE.fullmatch(text, start, text.index(b"\n", start))
+        if line and not line[1].lstrip(b"-").isdigit():  # a float, not an int
+            pieces += (text[end:line.start(1)], repr(float(line[1])).encode())
+            end = line.end(1)
+    pieces.append(text[end:])
+    return b"".join(pieces).decode()
 
 
 def _emit_json(obj, newline: str, out: list[str]) -> None:
@@ -209,8 +232,8 @@ def _emit_json(obj, newline: str, out: list[str]) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    """CSV text of rows whose fields never need quoting (numbers, names, blanks)."""
-    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    """CSV text of rows of text fields that never need quoting (numbers, names, blanks)."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _fit_report_dict(report: FitReport) -> dict:
@@ -288,7 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         **head,
         "split": {"kind": split_spec.kind, **dataclasses.asdict(split_spec)},
         "models": list(args.models),
-        "points": [_sweep_point_dict(p) for p in report.points],
+        "points": _sweep_points_doc(report),
         "parameter_ranges": [
             {"model": r.model, "param": r.name, "low": r.low,
              "high": r.high, "width": r.width}
@@ -338,39 +361,33 @@ def _scenario_d_max(ds: Dataset) -> float:
     return next(iter(d_max.values()), DEFAULT_D_MAX["UMa"])
 
 
-def _sweep_point_dict(point) -> dict:
-    doc = {"point": point.point, "n_meas": point.n_meas, "n_pred": point.n_pred,
-           "n_gap": point.n_gap, "skipped": point.skipped}
-    if point.skipped:
-        doc["skip_reason"] = point.skip_reason
-        return doc
-    doc["models"] = {
-        entry.model: {"params": params_to_dict(entry.params),
-                      "measurement_sigma_db": entry.measurement_sigma,
-                      "prediction_sigma_db": entry.prediction_sigma,
-                      "flags": list(entry.flags)}
-        for entry in point.models
-    }
-    return doc
+def _sweep_points_doc(report: PredictionReport) -> list[dict]:
+    """Each sweep point as a JSON object, read off the report's columns."""
+    docs = []
+    for point, (n_meas, n_pred, n_gap), reason, models in report.table():
+        docs.append({"point": point, "n_meas": n_meas, "n_pred": n_pred, "n_gap": n_gap,
+                     "skipped": reason is not None})
+        docs[-1].update({"skip_reason": reason} if reason is not None else {"models": {
+            model: {"params": {"kind": kind, **values}, "measurement_sigma_db": measured,
+                    "prediction_sigma_db": predicted, "flags": list(flags)}
+            for model, kind, values, flags, measured, predicted in models}})
+    return docs
 
 
 def _sweep_trace_csv(report: PredictionReport) -> str:
+    """One row per (fitted point, model, parameter) and one per skipped point;
+    each float column is formatted whole by :func:`float_texts`."""
     header = ["sweep_point", "model", "param", "value", "measurement_sigma",
               "prediction_sigma", "n_meas", "n_pred", "skipped"]
     rows = []
-    for point in report.points:
-        if point.skipped:
-            rows.append([point.point, "", "", "", "", "",
-                         point.n_meas, point.n_pred, "true"])
-            continue
-        for entry in point.models:
-            for name, value in param_values(entry.params).items():
-                rows.append([point.point, entry.model, name, value,
-                             entry.measurement_sigma, entry.prediction_sigma,
-                             point.n_meas, point.n_pred, "false"])
-    texts = iter(float_texts([v for row in rows for v in row if type(v) is float]))
-    return _csv_text(header, ([next(texts) if type(v) is float else v for v in row]
-                              for row in rows))
+    for point, counts, reason, models in report.table(float_texts):
+        n_meas, n_pred = str(counts[0]), str(counts[1])
+        if reason is not None:
+            rows.append([point, "", "", "", "", "", n_meas, n_pred, "true"])
+        rows += ([point, model, name, value, measured, predicted, n_meas, n_pred, "false"]
+                 for model, _, values, _, measured, predicted in models
+                 for name, value in values.items())
+    return _csv_text(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
@@ -119,7 +119,8 @@ class Dataset:
     :meth:`from_columns` builds one from arrays.
 
     ``freq_summary`` lists each unique frequency once, ascending, with its
-    sample count; the counts always sum to ``len(dataset)``.
+    sample count; the counts always sum to ``len(dataset)``. Every fit of the
+    dataset shares its ``design`` and ``moments``, each built on first use.
     """
 
     def __init__(self, rows: Iterable[PathLossSample] = ()) -> None:
@@ -192,6 +193,18 @@ class Dataset:
     def freq_summary(self) -> tuple[tuple[float, int], ...]:
         values, counts = np.unique(self.frequency, return_counts=True)
         return tuple(zip(values.tolist(), counts.tolist()))
+
+    @cached_property
+    def design(self):  # a fitters.RegressionDesign (fitters imports this module)
+        from .fitters import RegressionDesign
+        return RegressionDesign.from_dataset(self)
+
+    @cached_property
+    def moments(self):  # the one-point fitters.Moments record of the design
+        from .fitters import Moments
+        columns = self.design.columns()  # first: an empty dataset's error
+        frequencies, counts = zip(*self.freq_summary)
+        return Moments.of(columns, frequencies, [counts])
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -346,6 +359,8 @@ class ModelKind:
     below_d0: str
     fixed: Mapping[str, float] = field(default_factory=dict)
 
+    value_names = property(lambda self: (*self.names, *self.fixed))  # param_values' keys
+
 
 _ABG_BELOW_D0 = "ABG model is defined for d >= 1 m"
 _CI_BELOW_D0 = "CI model with d0={d0} m is defined for d >= d0"
@@ -421,10 +436,18 @@ def auto_f0(freq_counts: Iterable[tuple[float, int]]) -> float:
     GHz, ties half away from zero (14.5 -> 15), or the unrounded mean where
     that rounds to 0 GHz (sub-GHz data), since f0 must be positive.
     """
-    pairs = tuple(freq_counts)
-    mean = sum(f * count for f, count in pairs) / sum(count for _, count in pairs)
-    rounded = float(math.floor(mean + 0.5))
-    return rounded if rounded > 0 else mean
+    frequencies, counts = np.array(tuple(freq_counts), dtype=float).reshape(-1, 2).T
+    return float(auto_f0_rows(frequencies, counts[None, :])[0])
+
+
+def auto_f0_rows(frequencies, counts) -> np.ndarray:
+    """:func:`auto_f0` of each row of ``counts`` (P, n_freq) at ``frequencies``,
+    summed in table order as Python's ``sum`` adds the pairs."""
+    weighted = total = np.zeros(len(counts))
+    for f, column in zip(np.asarray(frequencies).tolist(), np.asarray(counts).T):
+        weighted, total = weighted + f * column, total + column
+    rounded = np.floor(weighted / total + 0.5)
+    return np.where(rounded > 0, rounded, weighted / total)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +486,11 @@ class FitReport:
     @classmethod
     def from_residuals(cls, params: ModelParams, residuals,
                        flags: tuple[str, ...] = ()) -> "FitReport":
-        res = np.asarray(residuals, dtype=float)
-        return cls(params=params, sigma=rms(res), n_points=res.size,
-                   residuals=res, flags=flags)
+        """One copy of ``residuals`` and one RMS; the constructor's checks hold
+        by construction, so it is bypassed (every field is set, or KeyError)."""
+        res = _readonly(residuals)
+        values = dict(params=params, sigma=rms(res), n_points=res.size, residuals=res,
+                      flags=flags)
+        report = object.__new__(cls)
+        report.__dict__.update({f.name: values[f.name] for f in fields(cls)})
+        return report

@@ -36,7 +36,7 @@ from .domain import (
     DomainError,
     FitReport,
     ModelParams,
-    auto_f0,
+    auto_f0_rows,
     fspl,
 )
 
@@ -158,16 +158,19 @@ class Moments:
             shell, size = columns[:, lo:hi], hi - lo
             mean = shell.sum(axis=1) / size
             centred = shell - mean[:, None]
-            comoment, low, high = centred @ centred.T, shell[1].min(), shell[1].max()
+            comoment = centred @ centred.T
             if records:
-                tail, tail_mean, tail_comoment, tail_low, tail_high = records[-1]
+                tail, tail_mean, tail_comoment = records[-1]
                 delta = mean - tail_mean
-                comoment = (tail_comoment + comoment
-                            + np.outer(delta, delta) * (tail * size / (tail + size)))
+                comoment = (tail_comoment + comoment  # delta times delta: np.outer's product
+                            + delta[:, None] * delta * (tail * size / (tail + size)))
                 mean = tail_mean + delta * (size / (tail + size))
-                low, high, size = min(low, tail_low), max(high, tail_high), tail + size
-            records.append((size, mean, comoment, low, high))
-        n, mean, comoment, low, high = map(np.array, zip(*records[::-1]))
+                size += tail
+            records.append((size, mean, comoment))
+        n, mean, comoment = map(np.array, zip(*records[::-1]))
+        # the extreme D of each suffix from its shells' (an empty one reads the next's first)
+        low, high = (extreme.accumulate(extreme.reduceat(columns[1], starts)[::-1])[::-1]
+                     for extreme in (np.minimum, np.maximum))
         return cls(n, mean, comoment, np.asarray(frequencies, dtype=float),
                    np.cumsum(np.asarray(counts)[::-1], axis=0)[::-1], low, high)
 
@@ -330,9 +333,8 @@ def _solve_ab(m: Moments, f0, d0_bounds, errors: list) -> _Values:
 
 def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
                allow_single_frequency: bool = True) -> _Values:
-    table = m.frequencies.tolist()  # an absent frequency adds 0.0 to auto_f0's sums
-    f0 = np.array([auto_f0(zip(table, row)) if value == "auto" else float(value)
-                   for row, value in zip(m.counts.tolist(), f0)])
+    f0 = np.array([auto if value == "auto" else float(value)
+                   for auto, value in zip(auto_f0_rows(m.frequencies, m.counts).tolist(), f0)])
     _require_beyond_one_meter(m, "fit_cif", errors)
     single = _single_frequency(m)
     if not allow_single_frequency:
@@ -361,43 +363,67 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
 
 @dataclass(frozen=True, eq=False)
 class StackedFit:
-    """One model fitted at every point of a Moments stack: each point's
-    params (None at an error), flags, error (None if it fitted) and the
-    residual form over VARIABLES that its solve minimised, whose RMS over any
-    record is :func:`moments_sigma`."""
+    """One model fitted at every point of a Moments stack, as columns: each
+    point's fitted kind (the one asked for, or its single-frequency
+    substitute), its ``values`` (P, k) under the asked kind's
+    ``MODEL_KINDS[...].value_names``, its flags, its error (None if it
+    fitted) and the residual form over VARIABLES that its solve minimised,
+    whose RMS over any record is :func:`moments_sigma` (None where the points
+    were fitted one at a time). :attr:`params` builds the params objects."""
 
-    params: list
+    kinds: list[str]
+    values: np.ndarray
     flags: list[tuple[str, ...]]
     errors: list
-    forms: np.ndarray
+    forms: np.ndarray | None = None
+
+    def at(self, i: int) -> ModelParams | None:
+        """The params of point ``i`` (None at an error)."""
+        if self.errors[i] is not None:
+            return None
+        entry = MODEL_KINDS[self.kinds[i]]
+        return entry.params(*self.values[i, :len(entry.names)].tolist())
+
+    @property
+    def params(self) -> list:
+        return [self.at(i) for i in range(len(self.errors))]
+
+    def take(self, index: list[int]) -> "StackedFit":
+        """The fits of the points ``index``, in that order."""
+        pick = lambda column: [column[i] for i in index]  # noqa: E731
+        return StackedFit(pick(self.kinds), self.values[index], pick(self.flags),
+                          pick(self.errors), None if self.forms is None else self.forms[index])
 
     def result(self) -> tuple[ModelParams, tuple[str, ...]]:
         """(params, flags) at the first point; raises its error."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        return self.params[0], self.flags[0]
+        return self.at(0), self.flags[0]
 
 
 def _solve(m: Moments, kind: str, f0, d0_bounds, *args) -> StackedFit:
-    """Fit ``kind`` at every point of ``m``, with each point's f0 ("auto" or GHz)."""
+    """Fit ``kind`` at every point of ``m``, with each point's f0 ("auto" or
+    GHz); a point whose params fail their own check (CI-opt's d0, CIF's f0)
+    takes its DomainError."""
     errors = [None] * len(m)
     values, forms, flags = _SOLVERS[kind](m, f0, d0_bounds, errors, *args)
-    params, make = [None] * len(m), MODEL_KINDS[kind].params
+    entry = MODEL_KINDS[kind]
     for i, row in enumerate(values.tolist()):
         try:
-            params[i] = make(*row) if errors[i] is None else None
+            if errors[i] is None:
+                entry.params(*row)  # its check only: the values are the columns kept
         except DomainError as exc:
             errors[i] = exc
-    return StackedFit(params, flags, errors, forms)
+    if entry.fixed:
+        values = np.column_stack((values, np.tile(tuple(entry.fixed.values()), (len(m), 1))))
+    return StackedFit([kind] * len(m), values, flags, errors, forms)
 
 
 def _fit(ds: Dataset, kind: str, f0="auto", d0_bounds=D0_BOUNDS_DEFAULT, *args) -> FitReport:
-    """Fit ``ds`` as a stack of one; the residuals come from the regression columns."""
-    columns = RegressionDesign.from_dataset(ds).columns()
-    frequencies, counts = zip(*ds.freq_summary)
-    m = Moments.of(columns, frequencies, [counts])
-    params, flags = (fit := _solve(m, kind, [f0], d0_bounds, *args)).result()
-    return FitReport.from_residuals(params, fit.forms[0] @ columns, flags)
+    """Fit ``ds`` as a stack of one, its record; the residuals come from its
+    regression columns. Both are built once per dataset."""
+    params, flags = (fit := _solve(ds.moments, kind, [f0], d0_bounds, *args)).result()
+    return FitReport.from_residuals(params, fit.forms[0] @ ds.design.columns(), flags)
 
 
 def fit_ci(ds: Dataset) -> FitReport:
@@ -521,18 +547,22 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
     the single-frequency points are each solved as one stack."""
     single = _single_frequency(m)
     lowest = m.frequencies[(m.counts > 0).argmax(axis=1)].tolist()
-    reverted = [_reverted(kind, f if lone else None, f0)
-                for lone, f in zip(single.tolist(), lowest)]
-    out = StackedFit([None] * len(m), [()] * len(m), [None] * len(m),
-                     np.empty((len(m), len(VARIABLES))))
+    out = StackedFit([kind] * len(m), np.empty((len(m), len(MODEL_KINDS[kind].value_names))),
+                     [()] * len(m), [None] * len(m), np.empty((len(m), len(VARIABLES))))
     for index in (np.flatnonzero(~single), np.flatnonzero(single)):
-        if index.size:
-            fit_kind, _, flag = reverted[index[0]]
-            fit = _solve(m.take(index), fit_kind, [reverted[i][1] for i in index], d0_bounds)
-            out.forms[index] = fit.forms
+        if index.size:  # the multi-frequency points share one convention
+            reverted = ([_reverted(kind, lowest[i], f0) for i in index.tolist()] if single[index[0]]
+                        else [_reverted(kind, None, f0)] * index.size)
+            fit_kind, _, flag = reverted[0]
+            whole = index.size == len(m)
+            fit = _solve(m if whole else m.take(index), fit_kind, [r[1] for r in reverted],
+                         d0_bounds)
+            if whole and not flag:  # one part, with nothing to add: the fit as solved
+                return fit
+            out.values[index], out.forms[index] = fit.values, fit.forms
             for j, i in enumerate(index.tolist()):
-                out.params[i], out.flags[i], out.errors[i] = (
-                    fit.params[j], fit.flags[j] + flag, fit.errors[j])
+                out.kinds[i], out.flags[i], out.errors[i] = (
+                    fit_kind, fit.flags[j] + flag, fit.errors[j])
     return out
 
 

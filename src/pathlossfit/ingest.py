@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,9 +217,15 @@ def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
 def needs_repr(values: np.ndarray) -> np.ndarray:
     """Where orjson's text of a float64 value differs from ``repr``: orjson's
     equals ``repr`` for 0 and 1e-4 <= |v| < 1e16, not for exponent forms, NaN
-    and the infinities."""
+    and the infinities. :data:`NOT_REPR_SCANS` find the finite ones in text."""
     magnitude = np.abs(values)
     return (values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
+# The text of each finite needs_repr value in orjson's output holds a hit of
+# one scan: an exponent (1e-7, 1e16) or 0.0000 (1e-5 <= |v| < 1e-4). Each scan
+# starts with a literal, which keeps it fast.
+NOT_REPR_SCANS = (re.compile(rb"e[-+]?\d"), re.compile(rb"0\.0000"))
 
 
 def float_texts(values) -> list[str]:

@@ -9,17 +9,20 @@ two sets grow apart in distance or as each frequency is held out in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .domain import (
+    MODEL_KINDS,
     Dataset,
     DomainError,
     ModelParams,
     evaluate,
     param_values,
+    params_from_dict,
     rms,
 )
 from .fitters import (
@@ -28,6 +31,7 @@ from .fitters import (
     FitError,
     Moments,
     RegressionDesign,
+    StackedFit,
     fit_stack,
     fit_with_reversion,
     moments_sigma,
@@ -181,13 +185,57 @@ class SweepPoint:
     models: tuple[ModelPrediction, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionReport:
+    """A sweep's results as columns: per sweep point its ``point``, its
+    (n_meas, n_pred, n_gap) ``counts`` and its ``skip_reason`` (None where
+    every model fitted); over the fitted points, each model's StackedFit and
+    the (points, models, 2) measurement and prediction ``sigma``. ``table``
+    reads the columns point by point, and ``points`` builds the SweepPoints
+    from it on first use."""
+
     spec: SplitSpec
-    points: tuple[SweepPoint, ...]
+    models: tuple[str, ...]
+    point: tuple[float, ...] = ()
+    counts: tuple[tuple[int, int, int], ...] = ()
+    skip_reason: tuple[str | None, ...] = ()
+    fits: tuple[StackedFit, ...] = ()
+    sigma: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 2)))
+
+    def table(self, texts=lambda column: column.ravel().tolist()):
+        """Per sweep point (point, counts, skip_reason, models): at a fitted
+        point, per model (model, fitted kind, {value name: value}, flags,
+        measurement sigma, prediction sigma), at a skipped one none. Each
+        float comes from ``texts`` of its whole column: the float itself by
+        default, or a text such as :func:`~pathlossfit.ingest.float_texts` gives."""
+        names = [MODEL_KINDS[model].value_names for model in self.models]
+        rows = lambda column, width: zip(*[iter(texts(column))] * width)  # noqa: E731
+        fitted = zip(*(zip(fit.kinds, rows(fit.values, len(model_names)), fit.flags)
+                       for fit, model_names in zip(self.fits, names)))
+        sigmas = rows(self.sigma, 2)
+        for point, counts, reason in zip(texts(np.array(self.point)), self.counts,
+                                         self.skip_reason):
+            yield point, counts, reason, () if reason is not None else [
+                (model, kind, dict(zip(model_names, values)), flags, *next(sigmas))
+                for model, model_names, (kind, values, flags)
+                in zip(self.models, names, next(fitted))]
+
+    @cached_property
+    def points(self) -> tuple[SweepPoint, ...]:
+        return tuple(SweepPoint(point, *counts, reason is not None, reason or "", tuple(
+            ModelPrediction(model, params_from_dict({"kind": kind, **values}), *sigmas, flags)
+            for model, kind, values, flags, *sigmas in models))
+            for point, counts, reason, models in self.table())
 
     def active_points(self) -> tuple[SweepPoint, ...]:
         return tuple(p for p in self.points if not p.skipped)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, PredictionReport)
+                and (self.spec, self.points) == (other.spec, other.points))
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.points))
 
 
 def run_sweep(ds: Dataset, spec: SplitSpec,
@@ -208,54 +256,52 @@ def run_sweep(ds: Dataset, spec: SplitSpec,
     for kind in models:
         if kind not in FITTER_KINDS:
             raise SweepError(f"unknown model kind {kind!r}; expected one of {FITTER_KINDS}")
-    if isinstance(spec, FrequencyLOO):
-        results = _refit_points(ds, spec, models, f0, d0_bounds)
-    else:
-        results = _moment_points(ds, spec, models, f0, d0_bounds)
-
-    if not results:  # a frequency hold-out of a dataset with no samples
+    sweep_points = _refit_points if isinstance(spec, FrequencyLOO) else _moment_points
+    report = sweep_points(ds, spec, tuple(models), f0, d0_bounds)
+    if not report.point:  # a frequency hold-out of a dataset with no samples
         raise SweepError("no sweep points: the dataset has no samples")
-    report = PredictionReport(spec=spec, points=tuple(results))
-    if not report.active_points():
-        first = results[0]
+    if None not in report.skip_reason:
         raise SweepError(f"all sweep points skipped; first degeneracy at "
-                         f"point {first.point}: {first.skip_reason}")
+                         f"point {report.point[0]}: {report.skip_reason[0]}")
     return report
 
 
-def _sweep_point(point: float, n_meas: int, n_pred: int, n_gap: int, outcome) -> SweepPoint:
-    """The sweep point with these counts whose models scored ``outcome``: their
-    ModelPredictions in a list, or the first error. An error or an empty set skips it."""
-    base = (float(point), n_meas, n_pred, n_gap)
+def _empty_set(n_meas: int, n_pred: int) -> str | None:
+    """The skip reason of a point with an empty set, or None."""
     if n_meas == 0 or n_pred == 0:
-        which = "measurement" if n_meas == 0 else "prediction"
-        return SweepPoint(*base, skipped=True, skip_reason=f"empty {which} set")
-    if isinstance(outcome, list):
-        return SweepPoint(*base, skipped=False, models=tuple(outcome))
-    return SweepPoint(*base, skipped=True, skip_reason=str(outcome))
+        return f"empty {'measurement' if n_meas == 0 else 'prediction'} set"
+    return None
 
 
-def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> list[SweepPoint]:
-    """Each point from a split of ``ds`` and a refit of every model."""
-    results = []
-    for point in spec.points(ds):
+def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> PredictionReport:
+    """Each point from a split of ``ds`` and a refit of every model; a point
+    takes its first model error."""
+    points, counts, reasons, fitted = tuple(map(float, spec.points(ds))), [], [], []
+    for point in points:
         measurement, prediction = split(ds, spec, point)
-        outcome = []
-        for kind in models if len(measurement) and len(prediction) else ():  # empty set: no fit
+        counts.append((len(measurement), len(prediction),
+                       len(ds) - len(measurement) - len(prediction)))
+        reason, reports = _empty_set(len(measurement), len(prediction)), []
+        for kind in models if reason is None else ():
             try:
                 report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-                predicted = prediction_sigma(report.params, prediction)
+                reports.append((report, prediction_sigma(report.params, prediction)))
             except (FitError, DomainError) as exc:
-                outcome = exc
+                reason = str(exc)
                 break
-            outcome.append(ModelPrediction(kind, report.params, report.sigma, predicted,
-                                           report.flags))
-        results.append(_sweep_point(point, len(measurement), len(prediction),
-                                    len(ds) - len(measurement) - len(prediction), outcome))
-    return results
+        reasons.append(reason)
+        fitted += [reports] if reason is None else []
+    # each model's reports over the fitted points, as a stack
+    fits = tuple(StackedFit([r.params.kind for r, _ in column],
+                            np.array([list(param_values(r.params).values()) for r, _ in column]),
+                            [r.flags for r, _ in column], [None] * len(column))
+                 for column in zip(*fitted))
+    sigma = [[(report.sigma, predicted) for report, predicted in row] for row in fitted]
+    return PredictionReport(spec, models, points, tuple(counts), tuple(reasons), fits,
+                            np.array(sigma).reshape(len(fitted), len(models), 2))
 
 
-def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> list[SweepPoint]:
+def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> PredictionReport:
     """Each point of a distance sweep from moments, with no per-point refit.
 
     In the order of the spec's key (:class:`_DistanceSplit`) the prediction
@@ -263,7 +309,9 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     shells between consecutive limits are merged from the end of the order,
     so a measurement set's moments come from its own samples only. The
     records of the points that have both sets are stacked, and each model is
-    solved once over the stack (:func:`~pathlossfit.fitters.fit_stack`).
+    solved once over the stack (:func:`~pathlossfit.fitters.fit_stack`). A
+    point takes its first model error, or the DomainError of a model
+    undefined at the nearest prediction distance (below its d0).
     """
     sign, limit = spec.sign, spec.sign * spec.cutoff
     order = np.argsort(sign * ds.distance, kind="stable")
@@ -271,12 +319,13 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     n = len(ds)
     n_pred = int(np.searchsorted(key, limit, side="right"))
     starts = np.searchsorted(key, [limit + p for p in spec.delta_grid], side="right").tolist()
-    # the measurement sets shrink along the sweep: the nonempty ones are a prefix
-    active = sum(start < n for start in starts) if n_pred else 0
-    outcomes = [[] for _ in starts]  # the inactive points keep theirs empty
+    reasons = [_empty_set(n - start, n_pred) for start in starts]
+    active = reasons.count(None)  # the measurement sets shrink: the nonempty ones are a prefix
+    fits, sigma = [], np.empty((active, len(models), 2))
     if active:
-        columns = RegressionDesign.from_dataset(ds).columns()[:, order]
-        frequencies, frequency = np.unique(ds.frequency[order], return_inverse=True)
+        columns = RegressionDesign.from_dataset(ds).columns()[:, order]  # sorted: not cached
+        frequencies = np.array(ds.frequencies)
+        frequency = np.searchsorted(frequencies, ds.frequency[order])
         bounds = [0, n_pred, *starts[:active], n]
         counts = [np.bincount(frequency[lo:hi], minlength=frequencies.size)
                   for lo, hi in zip(bounds, bounds[1:])]
@@ -284,23 +333,23 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
         measurement = Moments.of(columns, frequencies, counts[2:], starts[:active])
         nearest = order[0] if sign > 0 else order[n_pred - 1]  # smallest prediction d
         near_f, near_d = ds.frequency[nearest], ds.distance[nearest]
-        for kind in models:
-            fit = fit_stack(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-            for i, (params, flags, error, measured, predicted) in enumerate(zip(
-                    fit.params, fit.flags, fit.errors,
-                    moments_sigma(fit.forms, measurement).tolist(),
-                    moments_sigma(fit.forms, prediction).tolist())):
-                if not isinstance(outcomes[i], list):
-                    continue  # the point stopped at an earlier model's error
-                if error is None and near_d < params.d0:
-                    try:  # evaluate's DomainError: the model is undefined below d0
-                        evaluate(params, near_f, near_d)
-                    except DomainError as exc:
-                        error = exc
-                outcomes[i] = error if error is not None else [*outcomes[i], ModelPrediction(
-                    kind, params, measured, predicted, flags)]
-    return [_sweep_point(point, n - start, n_pred, start - n_pred, outcome)
-            for point, start, outcome in zip(spec.points(ds), starts, outcomes)]
+        for j, kind in enumerate(models):
+            fits.append(fit := fit_stack(measurement, kind, f0=f0, d0_bounds=d0_bounds))
+            sigma[:, j, 0] = moments_sigma(fit.forms, measurement)
+            sigma[:, j, 1] = moments_sigma(fit.forms, prediction)
+            # only CI-opt fits a d0 above the 1 m that every sample reaches
+            for i in np.flatnonzero(near_d < fit.values[:, 1]).tolist() if kind == "ci_opt" else ():
+                try:  # evaluate's DomainError: the model is undefined below d0
+                    if fit.errors[i] is None:
+                        evaluate(fit.at(i), near_f, near_d)
+                except DomainError as exc:
+                    fit.errors[i] = exc
+            reasons[:active] = [str(error) if reason is None and error is not None else reason
+                                for reason, error in zip(reasons, fit.errors)]
+    rows = [i for i, reason in enumerate(reasons[:active]) if reason is None]
+    return PredictionReport(spec, models, tuple(map(float, spec.points(ds))),
+                            tuple((n - start, n_pred, start - n_pred) for start in starts),
+                            tuple(reasons), tuple(fit.take(rows) for fit in fits), sigma[rows])
 
 
 @dataclass(frozen=True)
@@ -319,10 +368,16 @@ class ParamRange:
 
 @dataclass(frozen=True)
 class ParameterTrace:
-    """Long-form (point, model, name, value) rows plus per-parameter ranges."""
+    """Per-parameter ranges over a sweep's fitted points, and the long-form
+    (point, model, name, value) rows, built from the report on first use."""
 
-    rows: tuple[tuple[float, str, str, float], ...]
+    report: PredictionReport
     ranges: tuple[ParamRange, ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float, str, str, float], ...]:
+        return tuple((point, model, name, value) for point, _, _, models in self.report.table()
+                     for model, _, values, *_ in models for name, value in values.items())
 
     def range_of(self, model: str, name: str) -> ParamRange:
         for r in self.ranges:
@@ -332,18 +387,14 @@ class ParameterTrace:
 
 
 def parameter_trace(report: PredictionReport) -> ParameterTrace:
-    """Tabulate fitted parameters per sweep point and their min/max spread."""
-    if not report.points:
+    """The min/max spread of each fitted parameter over the sweep's fitted points."""
+    if not report.point:
         raise SweepError("empty prediction report")
-    rows = []
-    spans: dict[tuple[str, str], tuple[float, float]] = {}
-    for point in report.active_points():
-        for entry in point.models:
-            for name, value in param_values(entry.params).items():
-                rows.append((point.point, entry.model, name, value))
-                key = (entry.model, name)
-                lo, hi = spans.get(key, (value, value))
-                spans[key] = (min(lo, value), max(hi, value))
-    ranges = tuple(ParamRange(model, name, lo, hi)
-                   for (model, name), (lo, hi) in sorted(spans.items()))
-    return ParameterTrace(rows=tuple(rows), ranges=ranges)
+    spans = {}
+    for model, fit in zip(report.models, report.fits):
+        if len(fit.values):
+            spans.update(((model, name), (low, high)) for name, low, high in zip(
+                MODEL_KINDS[model].value_names, fit.values.min(axis=0).tolist(),
+                fit.values.max(axis=0).tolist()))
+    return ParameterTrace(report, tuple(ParamRange(model, name, low, high)
+                                        for (model, name), (low, high) in sorted(spans.items())))

@@ -3,6 +3,8 @@ give the same bytes as repr, json.dumps and csv.writer, and stay off the slow
 paths (the pure-Python JSON encoder, one np.mean per bin)."""
 
 import csv
+import datetime
+import enum
 import io
 import json
 import math
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathlossfit import CIParams, Dataset, SyntheticSpec
+from pathlossfit import cli
 from pathlossfit.cli import _json_text, main
 from pathlossfit.domain import Environment, Scenario
 from pathlossfit.ingest import (
@@ -79,6 +82,84 @@ class TestJsonText:
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
             _json_text({"x": object()})
+
+
+def json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def one_dump(doc) -> bool:
+    """Whether ``_json_text(doc)`` is one orjson dump, never entering the
+    per-node writer; asserts that its text is json's either way."""
+    with mock.patch.object(cli, "_emit_json", wraps=cli._emit_json) as walker:
+        assert _json_text(doc) == json_reference(doc)
+    return not walker.called
+
+
+# what orjson writes otherwise than repr, at and around the edges of needs_repr
+REPAIRED = [1e-4, 1e16, 5e-324, -0.0, -5e-324, 1e-5, -9.99e-5, 1.5e-7, 1e22, -1e308,
+            1.7976931348623157e308, 2.2250738585072014e-308, -8.697174632913632e-06,
+            float(np.nextafter(1e-4, 0)), float(np.nextafter(1e16, 0)), 10.00001]
+# text that looks like a number or holds a needle of the repair's scans
+NEEDLES = ["1e5", "0.00001", "null", '": 1e-05', "x\n1e-05", "1e-05", "e-7", "10.0000"]
+
+
+class Band(str, enum.Enum):
+    MM_WAVE = "mmWave"
+
+
+class TestJsonOneDump:
+    def test_random_float_bit_patterns_as_scalars(self):
+        bits = np.random.default_rng(20160505).integers(0, 2 ** 64, 6000, dtype=np.uint64)
+        values = [v for v in bits.view(np.float64).tolist() if math.isfinite(v)] + REPAIRED
+        doc = {"flat": values[:2000],
+               "nested": [{"v": v, "pair": [v, -v], "deep": {"x": [[v]]}}
+                          for v in values[2000:4000]],
+               "keyed": {f"k{i}": v for i, v in enumerate(values[4000:])}}
+        assert one_dump(doc)
+        assert one_dump(REPAIRED) and one_dump(1e-05) and one_dump(-0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.recursive(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                  st.sampled_from(REPAIRED), st.integers(-2 ** 63, 2 ** 64 - 1),
+                  st.booleans(), st.text(st.characters(min_codepoint=32, max_codepoint=126))),
+        lambda children: st.one_of(
+            st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(st.sampled_from(NEEDLES[1:] + ["a", "b"]), children,
+                            max_size=5)),
+        max_leaves=30))
+    def test_ascii_documents_without_null_match_json_dumps(self, doc):
+        assert _json_text(doc) == json_reference(doc)
+
+    @pytest.mark.parametrize("text", NEEDLES)
+    def test_needles_in_strings_and_keys_are_left_alone(self, text):
+        doc = {text: [text, 1e-05, 12, {text: 1e16}], "k": text}
+        assert one_dump(doc) == (text != "null")  # "null" anywhere sends it to the walker
+
+    def test_none_next_to_nan_and_the_infinities_takes_the_walker(self):
+        for doc in ({"a": None, "b": math.nan, "c": [math.inf, -math.inf, None]},
+                    [None, 1e-05], {"x": math.nan}, [-math.inf]):
+            assert not one_dump(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"del": "a\x7fb"}, {"é": 1.0}, {"x": "snow ☃"}, {"x": "\ud800"}, {"\ud800": 1},
+        {"big": 2 ** 64}, {"big": [2 ** 64 + 1, 10 ** 30]}, {"small": -2 ** 63 - 1}], ids=repr)
+    def test_what_json_escapes_or_orjson_rejects_takes_the_walker(self, doc):
+        assert not one_dump(doc)
+
+    def test_64_bit_ints_and_control_characters_take_one_dump(self):
+        assert one_dump({"ints": [2 ** 64 - 1, -2 ** 63, 0, -1], "ctl": "\x1f\b\f\n\r\t\"\\/"})
+
+    def test_a_dataclass_and_a_datetime_raise_as_json_does(self):
+        for value in (CIParams(2.9), datetime.datetime(2016, 5, 5), datetime.date(2016, 5, 5)):
+            with pytest.raises(TypeError):
+                json.dumps({"x": value})
+            with pytest.raises(TypeError):
+                _json_text({"x": value})
+
+    def test_a_str_enum_is_written_as_json_writes_it(self):
+        assert one_dump({"band": Band.MM_WAVE, "bands": [Band.MM_WAVE]})
 
 
 # label text with the characters CSV quotes, and more; load_csv strips fields
@@ -155,6 +236,20 @@ class TestCostGuards:
                      "--models", "abg,ab,ci,ci_opt,cif", "--no-binning"]) == 0
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert len(report["models"]["ci"]["residuals_db"]) == report["preprocess"]["n_output"]
+
+    def test_a_distance_sweep_report_is_one_orjson_dump(self, tmp_path, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_dict(SyntheticSpec(
+            truth=CIParams(2.9), sigma=5.7, seed=7, frequencies=((2.0, 300), (28.0, 300)),
+            distance_range=(60.0, 1238.0)))), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-node JSON writer was entered")
+        monkeypatch.setattr(cli, "_emit_json", refuse)
+        assert main(["sweep", "--synthetic", str(spec_path), "--out-dir", str(tmp_path),
+                     "--models", "abg,ab,ci,ci_opt,cif", "--split", "distance-close"]) == 0
+        report = json.loads((tmp_path / "sweep_report.json").read_text())
+        assert len(report["points"]) == 13 and report["input"]["seed"] == 7
 
     @pytest.mark.parametrize("average", BIN_AVERAGE_MODES)
     def test_bin_by_distance_takes_two_means_per_group_size(self, uma_synthetic,

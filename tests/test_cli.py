@@ -518,6 +518,28 @@ class TestSweep:
         assert any(line.endswith(",true") for line in lines[1:])
         assert any(line.endswith(",false") for line in lines[1:])
 
+    def test_trace_rows_repeat_the_report(self, tmp_path, ci_spec_file):
+        # each trace row holds its point's counts, or its model's value and
+        # sigmas, as the report gives them (floats by repr)
+        out_dir = tmp_path / "sweepout"
+        assert run("sweep", "--synthetic", ci_spec_file, "--out-dir", out_dir,
+                   "--split", "distance-far", "--d-min", "1200",
+                   "--delta-grid", "0,1100,1190", "--models", "ci,ci_opt,cif",
+                   "--no-binning", "--no-threshold") == 0
+        want = []
+        for point in read_report(out_dir / "sweep_report.json")["points"]:
+            head, tail = repr(point["point"]), [str(point["n_meas"]), str(point["n_pred"])]
+            if point["skipped"]:
+                want.append([head, "", "", "", "", "", *tail, "true"])
+            for model, entry in point.get("models", {}).items():
+                sigmas = [repr(entry["measurement_sigma_db"]), repr(entry["prediction_sigma_db"])]
+                want += [[head, model, name, repr(value), *sigmas, *tail, "false"]
+                         for name, value in entry["params"].items() if name != "kind"]
+        lines = (out_dir / "sweep_trace.csv").read_text().splitlines()
+        assert lines[0].split(",")[6:8] == ["n_meas", "n_pred"]
+        assert sorted(line.split(",") for line in lines[1:]) == sorted(want)
+        assert {row[-1] for row in want} == {"true", "false"}
+
 
 # Two rows at each of 28 and 73 GHz: a width of 1e-320 m overflows d / w.
 TINY_WIDTH_ROWS = [(28.0, 100.0, 110.0, "UMa"), (28.0, 200.0, 118.0, "UMa"),

@@ -292,6 +292,18 @@ class TestValueTypes:
             FitReport(params=CIParams(2.0), sigma=1.0, n_points=3,
                       residuals=(1.0, -1.0))
 
+    def test_from_residuals_takes_one_rms_and_one_copy(self, monkeypatch):
+        from pathlossfit import domain
+        calls, real = [], domain.rms
+        monkeypatch.setattr(domain, "rms", lambda values: calls.append(1) or real(values))
+        residuals = np.array([1.0, -1.0, 3.0])
+        report = FitReport.from_residuals(CIParams(2.0), residuals, ("flag",))
+        assert calls == [1] and report.sigma == real(residuals)
+        assert (report.n_points, report.flags) == (3, ("flag",))
+        assert not report.residuals.flags.writeable
+        residuals[0] = 5.0  # the report holds its own copy
+        assert report.residuals.tolist() == [1.0, -1.0, 3.0]
+
 
 class TestFsplRange:
     @pytest.mark.parametrize("f,d", [(1e300, 1e300), (1e300, 1.0), (1e-300, 1e-300)])

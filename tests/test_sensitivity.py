@@ -14,6 +14,7 @@ from pathlossfit import (
     SweepError,
     eval_ci,
     fit_ci,
+    param_values,
     parameter_trace,
     prediction_sigma,
     run_sweep,
@@ -184,6 +185,29 @@ class TestRunSweep:
         first = run_sweep(uma_synthetic, spec, ("abg", "ci", "cif"))
         second = run_sweep(uma_synthetic, spec, ("abg", "ci", "cif"))
         assert first == second
+
+    def test_reports_and_traces_hash_by_value(self, uma_synthetic):
+        spec = DistanceClose(200.0, (0.0, 200.0, 400.0))
+        first, second = (run_sweep(uma_synthetic, spec, ("abg", "ci_opt")) for _ in range(2))
+        assert first is not second and hash(first) == hash(second)
+        assert hash(parameter_trace(first)) == hash(parameter_trace(second))
+        assert len({first, second, parameter_trace(first), parameter_trace(second)}) == 2
+
+    def test_table_reads_the_points_off_the_columns(self, uma_synthetic):
+        # the one reader of the columns that both CLI writers use gives, in
+        # order, what the SweepPoints hold; as text, the repr of each float
+        report = run_sweep(uma_synthetic, DistanceClose(200.0, (0.0, 900.0, 5000.0)),
+                           ("abg", "ci", "cif"))
+        assert report.skip_reason[-1] == "empty measurement set"
+        for (point, counts, reason, models), (texts, *_), want in zip(
+                report.table(), report.table(lambda a: [repr(v) for v in a.ravel().tolist()]),
+                report.points):
+            assert (point, *counts, reason is not None) == (
+                want.point, want.n_meas, want.n_pred, want.n_gap, want.skipped)
+            assert texts == repr(point)
+            assert [(m, values, s, p, flags) for m, _, values, flags, s, p in models] == [
+                (e.model, param_values(e.params), e.measurement_sigma, e.prediction_sigma,
+                 e.flags) for e in want.models]
 
     def test_prediction_set_never_influences_parameters(self, uma_synthetic):
         spec = DistanceClose(200.0, (0.0, 100.0))

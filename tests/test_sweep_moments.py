@@ -197,6 +197,59 @@ def test_distance_sweep_refits_nothing_and_builds_one_design(monkeypatch, uma_sy
     assert calls["fit_with_reversion"] == len(FITTER_KINDS)
 
 
+def fresh(ds):
+    """A copy of ``ds`` that shares no cached design or record with it."""
+    return make_dataset(np.column_stack(ds.arrays()))
+
+
+def test_each_sample_set_builds_one_design(monkeypatch, uma_synthetic):
+    built = []
+    from_dataset = RegressionDesign.from_dataset.__func__
+    monkeypatch.setattr(RegressionDesign, "from_dataset", classmethod(
+        lambda cls, ds: built.append(ds) or from_dataset(cls, ds)))
+
+    # five fits of one dataset share its design and record
+    ds = fresh(uma_synthetic)
+    reports = [fit_model(ds, kind) for kind in FITTER_KINDS]
+    assert built == [ds]
+    for kind, report in zip(FITTER_KINDS, reports):
+        alone = fit_model(fresh(ds), kind)
+        assert repr(report.params) == repr(alone.params) and report.flags == alone.flags
+        assert report.sigma.hex() == alone.sigma.hex()
+        assert report.residuals.tobytes() == alone.residuals.tobytes()
+
+    # a frequency hold-out builds one per measurement set, none per prediction set
+    built.clear()
+    spec = FrequencyLOO()
+    report = run_sweep(ds, spec, FITTER_KINDS)
+    assert len(built) == len(report.points) == len(ds.frequencies) == 5
+    for point, measurement in zip(report.points, built):
+        assert measurement == split(ds, spec, point.point)[0]
+        prediction = split(ds, spec, point.point)[1]
+        for entry in point.models:
+            alone = fit_model(fresh(measurement), entry.model)
+            assert repr(entry.params) == repr(alone.params) and entry.flags == alone.flags
+            assert entry.measurement_sigma.hex() == alone.sigma.hex()
+            assert (entry.prediction_sigma.hex()
+                    == prediction_sigma(alone.params, prediction).hex())
+
+
+@pytest.mark.parametrize("spec", [DistanceClose(200.0, steps(600.0, 10.0)),
+                                  DistanceFar(600.0, steps(400.0, 10.0))], ids=["close", "far"])
+def test_tied_distances_merge_in_sample_order(uma_synthetic, spec):
+    # distances rounded to 10 m tie in every shell; a sweep merges them in
+    # sample order, so a copy already sorted that way gives the same bits
+    f, d, pl = uma_synthetic.arrays()
+    ds = make_dataset(np.column_stack((f, np.round(d, -1), pl)))
+    order = np.argsort(spec.sign * ds.distance, kind="stable")
+    presorted = make_dataset(np.column_stack(ds.arrays())[order])
+    got, want = (run_sweep(x, spec, FITTER_KINDS) for x in (ds, presorted))
+    assert got.skip_reason == want.skip_reason
+    for a, b in zip(got.fits, want.fits):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+
+
 def test_sweep_f0_rounds_half_up_like_a_fit():
     # beyond 200 m the four frequencies have mean 14.5 GHz, so auto f0 is 15
     rows = [(f, 100.0 + f, 100.0 + f) for f in (2.0, 10.0, 28.0)]

@@ -21,8 +21,12 @@ frequency hold-out and its CI-opt fit with d0 in [5, 50] m reach the text
 ``CI model with d0=... m is defined for d >= d0``: as the skip reason of the
 sweep points whose fitted d0 lies above their nearest prediction distance
 (or on stderr, exit 3, where that skips every point), and as the blanks below
-d0 in the CI-opt curve. ``tools/output_compare.py`` runs the same matrix on
-two checkouts and compares their outputs value by value instead.
+d0 in the CI-opt curve. ``raw.csv`` is also copied to the non-ASCII name
+``ACCENTED``, and one fit and one close sweep read it: their reports'
+``input.path`` needs ``\u00e9`` escapes, so the sweep report takes the
+per-node JSON writer that every report without non-ASCII text, ``null`` or
+arrays skips. ``tools/output_compare.py`` runs the same matrix on two
+checkouts and compares their outputs value by value instead.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,6 +46,7 @@ UMA_COUNTS = ((2, 583), (10, 581), (18, 468), (28, 225), (38, 12))
 ALL_MODELS = ("--models", "abg,ab,ci,ci_opt,cif")
 DENSE_GRID = ",".join(str(5 * k) for k in range(121))
 TAIL_GRID = ",".join(str(900 + 5 * k) for k in range(28))  # reaches single-frequency sets
+ACCENTED = "mesures-été.csv"  # a copy of raw.csv under a non-ASCII name
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -74,6 +80,9 @@ COMMANDS = (
      "--split", "frequency-loo", "--no-binning"),
     ("fit", "--input", "short.csv", "--out-dir", "short-fit", *ALL_MODELS,
      "--d0-bounds", "5", "50"),
+    ("fit", "--input", ACCENTED, "--out-dir", "fit-accented", *ALL_MODELS),
+    ("sweep", "--input", ACCENTED, "--out-dir", "sweep-accented", *ALL_MODELS,
+     "--split", "distance-close"),
 )
 
 
@@ -100,6 +109,8 @@ def run_commands(src: Path, seed: int, factor: int, work: Path):
     for name, make in (("spec.json", spec), ("short.json", short_spec)):
         (work / name).write_text(json.dumps(make(seed, factor)), encoding="utf-8")
     for argv in COMMANDS:
+        if ACCENTED in argv and not (work / ACCENTED).exists():
+            shutil.copyfile(work / "raw.csv", work / ACCENTED)
         yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
                                    cwd=work, env=env, capture_output=True)
 
