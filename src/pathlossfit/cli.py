@@ -173,7 +173,8 @@ def _json_text(obj) -> str:
     ``repr``. Any other takes the per-node writer :func:`_emit_json`, as does
     one that orjson rejects (an array, an int beyond 64 bits, a lone
     surrogate, a dataclass, a datetime). orjson writes a plain Enum or a UUID
-    by value where json raises; reports hold neither."""
+    by value where json raises; reports hold neither. Every key must be a
+    ``str``: both writers raise TypeError on any other, where json writes it."""
     try:
         text = orjson.dumps(obj, option=_ORJSON_OPTIONS)
     except TypeError:  # orjson.JSONEncodeError

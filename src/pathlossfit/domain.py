@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
@@ -269,6 +269,7 @@ class CIParams:
 
 
 D0_BOUNDS_DEFAULT = (0.1, 50.0)  # m; where an optimized reference distance may lie
+F0_RULE = "f0 must be > 0 GHz, got {}"  # CIF's balance frequency, finite and positive
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ class CIFParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f0) and self.f0 > 0):
-            raise DomainError(f"f0 must be > 0 GHz, got {self.f0}")
+            raise DomainError(F0_RULE.format(self.f0))
 
 
 ModelParams = Union[ABGParams, ABParams, CIParams, CIOptParams, CIFParams]
@@ -471,26 +472,19 @@ class FitReport:
     """
 
     params: ModelParams
-    sigma: float
-    n_points: int
     residuals: np.ndarray  # read-only float64, stored as a copy
     flags: tuple[str, ...] = ()
+    sigma: float = field(init=False)  # derived: the RMS of the residuals
+    n_points: int = field(init=False)  # derived: the number of residuals
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residuals", _readonly(self.residuals))
-        if self.n_points != len(self.residuals):
-            raise DomainError("n_points must equal the number of residuals")
-        if self.sigma != rms(self.residuals):
-            raise DomainError("sigma must be the RMS of the residuals")
+        residuals = _readonly(self.residuals)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "sigma", rms(residuals))
+        object.__setattr__(self, "n_points", residuals.size)
 
     @classmethod
     def from_residuals(cls, params: ModelParams, residuals,
                        flags: tuple[str, ...] = ()) -> "FitReport":
-        """One copy of ``residuals`` and one RMS; the constructor's checks hold
-        by construction, so it is bypassed (every field is set, or KeyError)."""
-        res = _readonly(residuals)
-        values = dict(params=params, sigma=rms(res), n_points=res.size, residuals=res,
-                      flags=flags)
-        report = object.__new__(cls)
-        report.__dict__.update({f.name: values[f.name] for f in fields(cls)})
-        return report
+        """The report of ``residuals``: one copy of them and one RMS."""
+        return cls(params, residuals, flags)

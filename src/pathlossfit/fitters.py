@@ -31,6 +31,7 @@ import numpy as np
 
 from .domain import (
     D0_BOUNDS_DEFAULT,
+    F0_RULE,
     MODEL_KINDS,
     Dataset,
     DomainError,
@@ -290,8 +291,8 @@ def _solve_ci_opt(m: Moments, f0, d0_bounds: tuple[float, float], errors: list) 
     coefficients, forms = _least_squares(m, _A, (_D,), True, "fit_ci_opt", errors)
     n, intercept = coefficients.T
     free = np.abs(2.0 - n) < N_NEAR_TWO_TOL  # d0 unidentifiable: 1 m, flagged
-    # Test log10(d0) against the upper bound before exponentiating: for n just
-    # below 2 with a positive excess intercept, 10**log_d0 overflows a float.
+    # Python's ** per value (np.power differs by 1 ulp in ~5% of exponents), each
+    # tested against the upper bound first: for n just below 2, 10**log_d0 overflows.
     log_d0 = np.divide(intercept, 10.0 * (2.0 - n), out=np.zeros(len(m)), where=~free)
     top = math.log10(hi) + 1.0
     d0 = np.array([10.0 ** v if v <= top else math.inf for v in log_d0.tolist()])
@@ -343,22 +344,26 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
             "the CI model for the single-frequency case, use fit_ci"))
     if single.all():  # every point holds one frequency or none: fit_stack splits them
         slope, forms = _least_squares(m, _A, (_D,), False, "fit_cif", errors)
-        return (np.column_stack((slope[:, 0], np.zeros(len(m)), f0)), forms,
-                [(FLAG_CIF_SINGLE_FREQUENCY,)] * len(m))
-    slopes, forms = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors)
-    a, g = slopes.T
-    g_f0 = g * f0
-    n = a + g_f0
-    zero = np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0))
-    _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
-    b = np.divide(g_f0, n, out=np.zeros(len(m)), where=~zero)
-    # (n, b, f0) must give back a and g*f at the data's frequencies (times f0,
-    # which may be 0); far from them b rounds to 1 and n*(1 - b) loses a
-    f_top, scale = (m.frequencies * (m.counts > 0)).max(axis=1), np.abs(f0)
-    lost = (np.abs(n * (1.0 - b) - a) * scale + np.abs(n * b - g_f0) * f_top
-            > SINGULARITY_RTOL * (np.abs(a) + np.abs(g) * f_top) * scale)
-    _fail(errors, lost, FitError("fit_cif: f0 too far from the data to write (a, g) as (n, b)"))
-    return np.column_stack((n, b, f0)), forms, [()] * len(m)
+        n, b, flags = slope[:, 0], np.zeros(len(m)), [(FLAG_CIF_SINGLE_FREQUENCY,)] * len(m)
+    else:
+        slopes, forms = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors)
+        a, g = slopes.T
+        g_f0 = g * f0
+        n = a + g_f0
+        zero = np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0))
+        _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
+        b = np.divide(g_f0, n, out=np.zeros(len(m)), where=~zero)
+        # (n, b, f0) must give back a and g*f at the data's frequencies (times f0,
+        # which may be 0); far from them b rounds to 1 and n*(1 - b) loses a
+        f_top, scale = (m.frequencies * (m.counts > 0)).max(axis=1), np.abs(f0)
+        lost = (np.abs(n * (1.0 - b) - a) * scale + np.abs(n * b - g_f0) * f_top
+                > SINGULARITY_RTOL * (np.abs(a) + np.abs(g) * f_top) * scale)
+        _fail(errors, lost, FitError(
+            "fit_cif: f0 too far from the data to write (a, g) as (n, b)"))
+        flags = [()] * len(m)
+    if (bad := ~(np.isfinite(f0) & (f0 > 0))).any():  # CIFParams' rule on f0, checked last
+        _fail(errors, bad, [DomainError(F0_RULE.format(value)) for value in f0.tolist()])
+    return np.column_stack((n, b, f0)), forms, flags
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,19 +408,12 @@ class StackedFit:
 
 def _solve(m: Moments, kind: str, f0, d0_bounds, *args) -> StackedFit:
     """Fit ``kind`` at every point of ``m``, with each point's f0 ("auto" or
-    GHz); a point whose params fail their own check (CI-opt's d0, CIF's f0)
-    takes its DomainError."""
+    GHz). Each error-free row is a valid params row: CI-opt's d0 is its
+    in-bounds solution, a bound or 1 m, and the CIF solver checks f0."""
     errors = [None] * len(m)
     values, forms, flags = _SOLVERS[kind](m, f0, d0_bounds, errors, *args)
-    entry = MODEL_KINDS[kind]
-    for i, row in enumerate(values.tolist()):
-        try:
-            if errors[i] is None:
-                entry.params(*row)  # its check only: the values are the columns kept
-        except DomainError as exc:
-            errors[i] = exc
-    if entry.fixed:
-        values = np.column_stack((values, np.tile(tuple(entry.fixed.values()), (len(m), 1))))
+    if fixed := MODEL_KINDS[kind].fixed:
+        values = np.column_stack((values, np.tile(tuple(fixed.values()), (len(m), 1))))
     return StackedFit([kind] * len(m), values, flags, errors, forms)
 
 

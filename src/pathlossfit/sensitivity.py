@@ -332,18 +332,15 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
         prediction = Moments.of(columns[:, :n_pred], frequencies, counts[:1])
         measurement = Moments.of(columns, frequencies, counts[2:], starts[:active])
         nearest = order[0] if sign > 0 else order[n_pred - 1]  # smallest prediction d
-        near_f, near_d = ds.frequency[nearest], ds.distance[nearest]
+        near_d, below_d0 = ds.distance[nearest], MODEL_KINDS["ci_opt"].below_d0
         for j, kind in enumerate(models):
             fits.append(fit := fit_stack(measurement, kind, f0=f0, d0_bounds=d0_bounds))
             sigma[:, j, 0] = moments_sigma(fit.forms, measurement)
             sigma[:, j, 1] = moments_sigma(fit.forms, prediction)
             # only CI-opt fits a d0 above the 1 m that every sample reaches
             for i in np.flatnonzero(near_d < fit.values[:, 1]).tolist() if kind == "ci_opt" else ():
-                try:  # evaluate's DomainError: the model is undefined below d0
-                    if fit.errors[i] is None:
-                        evaluate(fit.at(i), near_f, near_d)
-                except DomainError as exc:
-                    fit.errors[i] = exc
+                if fit.errors[i] is None:  # evaluate's DomainError: undefined below d0
+                    fit.errors[i] = DomainError(below_d0.format(d0=fit.values[i, 1].item()))
             reasons[:active] = [str(error) if reason is None and error is not None else reason
                                 for reason, error in zip(reasons, fit.errors)]
     rows = [i for i, reason in enumerate(reasons[:active]) if reason is None]

@@ -12,6 +12,7 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +158,15 @@ class TestJsonOneDump:
                 json.dumps({"x": value})
             with pytest.raises(TypeError):
                 _json_text({"x": value})
+
+    def test_a_non_str_key_raises_on_both_writer_paths(self):
+        # keys must be str: json.dumps would write "1", both writers raise
+        with pytest.raises(TypeError):
+            orjson.dumps({1: "x"}, option=cli._ORJSON_OPTIONS)
+        with pytest.raises(TypeError):
+            cli._emit_json({1: "x"}, "\n", [])
+        with pytest.raises(TypeError):
+            _json_text({1: "x"})
 
     def test_a_str_enum_is_written_as_json_writes_it(self):
         assert one_dump({"band": Band.MM_WAVE, "bands": [Band.MM_WAVE]})

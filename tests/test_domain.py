@@ -285,12 +285,14 @@ class TestValueTypes:
         report = FitReport.from_residuals(CIParams(2.0), [1.0, -1.0, 1.0])
         assert report.sigma == pytest.approx(1.0)
         assert report.n_points == 3
-        with pytest.raises(DomainError):
-            FitReport(params=CIParams(2.0), sigma=0.5, n_points=2,
-                      residuals=(1.0, -1.0))
-        with pytest.raises(DomainError):
-            FitReport(params=CIParams(2.0), sigma=1.0, n_points=3,
-                      residuals=(1.0, -1.0))
+        # sigma and n_points are derived from the residuals: an inconsistent
+        # report cannot be built, and passing either one is an error
+        direct = FitReport(CIParams(2.0), (3.0, -4.0), ("flag",))
+        assert (direct.sigma, direct.n_points) == (rms((3.0, -4.0)), 2)
+        with pytest.raises(TypeError):
+            FitReport(params=CIParams(2.0), sigma=0.5, residuals=(1.0, -1.0))
+        with pytest.raises(TypeError):
+            FitReport(params=CIParams(2.0), n_points=3, residuals=(1.0, -1.0))
 
     def test_from_residuals_takes_one_rms_and_one_copy(self, monkeypatch):
         from pathlossfit import domain

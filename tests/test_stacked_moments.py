@@ -107,6 +107,13 @@ def solve_every_way(m: Moments, f0, d0_bounds) -> dict:
                 else:
                     assert whole.errors[i] is None
                     assert repr(result) == repr((whole.params[i], whole.flags[i]))
+    # no params check backs the solver: each fitted d0 lies in the bounds, or
+    # is the 1 m of an unidentifiable d0 (n near 2)
+    lo, hi = d0_bounds
+    for error, d0, flags in zip(fits["ci_opt"].errors, fits["ci_opt"].values[:, 1].tolist(),
+                                fits["ci_opt"].flags):
+        if error is None:
+            assert lo <= d0 <= hi or (d0, flags) == (1.0, (FLAG_D0_UNIDENTIFIABLE,))
     return fits
 
 
@@ -173,6 +180,42 @@ def test_a_bad_f0_is_an_error_at_every_point(noisy_multifreq):
         fit = fit_stack(m, "cif", f0=-1.0)
     assert fit.params == [None] * 3
     assert [str(error) for error in fit.errors] == ["f0 must be > 0 GHz, got -1.0"] * 3
+
+
+def test_a_bad_f0_is_an_error_on_the_single_frequency_branch():
+    ds = Dataset.from_columns([28.0] * 3, [10.0, 20.0, 40.0], [90.0, 101.0, 109.0])
+    with pytest.raises(fitters.DomainError, match=r"^f0 must be > 0 GHz, got -1\.0$"):
+        fitters.fit_cif(ds, f0=-1.0, allow_single_frequency=True)
+    # the solve records it: no error-free row fails its params' own check
+    fit = fitters._solve(ds.moments, "cif", [-1.0], fitters.D0_BOUNDS_DEFAULT)
+    assert [str(error) for error in fit.errors] == ["f0 must be > 0 GHz, got -1.0"]
+    assert fitters.fit_cif(ds, f0=28.0, allow_single_frequency=True).flags == (
+        FLAG_CIF_SINGLE_FREQUENCY,)
+
+
+@pytest.mark.parametrize("f0", [0, -1, math.nan, math.inf])
+def test_a_bad_f0_keeps_each_points_error_and_its_text(f0):
+    # the f0 rule is a CIF point's last check: a point that fails an earlier
+    # one keeps that error, and a single-frequency point fits about its own
+    # frequency; f0 = inf makes n infinite, which the zero-n check names first
+    rng = np.random.default_rng(20160505)
+    cases = [("spread", (2.0, 28.0), "ci", 6), ("spread", (2.0, 28.0), "free_space", 6),
+             ("spread", (2.0, 28.0), "offset_up", 6), ("spread", (2.0, 28.0), "offset_down", 6),
+             ("spread", (28.0,), "ci", 6), ("one_meter", (2.0, 28.0), "ci", 3),
+             ("per_frequency", (2.0, 28.0), "ci", 6),
+             ("one_distance", (10.0, 28.0, 73.0), "ci", 4), ("one_meter", (28.0,), "ci", 2)]
+    m = stacked([record(rng, *case) for case in cases])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if math.isinf(f0) else "error")  # inf meets 0 * inf
+        fit = fit_stack(m, "cif", f0=f0)
+    bad_f0 = ((fitters.FitError, "fit_cif: fitted n is zero, b = g*f0/n is undefined")
+              if math.isinf(f0) else (fitters.DomainError, f"f0 must be > 0 GHz, got {float(f0)}"))
+    one_meter = (DegenerateDesignError,
+                 "fit_cif needs at least one sample with d > 1 m (all distances are 1 m)")
+    assert [(type(error), str(error)) for error in fit.errors] == [
+        *[bad_f0] * 4, (type(None), "None"), one_meter, *[bad_f0] * 2, one_meter]
+    assert fit.params[4].f0 == 28.0
+    assert fit.flags[4] == fit.flags[8] == (FLAG_CIF_SINGLE_FREQUENCY,)
 
 
 def test_least_squares_calls_do_not_grow_with_the_points(monkeypatch, uma_synthetic):

@@ -25,8 +25,10 @@ d0 in the CI-opt curve. ``raw.csv`` is also copied to the non-ASCII name
 ``ACCENTED``, and one fit and one close sweep read it: their reports'
 ``input.path`` needs ``\u00e9`` escapes, so the sweep report takes the
 per-node JSON writer that every report without non-ASCII text, ``null`` or
-arrays skips. ``tools/output_compare.py`` runs the same matrix on two
-checkouts and compares their outputs value by value instead.
+arrays skips. ``--f0`` is passed to one fit and to one close sweep, so the
+explicit f0 reaches both the single fit and the stacked sweep solve.
+``tools/output_compare.py`` runs the same matrix on two checkouts and
+compares their outputs value by value instead.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ COMMANDS = (
     ("fit", "--input", "raw.csv", "--out-dir", "fit-raw", *ALL_MODELS, "--no-binning"),
     ("fit", "--input", "raw.csv", "--out-dir", "fit-f0", "--models", "ci_opt,cif",
      "--f0", "30", "--d0-bounds", "0.5", "5"),
+    ("sweep", "--input", "raw.csv", "--out-dir", "sweep-f0", "--split", "distance-close",
+     "--no-binning", "--models", "cif,ci_opt", "--f0", "30"),
     *(("sweep", "--input", "raw.csv", "--out-dir", f"sweep-{split}", *ALL_MODELS,
        "--split", split) for split in ("distance-close", "distance-far", "frequency-loo")),
     ("sweep", "--input", "raw.csv", "--out-dir", "sweep-dense", *ALL_MODELS,
