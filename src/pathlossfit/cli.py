@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import re
@@ -44,8 +45,8 @@ from .fitters import (
     FitError,
     fit_with_reversion,
 )
-from .ingest import (NOT_REPR_SCANS, IngestError, float_texts, generate, load_csv, load_spec,
-                     needs_repr, write_csv)
+from .ingest import (IngestError, float_texts, generate, load_csv, load_spec, not_repr_hits,
+                     write_csv)
 from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
@@ -158,78 +159,43 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
         raise
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, by repr
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
-                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
+                   | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS
+                   | orjson.OPT_PASSTHROUGH_DATETIME)
 # a line whose value is a bare number: indent, an optional key, the number, a comma
 _NUMBER_LINE = re.compile(rb' *(?:"(?:[^"\\]|\\.)*": )?(-?\d[-+.\deE]*),?')
+_NULL = re.compile(rb"null")  # its search beats ``in`` on long text, by about a third
+_NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does not
 
 
 def _json_text(obj) -> str:
-    """The bytes of the stdlib JSON encoder with indent 2, sorted keys and a
-    final newline. A document that orjson writes without ``null`` (None, NaN
-    or an infinity), non-ASCII text or DEL (json escapes both) is one orjson
-    dump, with each bare float on a line that the scans hit respelled by
-    ``repr``. Any other takes the per-node writer :func:`_emit_json`, as does
-    one that orjson rejects (an array, an int beyond 64 bits, a lone
-    surrogate, a dataclass, a datetime). orjson writes a plain Enum or a UUID
-    by value where json raises; reports hold neither. Every key must be a
-    ``str``: both writers raise TypeError on any other, where json writes it."""
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline,
+    a numpy array written as its list. One orjson dump writes it: each bare
+    float on a line that :func:`not_repr_hits` hits is respelled by ``repr``,
+    and each run of non-ASCII or DEL characters (only strings hold them) takes
+    json's escapes. ``json.dumps`` itself writes what orjson rejects (a lone
+    surrogate, an int beyond 64 bits, a non-str key, a non-contiguous array, a
+    dataclass, a datetime) and a dump holding ``null``, orjson's text for
+    None, NaN and the infinities alike. orjson writes a plain Enum, a UUID, a
+    numpy int or a float32 array unlike json; reports hold none of them."""
     try:
         text = orjson.dumps(obj, option=_ORJSON_OPTIONS)
     except TypeError:  # orjson.JSONEncodeError
         text = None
-    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
-        out: list[str] = []
-        _emit_json(obj, "\n", out)
-        out.append("\n")
-        return "".join(out)
-    starts = {text.rfind(b"\n", 0, hit.start()) + 1
-              for scan in NOT_REPR_SCANS for hit in scan.finditer(text)}
-    pieces, end = [], 0
+    if text is None or _NULL.search(text):
+        return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    starts = {text.rfind(b"\n", 0, at) + 1 for at in not_repr_hits(text)}
+    pieces, end = [], 0  # views of orjson's text, which is freed before the decode
     for start in sorted(starts):
         line = _NUMBER_LINE.fullmatch(text, start, text.index(b"\n", start))
         if line and not line[1].lstrip(b"-").isdigit():  # a float, not an int
-            pieces += (text[end:line.start(1)], repr(float(line[1])).encode())
+            pieces += (memoryview(text)[end:line.start(1)], repr(float(line[1])).encode())
             end = line.end(1)
-    pieces.append(text[end:])
-    return b"".join(pieces).decode()
-
-
-def _emit_json(obj, newline: str, out: list[str]) -> None:
-    """Append the JSON text of ``obj``; ``newline`` starts a line at its indent."""
-    inner = newline + "  "
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or isinstance(obj, bool):
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (int, float)):
-        text = (int if isinstance(obj, int) else float).__repr__(obj)
-        out.append(_JSON_NONFINITE.get(text, text))
-    elif isinstance(obj, dict) and obj:
-        for i, key in enumerate(sorted(obj)):
-            out += ("," if i else "{", inner, encode_basestring_ascii(key), ": ")
-            _emit_json(obj[key], inner, out)
-        out += (newline, "}")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        if needs_repr(obj).any():
-            texts = float_texts(obj)
-            if not np.isfinite(obj).all():
-                texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-            body = ("," + inner).join(texts)
-        else:
-            body = orjson.dumps(np.ascontiguousarray(obj), option=orjson.OPT_SERIALIZE_NUMPY)
-            body = body[1:-1].decode().replace(",", "," + inner)
-        out += ("[", inner, body, newline, "]") if obj.size else ("[]",)
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, item in enumerate(obj):
-            out += ("," if i else "[", inner)
-            _emit_json(item, inner, out)
-        out += (newline, "]")
-    elif isinstance(obj, (dict, list, tuple)):
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    text = b"".join([*pieces, memoryview(text)[end:]])
+    del pieces
+    if text.isascii() and b"\x7f" not in text:
+        return text.decode()
+    return _NOT_ASCII.sub(lambda run: encode_basestring_ascii(run[0])[1:-1], text.decode())
 
 
 def _csv_text(header, rows) -> str:

@@ -348,16 +348,19 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
     else:
         slopes, forms = _least_squares(m, _A, (_D, _G), False, "fit_cif", errors)
         a, g = slopes.T
-        g_f0 = g * f0
+        g_f0 = np.multiply(g, f0, out=np.zeros(len(m)), where=g != 0)  # 0, even at f0 = inf
         n = a + g_f0
         zero = np.abs(n) <= SINGULARITY_RTOL * (np.abs(a) + np.abs(g_f0))
         _fail(errors, zero, FitError("fit_cif: fitted n is zero, b = g*f0/n is undefined"))
         b = np.divide(g_f0, n, out=np.zeros(len(m)), where=~zero)
         # (n, b, f0) must give back a and g*f at the data's frequencies (times f0,
-        # which may be 0); far from them b rounds to 1 and n*(1 - b) loses a
-        f_top, scale = (m.frequencies * (m.counts > 0)).max(axis=1), np.abs(f0)
-        lost = (np.abs(n * (1.0 - b) - a) * scale + np.abs(n * b - g_f0) * f_top
-                > SINGULARITY_RTOL * (np.abs(a) + np.abs(g) * f_top) * scale)
+        # which may be 0); far from them b rounds to 1 and n*(1 - b) loses a.
+        # At f0 = +-inf the zero-n check has failed the point already.
+        lost, i = np.zeros(len(m), dtype=bool), np.flatnonzero(np.isfinite(f0))
+        f_top, scale = (m.frequencies * (m.counts[i] > 0)).max(axis=1), np.abs(f0[i])
+        lost[i] = (np.abs(n[i] * (1.0 - b[i]) - a[i]) * scale
+                   + np.abs(n[i] * b[i] - g_f0[i]) * f_top
+                   > SINGULARITY_RTOL * (np.abs(a[i]) + np.abs(g[i]) * f_top) * scale)
         _fail(errors, lost, FitError(
             "fit_cif: f0 too far from the data to write (a, g) as (n, b)"))
         flags = [()] * len(m)

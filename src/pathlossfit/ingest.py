@@ -217,15 +217,24 @@ def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
 def needs_repr(values: np.ndarray) -> np.ndarray:
     """Where orjson's text of a float64 value differs from ``repr``: orjson's
     equals ``repr`` for 0 and 1e-4 <= |v| < 1e16, not for exponent forms, NaN
-    and the infinities. :data:`NOT_REPR_SCANS` find the finite ones in text."""
+    and the infinities. :func:`not_repr_hits` finds the finite ones in text."""
     magnitude = np.abs(values)
     return (values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
 
 
-# The text of each finite needs_repr value in orjson's output holds a hit of
-# one scan: an exponent (1e-7, 1e16) or 0.0000 (1e-5 <= |v| < 1e-4). Each scan
-# starts with a literal, which keeps it fast.
-NOT_REPR_SCANS = (re.compile(rb"e[-+]?\d"), re.compile(rb"0\.0000"))
+_EXPONENT = re.compile(rb"e[-+]?\d")
+
+
+def not_repr_hits(text: bytes) -> list[int]:
+    """An offset in orjson's text inside each finite :func:`needs_repr` value
+    (and maybe in strings): an exponent (1e-7, 1e16; a regex led by a literal)
+    or ``.0000`` (1e-5 <= |v| < 1e-4; a plain find, far faster than a regex)."""
+    hits = [hit.start() for hit in _EXPONENT.finditer(text)]
+    at = text.find(b".0000")
+    while at >= 0:
+        hits.append(at)
+        at = text.find(b".0000", at + 5)
+    return hits
 
 
 def float_texts(values) -> list[str]:

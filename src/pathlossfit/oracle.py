@@ -74,13 +74,14 @@ def oracle_fit(ds: Dataset, kind: str, *,
         return _oracle_ci_grid(D, A, n_grid)
     if kind == "ci_opt":
         return _oracle_ci_opt_grid(D, A, d0_grid)
-    one = np.ones(len(ds))
-    if kind == "abg":
-        (alpha, beta, gamma), residuals = _lstsq([D, one, F], B, "abg oracle")
-        return FitReport.from_residuals(ABGParams(alpha, beta, gamma), residuals)
-    if kind == "ab":
-        (alpha, beta), residuals = _lstsq([D, one], B - 2.0 * F, "ab oracle")
-        return FitReport.from_residuals(ABParams(alpha, beta), residuals)
+    if kind in ("abg", "ab"):  # centred, as raw [D, 1, F] columns lose digits at D ~ 50 dB
+        columns, y = ([D, F], B) if kind == "abg" else ([D], B - 2.0 * F)
+        means = [column.mean() for column in columns]
+        slopes, residuals = _lstsq([column - mean for column, mean in zip(columns, means)],
+                                   y - y.mean(), f"{kind} oracle")
+        beta = float(y.mean() - np.dot(slopes, means))  # the intercept, from the means
+        params = (ABGParams if kind == "abg" else ABParams)(slopes[0], beta, *slopes[1:])
+        return FitReport.from_residuals(params, residuals)
     if kind == "cif":
         f0_value = auto_f0(ds.freq_summary) if f0 == "auto" else float(f0)
         (a, g), residuals = _lstsq([D, D * f], A, "cif oracle")

@@ -1,4 +1,4 @@
-"""Bulk text formatting: float_texts, the JSON report emitter and write_csv
+"""Bulk text formatting: float_texts, the JSON report writer and write_csv
 give the same bytes as repr, json.dumps and csv.writer, and stay off the slow
 paths (the pure-Python JSON encoder, one np.mean per bin)."""
 
@@ -90,11 +90,13 @@ def json_reference(doc) -> str:
 
 
 def one_dump(doc) -> bool:
-    """Whether ``_json_text(doc)`` is one orjson dump, never entering the
-    per-node writer; asserts that its text is json's either way."""
-    with mock.patch.object(cli, "_emit_json", wraps=cli._emit_json) as walker:
-        assert _json_text(doc) == json_reference(doc)
-    return not walker.called
+    """Whether ``_json_text(doc)`` is one orjson dump, never falling back to
+    ``json.dumps``; asserts that its text is json's either way (an array's
+    as that of its list)."""
+    reference = json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as fallback:
+        assert _json_text(doc) == reference
+    return not fallback.called
 
 
 # what orjson writes otherwise than repr, at and around the edges of needs_repr
@@ -136,17 +138,23 @@ class TestJsonOneDump:
     @pytest.mark.parametrize("text", NEEDLES)
     def test_needles_in_strings_and_keys_are_left_alone(self, text):
         doc = {text: [text, 1e-05, 12, {text: 1e16}], "k": text}
-        assert one_dump(doc) == (text != "null")  # "null" anywhere sends it to the walker
+        assert one_dump(doc) == (text != "null")  # "null" anywhere sends it to json.dumps
 
-    def test_none_next_to_nan_and_the_infinities_takes_the_walker(self):
+    def test_none_next_to_nan_and_the_infinities_takes_json_dumps(self):
         for doc in ({"a": None, "b": math.nan, "c": [math.inf, -math.inf, None]},
                     [None, 1e-05], {"x": math.nan}, [-math.inf]):
             assert not one_dump(doc)
 
     @pytest.mark.parametrize("doc", [
-        {"del": "a\x7fb"}, {"é": 1.0}, {"x": "snow ☃"}, {"x": "\ud800"}, {"\ud800": 1},
-        {"big": 2 ** 64}, {"big": [2 ** 64 + 1, 10 ** 30]}, {"small": -2 ** 63 - 1}], ids=repr)
-    def test_what_json_escapes_or_orjson_rejects_takes_the_walker(self, doc):
+        {"del": "a\x7fb"}, {"é": 1.0}, {"x": "snow ☃"}, {"x": ["é\x7f☃", "a\U0001f600b"]},
+        {"é": np.array([1e-05, 0.5])}], ids=repr)
+    def test_what_json_escapes_takes_one_dump(self, doc):
+        assert one_dump(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": "\ud800"}, {"\ud800": 1}, {"big": 2 ** 64}, {"big": [2 ** 64 + 1, 10 ** 30]},
+        {"small": -2 ** 63 - 1}, {"r": np.arange(4.0)[::2]}], ids=repr)
+    def test_what_orjson_rejects_takes_json_dumps(self, doc):
         assert not one_dump(doc)
 
     def test_64_bit_ints_and_control_characters_take_one_dump(self):
@@ -159,14 +167,11 @@ class TestJsonOneDump:
             with pytest.raises(TypeError):
                 _json_text({"x": value})
 
-    def test_a_non_str_key_raises_on_both_writer_paths(self):
-        # keys must be str: json.dumps would write "1", both writers raise
-        with pytest.raises(TypeError):
+    def test_a_non_str_key_is_written_as_json_writes_it(self):
+        with pytest.raises(TypeError):  # orjson refuses it, json.dumps writes "1"
             orjson.dumps({1: "x"}, option=cli._ORJSON_OPTIONS)
-        with pytest.raises(TypeError):
-            cli._emit_json({1: "x"}, "\n", [])
-        with pytest.raises(TypeError):
-            _json_text({1: "x"})
+        assert not one_dump({1: "x", 2.5: [None]})
+        assert _json_text({1: "x"}) == '{\n  "1": "x"\n}\n'
 
     def test_a_str_enum_is_written_as_json_writes_it(self):
         assert one_dump({"band": Band.MM_WAVE, "bands": [Band.MM_WAVE]})
@@ -254,8 +259,8 @@ class TestCostGuards:
             distance_range=(60.0, 1238.0)))), encoding="utf-8")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the per-node JSON writer was entered")
-        monkeypatch.setattr(cli, "_emit_json", refuse)
+            raise AssertionError("the json.dumps fallback was entered")
+        monkeypatch.setattr(json, "dumps", refuse)
         assert main(["sweep", "--synthetic", str(spec_path), "--out-dir", str(tmp_path),
                      "--models", "abg,ab,ci,ci_opt,cif", "--split", "distance-close"]) == 0
         report = json.loads((tmp_path / "sweep_report.json").read_text())

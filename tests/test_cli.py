@@ -621,6 +621,23 @@ class TestOverflow:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
+def test_a_non_utf8_input_file_name_is_escaped_as_json_escapes_it(tmp_path, ci_spec_file):
+    # the name decodes with a lone surrogate, which orjson refuses to write
+    path = tmp_path / os.fsdecode(b"caf\xe9.csv")
+    try:
+        path.touch()
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    assert run("generate", "--spec", ci_spec_file, "--out", path) == 0
+    assert run("fit", "--input", path, "--out-dir", tmp_path / "fit") == 0
+    assert run("sweep", "--input", path, "--out-dir", tmp_path / "loo",
+               "--split", "frequency-loo") == 0
+    for report in (tmp_path / "fit" / "fit_report.json", tmp_path / "loo" / "sweep_report.json"):
+        text = report.read_text(encoding="ascii")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert json.loads(text)["input"]["path"] == str(path)
+
+
 class TestOutputTargets:
     @pytest.mark.parametrize("argv,blocked", [
         (("fit",), "model_curves.csv"),

@@ -220,3 +220,19 @@ def test_extreme_designs_fit_as_the_oracle_or_name_the_degeneracy(kind, ds):
     if report.flags:  # clamped or unidentifiable d0, a single-frequency reversion
         return
     assert report.sigma == pytest.approx(oracle_sigma(ds, kind), rel=SIGMA_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["abg", "ab"])
+def test_the_oracle_centres_its_intercept_fits(kind):
+    # distances within 1 m above 1e5 m, each frequency tied to its distance:
+    # SVD of the raw [D, 1, F] columns is up to a tenth off ABG's sigma here,
+    # or finds them rank deficient
+    rng = np.random.default_rng(20160505)
+    for _ in range(300):
+        size, (f_lo, f_hi) = rng.integers(6, 41), np.sort(rng.uniform(0.5, 300.0, 2))
+        position = rng.uniform(0.0, 1.0, size)
+        f, d = f_lo * (f_hi / f_lo) ** position, 1e5 + position
+        pl = fspl(f, 1.0) + 10.0 * rng.uniform(2.0, 4.0) * np.log10(d) + rng.normal(0.0, 5.0, size)
+        ds = Dataset.from_columns(f, d, pl)
+        report = oracle_fit(ds, kind)
+        assert report.sigma == pytest.approx(oracle_sigma(ds, kind), rel=SIGMA_RTOL, abs=0.0)

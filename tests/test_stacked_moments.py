@@ -206,7 +206,7 @@ def test_a_bad_f0_keeps_each_points_error_and_its_text(f0):
              ("one_distance", (10.0, 28.0, 73.0), "ci", 4), ("one_meter", (28.0,), "ci", 2)]
     m = stacked([record(rng, *case) for case in cases])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if math.isinf(f0) else "error")  # inf meets 0 * inf
+        warnings.simplefilter("error")
         fit = fit_stack(m, "cif", f0=f0)
     bad_f0 = ((fitters.FitError, "fit_cif: fitted n is zero, b = g*f0/n is undefined")
               if math.isinf(f0) else (fitters.DomainError, f"f0 must be > 0 GHz, got {float(f0)}"))

@@ -36,7 +36,7 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-from output_digests import FACTORS, SEEDS, run_commands, src_dirs, written_files
+from output_digests import FACTORS, SEEDS, run_commands, shown, src_dirs, written_files
 
 KINDS = ("abg", "ab", "ci", "ci_opt", "cif")
 
@@ -101,7 +101,8 @@ class Comparison:
             self.mismatch(f"files written: {files} != {written_files(work_b)}")
             return
         for path in files:
-            a, b, name = (work_a / path).read_bytes(), (work_b / path).read_bytes(), str(path)
+            a, b = (work_a / path).read_bytes(), (work_b / path).read_bytes()
+            name = shown(str(path))
             if path.suffix == ".json":
                 self.json(name, json.loads(a), json.loads(b))
             elif path.suffix == ".csv":
@@ -134,7 +135,7 @@ def main() -> int:
                 for (argv, a), (_, b) in zip(*runs):
                     for stream in ("returncode", "stdout", "stderr"):
                         if getattr(a, stream) != getattr(b, stream):
-                            comparison.mismatch(f"{stream} differs: {' '.join(argv)}")
+                            comparison.mismatch(f"{stream} differs: {shown(' '.join(argv))}")
                 comparison.trees(*work)
     for line in comparison.mismatches:
         print(f"mismatch: {line}")

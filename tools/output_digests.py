@@ -22,10 +22,14 @@ frequency hold-out and its CI-opt fit with d0 in [5, 50] m reach the text
 sweep points whose fitted d0 lies above their nearest prediction distance
 (or on stderr, exit 3, where that skips every point), and as the blanks below
 d0 in the CI-opt curve. ``raw.csv`` is also copied to the non-ASCII name
-``ACCENTED``, and one fit and one close sweep read it: their reports'
-``input.path`` needs ``\u00e9`` escapes, so the sweep report takes the
-per-node JSON writer that every report without non-ASCII text, ``null`` or
-arrays skips. ``--f0`` is passed to one fit and to one close sweep, so the
+``ACCENTED`` and to the name ``NON_UTF8``, whose bytes are not UTF-8; one fit
+and one sweep read each. Their reports' ``input.path`` needs json's escapes:
+``\\u00e9`` for the accented name, which the JSON writer adds to its one
+orjson dump, and ``\\udce9`` for the lone surrogate that the other name
+decodes to, which orjson refuses, so that those reports are written by
+``json.dumps`` itself, as is every frequency hold-out report (its
+``held_out: null``). A name that is not UTF-8 is printed with ``\\xNN``
+escapes. ``--f0`` is passed to one fit and to one close sweep, so the
 explicit f0 reaches both the single fit and the stacked sweep solve.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
 compares their outputs value by value instead.
@@ -49,6 +53,7 @@ ALL_MODELS = ("--models", "abg,ab,ci,ci_opt,cif")
 DENSE_GRID = ",".join(str(5 * k) for k in range(121))
 TAIL_GRID = ",".join(str(900 + 5 * k) for k in range(28))  # reaches single-frequency sets
 ACCENTED = "mesures-été.csv"  # a copy of raw.csv under a non-ASCII name
+NON_UTF8 = os.fsdecode(b"caf\xe9.csv")  # and under a name that is not UTF-8
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -87,6 +92,9 @@ COMMANDS = (
     ("fit", "--input", ACCENTED, "--out-dir", "fit-accented", *ALL_MODELS),
     ("sweep", "--input", ACCENTED, "--out-dir", "sweep-accented", *ALL_MODELS,
      "--split", "distance-close"),
+    ("fit", "--input", NON_UTF8, "--out-dir", "fit-non-utf8", *ALL_MODELS),
+    ("sweep", "--input", NON_UTF8, "--out-dir", "sweep-non-utf8", *ALL_MODELS,
+     "--split", "frequency-loo"),
 )
 
 
@@ -113,10 +121,16 @@ def run_commands(src: Path, seed: int, factor: int, work: Path):
     for name, make in (("spec.json", spec), ("short.json", short_spec)):
         (work / name).write_text(json.dumps(make(seed, factor)), encoding="utf-8")
     for argv in COMMANDS:
-        if ACCENTED in argv and not (work / ACCENTED).exists():
-            shutil.copyfile(work / "raw.csv", work / ACCENTED)
+        for name in (ACCENTED, NON_UTF8):
+            if name in argv and not (work / name).exists():
+                shutil.copyfile(work / "raw.csv", work / name)
         yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
                                    cwd=work, env=env, capture_output=True)
+
+
+def shown(text: str) -> str:
+    """``text`` with each byte of a file name that is not UTF-8 as ``\\xNN``."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
 
 
 def written_files(work: Path) -> list[Path]:
@@ -128,9 +142,9 @@ def digest_lines(src: Path, seed: int, factor: int):
         work = Path(tmp)
         for argv, done in run_commands(src, seed, factor, work):
             yield (f"{seed} x{factor} exit={done.returncode} stdout={sha256(done.stdout)} "
-                   f"stderr={sha256(done.stderr)} {' '.join(argv)}")
+                   f"stderr={sha256(done.stderr)} {shown(' '.join(argv))}")
         for path in written_files(work):
-            yield f"{seed} x{factor} {sha256((work / path).read_bytes())} {path}"
+            yield f"{seed} x{factor} {sha256((work / path).read_bytes())} {shown(str(path))}"
 
 
 def src_dirs(args: list[str], count: int, usage: str) -> list[Path] | None:
