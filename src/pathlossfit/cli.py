@@ -45,8 +45,8 @@ from .fitters import (
     FitError,
     fit_with_reversion,
 )
-from .ingest import (IngestError, float_texts, generate, load_csv, load_spec, not_repr_hits,
-                     write_csv)
+from .ingest import (IngestError, float_texts, generate, load_csv, load_spec, needs_repr,
+                     not_repr_hits, write_csv)
 from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
@@ -132,10 +132,10 @@ def _prepare(args: argparse.Namespace,
     return pp.dataset, head, split_spec
 
 
-def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
+def _write_outputs(files: dict[Path, bytes | Callable[[Path], None]]) -> None:
     """Stage every output to a temp file, then rename all (atomic per file).
 
-    Each value is the file's text, or a function that writes the file to the
+    Each value is the file's bytes, or a function that writes the file to the
     path it is given. A target that is a directory is refused before anything
     is written; a failed write or rename removes every staged file.
     """
@@ -150,7 +150,7 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
             if callable(content):
                 content(tmp)
             else:
-                tmp.write_text(content, encoding="utf-8")
+                tmp.write_bytes(content)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -160,47 +160,90 @@ def _write_outputs(files: dict[Path, str | Callable[[Path], None]]) -> None:
 
 
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
-                   | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS
-                   | orjson.OPT_PASSTHROUGH_DATETIME)
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
+_ARRAY_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 # a line whose value is a bare number: indent, an optional key, the number, a comma
 _NUMBER_LINE = re.compile(rb' *(?:"(?:[^"\\]|\\.)*": )?(-?\d[-+.\deE]*),?')
-_NULL = re.compile(rb"null")  # its search beats ``in`` on long text, by about a third
+_NULL = re.compile(rb"null")
 _NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does not
 
 
-def _json_text(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline,
-    a numpy array written as its list. One orjson dump writes it: each bare
-    float on a line that :func:`not_repr_hits` hits is respelled by ``repr``,
-    and each run of non-ASCII or DEL characters (only strings hold them) takes
-    json's escapes. ``json.dumps`` itself writes what orjson rejects (a lone
-    surrogate, an int beyond 64 bits, a non-str key, a non-contiguous array, a
-    dataclass, a datetime) and a dump holding ``null``, orjson's text for
-    None, NaN and the infinities alike. orjson writes a plain Enum, a UUID, a
-    numpy int or a float32 array unlike json; reports hold none of them."""
+def _json_text(obj) -> bytes:
+    """The UTF-8 text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+    newline, a numpy array written as its list. One orjson dump writes the
+    skeleton: each contiguous 1-D float64 array in it is ``null`` (another
+    numpy value has the document dumped whole). Only it is scanned: a bare
+    float on a line that :func:`not_repr_hits` hits is respelled by
+    ``repr``, an array's text (:func:`_array_pieces`) takes its ``null``'s
+    place, and a run of non-ASCII or DEL characters takes json's escapes.
+    ``json.dumps`` itself writes what orjson rejects (a lone surrogate, an
+    int beyond 64 bits, a non-str key, a non-contiguous array, a dataclass, a
+    datetime), an array holding NaN or an infinity, and a skeleton holding
+    another ``null``: None, NaN or an infinity. orjson writes a plain Enum, a
+    UUID, a numpy int or a float32 array unlike json; reports hold none."""
+    arrays = []
+
+    def stand_in(value):
+        if not (type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 1
+                and value.flags.c_contiguous):
+            raise TypeError
+        arrays.append(value)
+
     try:
-        text = orjson.dumps(obj, option=_ORJSON_OPTIONS)
-    except TypeError:  # orjson.JSONEncodeError
-        text = None
-    if text is None or _NULL.search(text):
-        return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
-    starts = {text.rfind(b"\n", 0, at) + 1 for at in not_repr_hits(text)}
-    pieces, end = [], 0  # views of orjson's text, which is freed before the decode
-    for start in sorted(starts):
+        try:
+            text = orjson.dumps(obj, default=stand_in, option=_ORJSON_OPTIONS)
+        except TypeError:  # orjson.JSONEncodeError: another numpy value, or what orjson refuses
+            arrays.clear()
+            text = orjson.dumps(obj, option=_ORJSON_OPTIONS | orjson.OPT_SERIALIZE_NUMPY)
+        nulls = [null.start() for null in _NULL.finditer(text)]
+    except TypeError:
+        nulls = None
+    if (nulls is None or len(nulls) != len(arrays)
+            or not all(np.isfinite(values).all() for values in arrays)):
+        return (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+                + "\n").encode()
+    edits = []  # (start, end, new pieces) in the skeleton
+    for start in {text.rfind(b"\n", 0, at) + 1 for at in not_repr_hits(text)}:
         line = _NUMBER_LINE.fullmatch(text, start, text.index(b"\n", start))
         if line and not line[1].lstrip(b"-").isdigit():  # a float, not an int
-            pieces += (memoryview(text)[end:line.start(1)], repr(float(line[1])).encode())
-            end = line.end(1)
-    text = b"".join([*pieces, memoryview(text)[end:]])
-    del pieces
-    if text.isascii() and b"\x7f" not in text:
-        return text.decode()
-    return _NOT_ASCII.sub(lambda run: encode_basestring_ascii(run[0])[1:-1], text.decode())
+            edits.append((line.start(1), line.end(1), [repr(float(line[1])).encode()]))
+    for at, values in zip(nulls, arrays):
+        line = text[text.rfind(b"\n", 0, at) + 1:at]  # the indent, then maybe a key
+        edits.append((at, at + 4, _array_pieces(values, (len(line) - len(line.lstrip())) // 2)))
+    pieces, end = [], 0
+    for start, stop, new in sorted(edits):
+        pieces += (memoryview(text)[end:start], *new)
+        end = stop
+    pieces.append(memoryview(text)[end:])
+    if text.isascii() and b"\x7f" not in text:  # only the skeleton's strings can fail it
+        return b"".join(pieces)
+    return _NOT_ASCII.sub(lambda run: encode_basestring_ascii(run[0])[1:-1],
+                          b"".join(pieces).decode()).encode()
 
 
-def _csv_text(header, rows) -> str:
+def _array_pieces(values: np.ndarray, depth: int) -> list[bytes]:
+    """orjson's text of the finite float64 ``values`` ``depth`` deep, each run
+    between :func:`needs_repr` values dumped inside ``depth`` lists and cut out."""
+    if not values.size:
+        return [b"[]"]
+    indent = b" " * (2 * depth + 2)
+    cut = (depth + 1) * (depth + 2)  # the lists' lines and the array's bracket, each end
+    lines, start = [], 0
+    for stop in [*np.flatnonzero(needs_repr(values)).tolist(), values.size]:
+        if start < stop:
+            wrapped = values[start:stop]
+            for _ in range(depth):
+                wrapped = [wrapped]
+            lines.append(orjson.dumps(wrapped, option=_ARRAY_OPTIONS)[cut:-cut])
+        if stop < values.size:
+            lines.append(indent + repr(float(values[stop])).encode())
+        start = stop + 1
+    return [b"[\n", b",\n".join(lines), b"\n" + indent[2:] + b"]"]
+
+
+def _csv_text(header, rows) -> bytes:
     """CSV text of rows of text fields that never need quoting (numbers, names, blanks)."""
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
 
 
 def _fit_report_dict(report: FitReport) -> dict:
@@ -239,7 +282,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> str:
+def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> bytes:
     """Mean path loss vs distance per frequency for each fitted model,
     alongside the free-space reference."""
     _, d, _ = ds.arrays()
@@ -341,7 +384,7 @@ def _sweep_points_doc(report: PredictionReport) -> list[dict]:
     return docs
 
 
-def _sweep_trace_csv(report: PredictionReport) -> str:
+def _sweep_trace_csv(report: PredictionReport) -> bytes:
     """One row per (fitted point, model, parameter) and one per skipped point;
     each float column is formatted whole by :func:`float_texts`."""
     header = ["sweep_point", "model", "param", "value", "measurement_sigma",

@@ -21,8 +21,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from statistics import NormalDist
+from statistics import _normal_dist_inv_cdf  # NormalDist.inv_cdf past its range check
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ CSV_COLUMNS = ("frequency_ghz", "distance_m", "path_loss_db",
 DISTANCE_LAWS = ("log-uniform", "uniform")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_STD_NORMAL = NormalDist()
 
 
 class IngestError(ValueError):
@@ -64,11 +64,13 @@ def load_csv(path: str | Path) -> Dataset:
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
     loss) aborts the load with a diagnostic naming the first bad file line.
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
-    IngestError naming the file. Text without quotes or CRs whose lines all
-    hold as many fields as the header is split in bulk; any other text is
-    read row by row with the ``csv`` module, with the same result. Each float
-    column is parsed by one orjson call, falling back to ``float`` per field
-    (see :func:`_floats`); no input changes its values or its diagnostic.
+    IngestError naming the file. A file of CSV_COLUMNS whose rows carry one
+    label is parsed whole (:func:`_one_label`). Other text without quotes or
+    CRs whose lines all hold as many fields as the header is split in bulk;
+    any other text is read row by row with the ``csv`` module, with the same
+    result. Each float column is parsed by one orjson call, falling back to
+    ``float`` per field (see :func:`_floats`); no input changes its values
+    or its diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -93,6 +95,8 @@ def load_csv(path: str | Path) -> Dataset:
     extra = [c for c in header if c not in CSV_COLUMNS]
     if extra:
         warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
+    if header == list(CSV_COLUMNS) and (dataset := _one_label(data)) is not None:
+        return dataset
 
     # Each check notes its first bad row as (row, check order, message). The
     # earliest row wins, then the earlier check. Data row i is file line i + 2.
@@ -120,6 +124,38 @@ def load_csv(path: str | Path) -> Dataset:
         row, _, message = min(problems)
         raise IngestError(f"{path} line {row + 2}: {message}")
     return Dataset.from_columns(*numbers, codes, labels)
+
+
+def _one_label(data: bytes) -> Dataset | None:
+    """The dataset of CSV bytes whose rows all end with the first row's label
+    tail ``,scenario,environment,campaign``: one JSON array once each tail is
+    ``,\\n``. None where ``float`` and the label check could read it otherwise:
+    a quote or CR, a newline not ending a tail, a row not of three fields
+    before it, a byte outside JSON numbers, a zero (orjson reads ``-0`` as 0)."""
+    start = data.find(b"\n") + 1  # of the first row
+    if not start or start == len(data) or b'"' in data or b"\r" in data:
+        return None
+    data = data if data.endswith(b"\n") else data + b"\n"
+    fields = data[start:data.index(b"\n", start)].split(b",")
+    if len(fields) != len(CSV_COLUMNS):
+        return None
+    tail = b"," + b",".join(fields[3:]) + b"\n"  # the header holds it only as a bad label
+    flat = data.replace(tail, b",\n")
+    rows = (len(data) - len(flat)) // (len(tail) - 2)
+    body = np.frombuffer(flat, dtype=np.uint8, offset=start)
+    commas = np.flatnonzero(body == ord(","))
+    if (data.count(b"\n") != rows + 1 or commas.size != 3 * rows
+            or (body[commas[2::3] + 1] != ord("\n")).any()
+            or flat[start:].translate(None, b"0123456789+-.eE, \t\n")):
+        return None
+    try:
+        scenario, environment, campaign = (field.decode().strip() for field in fields[3:])
+        label = (Scenario.parse(scenario), Environment(environment), campaign)
+        items = orjson.loads(b"".join((b"[", memoryview(flat)[start:-2], b"]")))
+        values = np.fromiter(items, dtype=np.float64, count=len(items)).reshape(rows, 3)
+        return Dataset.from_columns(*values.T, labels=(label,)) if values.all() else None
+    except ValueError:  # a bad label or sample (DomainError), or orjson.JSONDecodeError
+        return None
 
 
 def _plain_columns(text: str, width: int) -> list[list[str]] | None:
@@ -256,27 +292,32 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     Each chunk of ``CSV_CHUNK`` rows has its (rows, 3) float block printed by
     one orjson dump and split into rows; a row holding a :func:`needs_repr`
     value is printed with ``repr`` instead, so every float is written as
-    ``repr`` writes it. Each label's fields are rendered once by
-    ``csv.writer``, with a CRLF terminator so that a field holding a lone CR
-    is quoted too.
+    ``repr`` writes it; the rows and their label tails are then joined by one
+    join. Each label's fields are rendered once by ``csv.writer``, with a
+    CRLF terminator so that a field holding a lone CR is quoted too.
     """
     tails = []
     for scenario, environment, campaign in ds.labels:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\r\n").writerow(
             ("", str(scenario), environment.value, campaign))
-        tails.append(buffer.getvalue()[:-2] + "\n")  # ",scenario,environment,campaign\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        tails.append((buffer.getvalue()[:-2] + "\n").encode())  # b",scenario,env,campaign\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_COLUMNS).encode() + b"\n")
         for start in range(0, len(ds), CSV_CHUNK):
             rows = slice(start, start + CSV_CHUNK)
             block = np.column_stack((ds.frequency[rows], ds.distance[rows], ds.path_loss[rows]))
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)  # b"[[f,d,l],[...]]"
-            lines = text[2:-2].decode().split("],[")
-            for i in np.flatnonzero(needs_repr(block).any(axis=1)):
-                lines[i] = ",".join(map(repr, block[i].tolist()))
-            fh.write("".join(map(str.__add__, lines,
-                                 map(tails.__getitem__, ds.codes[rows].tolist()))))
+            lines = text[2:-2].split(b"],[")
+            for i in np.flatnonzero(needs_repr(block).any(axis=1)).tolist():
+                lines[i] = ",".join(map(repr, block[i].tolist())).encode()
+            codes = ds.codes[rows].tolist()
+            if codes.count(codes[0]) == len(codes):
+                fh.write(tails[codes[0]].join(lines) + tails[codes[0]])
+            else:
+                parts = lines * 2
+                parts[::2], parts[1::2] = lines, map(tails.__getitem__, codes)
+                fh.write(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +412,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
         distance = d_lo * (d_hi / d_lo) ** u_dist
     else:
         distance = d_lo + (d_hi - d_lo) * u_dist
-    noise = spec.sigma * np.array([_STD_NORMAL.inv_cdf(u) for u in u_shad.tolist()])
+    noise = spec.sigma * np.fromiter(map(_normal_dist_inv_cdf, u_shad.tolist(), repeat(0.0),
+                                         repeat(1.0)), dtype=np.float64, count=u_shad.size)
     mean = [evaluate(spec.truth, freq, part) for (freq, _), part
             in zip(spec.frequencies, np.split(distance, np.cumsum(counts)[:-1]))]
     frequency = np.repeat([freq for freq, _ in spec.frequencies], counts)

@@ -25,6 +25,7 @@ from pathlossfit.ingest import (
     CSV_COLUMNS,
     float_texts,
     load_csv,
+    not_repr_hits,
     spec_to_dict,
     write_csv,
 )
@@ -73,12 +74,12 @@ class TestJsonText:
     @settings(max_examples=100, deadline=None)
     @given(doc=json_docs)
     def test_matches_json_dumps(self, doc):
-        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert _json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_report_shapes(self):
         doc = {"é": [1.0, math.nan, -math.inf, 1e16], "b": (), "a": {}, "ints": [1, True, 2.5],
                "grid": (0.0, 50.0), "nested": [{"z": None, "y": "☃\n"}, []]}
-        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert _json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
@@ -95,7 +96,7 @@ def one_dump(doc) -> bool:
     as that of its list)."""
     reference = json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
     with mock.patch.object(json, "dumps", wraps=json.dumps) as fallback:
-        assert _json_text(doc) == reference
+        assert _json_text(doc).decode() == reference
     return not fallback.called
 
 
@@ -133,7 +134,7 @@ class TestJsonOneDump:
                             max_size=5)),
         max_leaves=30))
     def test_ascii_documents_without_null_match_json_dumps(self, doc):
-        assert _json_text(doc) == json_reference(doc)
+        assert _json_text(doc).decode() == json_reference(doc)
 
     @pytest.mark.parametrize("text", NEEDLES)
     def test_needles_in_strings_and_keys_are_left_alone(self, text):
@@ -142,7 +143,8 @@ class TestJsonOneDump:
 
     def test_none_next_to_nan_and_the_infinities_takes_json_dumps(self):
         for doc in ({"a": None, "b": math.nan, "c": [math.inf, -math.inf, None]},
-                    [None, 1e-05], {"x": math.nan}, [-math.inf]):
+                    [None, 1e-05], {"x": math.nan}, [-math.inf],
+                    {"r": np.array([0.5, math.nan])}, {"r": np.array([0.5]), "z": None}):
             assert not one_dump(doc)
 
     @pytest.mark.parametrize("doc", [
@@ -150,6 +152,19 @@ class TestJsonOneDump:
         {"é": np.array([1e-05, 0.5])}], ids=repr)
     def test_what_json_escapes_takes_one_dump(self, doc):
         assert one_dump(doc)
+
+    @pytest.mark.parametrize("doc, arrays", [
+        ({"r": np.array([1e-05, 0.5, -1e-05]), "s": 1e-05, "t": ["0.00001", "1e-05"]}, 1),
+        ({"deep": [[{"r": np.array([1e16, 2.5, 1e-4])}]], "e": np.array([]),
+          "s": [np.array([1e-7]), np.array([5e-324, -0.0, 1.0])]}, 4),
+        ({"a": np.array([1e-05, 0.5]), "n": np.float64(1e-05)}, 0),  # dumped whole
+    ], ids=repr)
+    def test_only_the_text_outside_the_arrays_is_scanned(self, doc, arrays, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(cli, "not_repr_hits",
+                            lambda text: scanned.append(text) or not_repr_hits(text))
+        assert one_dump(doc)
+        assert len(scanned) == 1 and scanned[0].count(b"null") == arrays
 
     @pytest.mark.parametrize("doc", [
         {"x": "\ud800"}, {"\ud800": 1}, {"big": 2 ** 64}, {"big": [2 ** 64 + 1, 10 ** 30]},
@@ -171,7 +186,7 @@ class TestJsonOneDump:
         with pytest.raises(TypeError):  # orjson refuses it, json.dumps writes "1"
             orjson.dumps({1: "x"}, option=cli._ORJSON_OPTIONS)
         assert not one_dump({1: "x", 2.5: [None]})
-        assert _json_text({1: "x"}) == '{\n  "1": "x"\n}\n'
+        assert _json_text({1: "x"}).decode() == '{\n  "1": "x"\n}\n'
 
     def test_a_str_enum_is_written_as_json_writes_it(self):
         assert one_dump({"band": Band.MM_WAVE, "bands": [Band.MM_WAVE]})
@@ -231,6 +246,22 @@ class TestWriteCsv:
         label_set = [(Scenario("UMa"), Environment.NLOS, "a,\"b\"\nc"),
                      (Scenario("Other", "x"), Environment.LOS, "é")]
         ds = random_dataset(n, label_set, n)
+        write_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv(ds)
+        assert load_csv(tmp_path / "out.csv") == ds
+
+
+    @pytest.mark.parametrize("labels, respelled", [(1, False), (1, True), (2, False)])
+    def test_plain_rows_in_chunks_of_one_label_or_several(self, tmp_path, labels, respelled):
+        rng = np.random.default_rng(labels)
+        n = 2 * CSV_CHUNK + 1
+        loss = rng.normal(120.0, 10.0, n)
+        if respelled:
+            loss[CSV_CHUNK + 7] = 1e-05
+        label_set = [(Scenario("UMa"), Environment.NLOS, "a,\"b\"\nc"),
+                     (Scenario("Other", "x"), Environment.LOS, "é")][:labels]
+        ds = Dataset.from_columns(rng.uniform(0.5, 100.0, n), rng.uniform(1.0, 5e3, n), loss,
+                                  rng.integers(0, labels, n), tuple(label_set))
         write_csv(ds, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == reference_csv(ds)
         assert load_csv(tmp_path / "out.csv") == ds

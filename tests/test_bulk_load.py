@@ -159,8 +159,42 @@ def csv_files(draw):
     return "" if "empty" in mutations else text, draw(st.booleans()), mutations
 
 
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+ROW = "28,100.5,120.25,UMa,NLOS,c1\n"
+
+
+def one_label_traps(test):
+    """The test, also run on files that hold one label but for one row, and
+    on one-label files whose text the one-label path must refuse or read as
+    ``float`` does."""
+    files = [
+        HEADER + ROW * 2 + ROW.replace("NLOS", "LOS"),        # the last row's label differs
+        HEADER + ROW + ROW.replace("c1", "c2") + ROW,          # and a middle row's
+        HEADER + ROW + ROW.replace(",UMa", ", UMa ") + ROW,    # the same label, spaced
+        HEADER + ROW + "28,100.5,UMa,NLOS,c1\n28,100.5,120.25,7,UMa,NLOS,c1\n",  # 2 and 4
+        HEADER + ROW + "28,100.5,\n7,UMa,NLOS,c1\n",             # a row without the tail
+        HEADER + ROW + "2,1,-0,UMa,NLOS,c1\n" + ROW,           # -0, 0 and integers
+        HEADER + ROW + "2,1,0,UMa,NLOS,c1\n",
+        HEADER + ROW + "2,1,-0.0,UMa,NLOS,c1\n3,7,5,UMa,NLOS,c1\n",
+        HEADER + ROW + ROW.rstrip("\n"),                      # no trailing newline
+        HEADER + ROW.replace("c1", "2016") * 2,                # a numeric campaign name
+        HEADER + ROW.replace("c1", "mesures-été ☃") * 2,       # a non-ASCII one
+        HEADER + ROW + ROW.replace("120.25", "true") + ROW,    # a JSON value, not a number
+        HEADER + ROW + ROW.replace("120.25", "[1]"),
+        HEADER + ROW + ROW.replace("120.25", "1e400"),
+        HEADER + ROW + ROW.replace("100.5", "0.5"),            # a bad sample
+        HEADER + ROW.replace("UMa", "Rural") * 2,              # a bad label
+        HEADER + ROW + "\n",                                  # a blank last line
+        HEADER + ROW + "28,100.5,120.25,7,8,UMa,NLOS,c1\n",
+    ]
+    for text in files:
+        test = example(file=(text, True, []))(example(file=(text, False, []))(test))
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(file=csv_files())
+@one_label_traps
 def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, file):
     text, bom, mutations = file
     path = tmp_path_factory.mktemp("load") / "in.csv"
@@ -353,6 +387,22 @@ def test_plain_text_is_parsed_without_float_per_field(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_a_one_label_file_is_parsed_whole(tmp_path, monkeypatch):
+    spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                         frequencies=((2.0, 1000), (28.0, 1000)),
+                         distance_range=(10.0, 500.0))
+    path = tmp_path / "plain.csv"
+    ds = generate(spec)
+    write_csv(ds, path)
+
+    def refuse(*args):
+        raise AssertionError("the per-field path was entered")
+
+    for name in ("_plain_columns", "_floats", "_labels"):
+        monkeypatch.setattr(ingest, name, refuse)
+    assert load_csv(path) == ds
+
+
 JSON_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e16, -1e16,
               1e16 - 2.0, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1]
 
@@ -371,12 +421,12 @@ class TestJsonArrays:
                "finite": np.array([1.5, -2.25, 1e-7]),
                "models": {"ci": {"residuals_db": np.array([math.nan]), "n": 1}},
                "strided": np.array(JSON_EDGES)[::3], "list": [np.array([-math.inf, 2.0])]}
-        assert _json_text(doc) == json.dumps(as_lists(doc), indent=2, sort_keys=True) + "\n"
+        assert _json_text(doc).decode() == json.dumps(as_lists(doc), indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(allow_subnormal=True),
                                      st.sampled_from(JSON_EDGES)), max_size=30))
     def test_matches_json_dumps_of_the_list(self, values):
         array = np.array(values, dtype=np.float64)
-        assert (_json_text({"r": array})
+        assert (_json_text({"r": array}).decode()
                 == json.dumps({"r": array.tolist()}, indent=2, sort_keys=True) + "\n")

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+from statistics import NormalDist, _normal_dist_inv_cdf
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pathlossfit import (
     load_csv,
     write_csv,
 )
+from pathlossfit.domain import evaluate
 from pathlossfit.ingest import counter_uniforms, load_spec, spec_from_dict, spec_to_dict
 from conftest import BAD_SPEC_FIELDS
 
@@ -263,6 +265,18 @@ class TestGenerate:
         for f, d, pl in zip(*(column.tolist() for column in ds.arrays())):
             assert pl == pytest.approx(eval_ci(CIParams(2.9), f, d), abs=1e-12)
         assert fit_ci(ds).sigma < 1e-12
+
+    def test_shadowing_is_normal_dist_inv_cdf_bit_for_bit(self):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=1.0, seed=20160505,
+                             frequencies=((28.0, 100_000),), distance_range=(10.0, 500.0))
+        ds = generate(spec)
+        uniforms = counter_uniforms(spec.seed, 2 * np.arange(100_000) + 1).tolist()
+        noise = np.array([NormalDist().inv_cdf(u) for u in uniforms])
+        mean = evaluate(spec.truth, 28.0, ds.distance)
+        assert ds.path_loss.tobytes() == (mean + noise).tobytes()
+        # the stream's least uniform, (0 + 0.5) * 2**-53, and the float below 1
+        for u in (2.0 ** -54, math.nextafter(1.0, 0.0)):
+            assert _normal_dist_inv_cdf(u, 0.0, 1.0) == NormalDist().inv_cdf(u)
 
     def test_uniform_law(self):
         spec = SyntheticSpec(truth=CIParams(2.0), sigma=0.0, seed=7,

@@ -31,16 +31,23 @@ decodes to, which orjson refuses, so that those reports are written by
 ``held_out: null``). A name that is not UTF-8 is printed with ``\\xNN``
 escapes. ``--f0`` is passed to one fit and to one close sweep, so the
 explicit f0 reaches both the single fit and the stacked sweep solve.
+``load_csv`` parses a file whose rows all carry one label whole, and any
+other file by columns or row by row; ``write_csv`` writes a chunk whose rows
+share one label by one replace, and any other chunk row by row. So that each
+of those paths is checked, ``TWO_LABEL`` holds ``raw.csv``'s rows and then
+``short.csv``'s rows under their own label, and ``REORDERED`` is ``raw.csv``
+with its columns in another order; each gets a preprocess, a fit and a sweep.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
 compares their outputs value by value instead.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,6 +61,8 @@ DENSE_GRID = ",".join(str(5 * k) for k in range(121))
 TAIL_GRID = ",".join(str(900 + 5 * k) for k in range(28))  # reaches single-frequency sets
 ACCENTED = "mesures-été.csv"  # a copy of raw.csv under a non-ASCII name
 NON_UTF8 = os.fsdecode(b"caf\xe9.csv")  # and under a name that is not UTF-8
+TWO_LABEL = "two-label.csv"
+REORDERED = "reordered.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -95,7 +104,32 @@ COMMANDS = (
     ("fit", "--input", NON_UTF8, "--out-dir", "fit-non-utf8", *ALL_MODELS),
     ("sweep", "--input", NON_UTF8, "--out-dir", "sweep-non-utf8", *ALL_MODELS,
      "--split", "frequency-loo"),
+    *(command for name in (TWO_LABEL, REORDERED) for stem in [name.removesuffix(".csv")]
+      for command in (
+          ("preprocess", "--input", name, "--out", f"cond-{name}"),
+          ("fit", "--input", name, "--out-dir", f"fit-{stem}", *ALL_MODELS, "--no-binning"),
+          ("sweep", "--input", name, "--out-dir", f"sweep-{stem}", *ALL_MODELS,
+           "--split", "distance-far"))),
 )
+
+
+def reordered(raw: bytes) -> bytes:
+    """The CSV ``raw`` with its columns in the order 5, 3, 0, 2, 1, 4."""
+    rows = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows([row[i] for i in (5, 3, 0, 2, 1, 4)]
+                                                      for row in rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# inputs made from the generated CSVs in the work directory, by name
+DERIVED = {
+    ACCENTED: lambda work: (work / "raw.csv").read_bytes(),
+    NON_UTF8: lambda work: (work / "raw.csv").read_bytes(),
+    TWO_LABEL: lambda work: ((work / "raw.csv").read_bytes()
+                             + (work / "short.csv").read_bytes().partition(b"\n")[2]),
+    REORDERED: lambda work: reordered((work / "raw.csv").read_bytes()),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -121,9 +155,9 @@ def run_commands(src: Path, seed: int, factor: int, work: Path):
     for name, make in (("spec.json", spec), ("short.json", short_spec)):
         (work / name).write_text(json.dumps(make(seed, factor)), encoding="utf-8")
     for argv in COMMANDS:
-        for name in (ACCENTED, NON_UTF8):
+        for name, make in DERIVED.items():
             if name in argv and not (work / name).exists():
-                shutil.copyfile(work / "raw.csv", work / name)
+                (work / name).write_bytes(make(work))
         yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
                                    cwd=work, env=env, capture_output=True)
 
