@@ -171,32 +171,27 @@ _NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does n
 def _json_text(obj) -> bytes:
     """The UTF-8 text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
     newline, a numpy array written as its list. One orjson dump writes the
-    skeleton: each contiguous 1-D float64 array in it is ``null`` (another
-    numpy value has the document dumped whole). Only it is scanned: a bare
-    float on a line that :func:`not_repr_hits` hits is respelled by
-    ``repr``, an array's text (:func:`_array_pieces`) takes its ``null``'s
-    place, and a run of non-ASCII or DEL characters takes json's escapes.
-    ``json.dumps`` itself writes what orjson rejects (a lone surrogate, an
-    int beyond 64 bits, a non-str key, a non-contiguous array, a dataclass, a
-    datetime), an array holding NaN or an infinity, and a skeleton holding
-    another ``null``: None, NaN or an infinity. orjson writes a plain Enum, a
-    UUID, a numpy int or a float32 array unlike json; reports hold none."""
+    skeleton, each 1-D float64 array as ``null`` and any other numpy value as
+    its list, and only it is scanned: a float on a line that :func:`not_repr_hits`
+    hits is respelled by ``repr``, each array's :func:`_array_pieces` take its
+    ``null``'s place, and non-ASCII or DEL runs take json's escapes. json.dumps
+    writes what orjson rejects (a lone surrogate, an int beyond 64 bits, a
+    non-str key, a non-contiguous array, a dataclass, a datetime), a non-finite
+    array, and a skeleton with another ``null`` (None, NaN, an infinity).
+    orjson writes a plain Enum or a UUID unlike json; reports hold neither."""
     arrays = []
 
     def stand_in(value):
-        if not (type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 1
-                and value.flags.c_contiguous):
+        if not isinstance(value, (np.ndarray, np.generic)) or not value.flags.c_contiguous:
             raise TypeError
+        if type(value) is not np.ndarray or value.dtype != np.float64 or value.ndim != 1:
+            return value.tolist()
         arrays.append(value)
 
     try:
-        try:
-            text = orjson.dumps(obj, default=stand_in, option=_ORJSON_OPTIONS)
-        except TypeError:  # orjson.JSONEncodeError: another numpy value, or what orjson refuses
-            arrays.clear()
-            text = orjson.dumps(obj, option=_ORJSON_OPTIONS | orjson.OPT_SERIALIZE_NUMPY)
+        text = orjson.dumps(obj, default=stand_in, option=_ORJSON_OPTIONS)
         nulls = [null.start() for null in _NULL.finditer(text)]
-    except TypeError:
+    except TypeError:  # orjson.JSONEncodeError: what orjson refuses
         nulls = None
     if (nulls is None or len(nulls) != len(arrays)
             or not all(np.isfinite(values).all() for values in arrays)):

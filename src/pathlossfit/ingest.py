@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from statistics import _normal_dist_inv_cdf  # NormalDist.inv_cdf past its range check
+from statistics import _normal_dist_inv_cdf  # private; test_ingest pins it to NormalDist.inv_cdf
 from typing import Sequence
 
 import numpy as np
@@ -66,11 +66,9 @@ def load_csv(path: str | Path) -> Dataset:
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
     IngestError naming the file. A file of CSV_COLUMNS whose rows carry one
     label is parsed whole (:func:`_one_label`). Other text without quotes or
-    CRs whose lines all hold as many fields as the header is split in bulk;
-    any other text is read row by row with the ``csv`` module, with the same
-    result. Each float column is parsed by one orjson call, falling back to
-    ``float`` per field (see :func:`_floats`); no input changes its values
-    or its diagnostic.
+    CRs whose lines all hold as many fields as the header is split in bulk,
+    each float column parsed as by :func:`_floats`; any other text is read
+    row by row with the ``csv`` module. No path changes a value or a diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -140,12 +138,13 @@ def _one_label(data: bytes) -> Dataset | None:
     if len(fields) != len(CSV_COLUMNS):
         return None
     tail = b"," + b",".join(fields[3:]) + b"\n"  # the header holds it only as a bad label
+    rows = data.count(tail)  # a file of several labels stops here, at two counts
+    if data.count(b"\n") != rows + 1:
+        return None
     flat = data.replace(tail, b",\n")
-    rows = (len(data) - len(flat)) // (len(tail) - 2)
     body = np.frombuffer(flat, dtype=np.uint8, offset=start)
     commas = np.flatnonzero(body == ord(","))
-    if (data.count(b"\n") != rows + 1 or commas.size != 3 * rows
-            or (body[commas[2::3] + 1] != ord("\n")).any()
+    if (commas.size != 3 * rows or (body[commas[2::3] + 1] != ord("\n")).any()
             or flat[start:].translate(None, b"0123456789+-.eE, \t\n")):
         return None
     try:
@@ -224,19 +223,11 @@ def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np
 
 
 def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
-    """Each row's label code and the distinct labels; on a bad label, a problem noted.
-
-    Rows are coded by their three label texts; a file whose label columns
-    each repeat one text codes every row 0 without hashing the rows.
-    """
-    columns = [text["scenario"], text["environment"], text["campaign"]]
+    """Each row's label code (rows are coded by their three label texts) and
+    the distinct labels; on a bad label, a problem noted."""
     index: dict[tuple[str, str, str], int] = {}
-    if columns[0] and all(c.count(c[0]) == len(c) for c in columns):
-        index[tuple(c[0] for c in columns)] = 0
-        raw = np.zeros(len(columns[0]), dtype=np.intp)
-    else:
-        raw = np.array([index.setdefault(key, len(index)) for key in zip(*columns)],
-                       dtype=np.intp)
+    raw = np.array([index.setdefault(key, len(index)) for key in
+                    zip(text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
     labels: dict[tuple, int] = {}
     remap = []
     for code, (scenario, environment, campaign) in enumerate(index):
@@ -290,11 +281,10 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write the canonical CSV form: shortest round-trip float text, LF endings.
 
     Each chunk of ``CSV_CHUNK`` rows has its (rows, 3) float block printed by
-    one orjson dump and split into rows; a row holding a :func:`needs_repr`
-    value is printed with ``repr`` instead, so every float is written as
-    ``repr`` writes it; the rows and their label tails are then joined by one
-    join. Each label's fields are rendered once by ``csv.writer``, with a
-    CRLF terminator so that a field holding a lone CR is quoted too.
+    one orjson dump and split into rows, a row holding a :func:`needs_repr`
+    value printed by ``repr`` instead; one join then puts each row's label
+    tail after it. Each label's fields are rendered once by ``csv.writer``,
+    with a CRLF terminator so that a field holding a lone CR is quoted too.
     """
     tails = []
     for scenario, environment, campaign in ds.labels:

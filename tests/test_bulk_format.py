@@ -157,7 +157,7 @@ class TestJsonOneDump:
         ({"r": np.array([1e-05, 0.5, -1e-05]), "s": 1e-05, "t": ["0.00001", "1e-05"]}, 1),
         ({"deep": [[{"r": np.array([1e16, 2.5, 1e-4])}]], "e": np.array([]),
           "s": [np.array([1e-7]), np.array([5e-324, -0.0, 1.0])]}, 4),
-        ({"a": np.array([1e-05, 0.5]), "n": np.float64(1e-05)}, 0),  # dumped whole
+        ({"a": np.array([1e-05, 0.5]), "n": np.float64(1e-05)}, 1),  # "n" as its float
     ], ids=repr)
     def test_only_the_text_outside_the_arrays_is_scanned(self, doc, arrays, monkeypatch):
         scanned = []

@@ -32,9 +32,10 @@ decodes to, which orjson refuses, so that those reports are written by
 escapes. ``--f0`` is passed to one fit and to one close sweep, so the
 explicit f0 reaches both the single fit and the stacked sweep solve.
 ``load_csv`` parses a file whose rows all carry one label whole, and any
-other file by columns or row by row; ``write_csv`` writes a chunk whose rows
-share one label by one replace, and any other chunk row by row. So that each
-of those paths is checked, ``TWO_LABEL`` holds ``raw.csv``'s rows and then
+other file by columns or row by row; ``write_csv`` joins the rows of a
+chunk that share one label with that label's tail, and those of any other
+chunk by one join over the rows and their tails in turn. So that each of
+those paths is checked, ``TWO_LABEL`` holds ``raw.csv``'s rows and then
 ``short.csv``'s rows under their own label, and ``REORDERED`` is ``raw.csv``
 with its columns in another order; each gets a preprocess, a fit and a sweep.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
