@@ -170,15 +170,28 @@ _NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does n
 
 def _json_text(obj) -> bytes:
     """The UTF-8 text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
-    newline, a numpy array written as its list. One orjson dump writes the
-    skeleton, each 1-D float64 array as ``null`` and any other numpy value as
-    its list, and only it is scanned: a float on a line that :func:`not_repr_hits`
-    hits is respelled by ``repr``, each array's :func:`_array_pieces` take its
-    ``null``'s place, and non-ASCII or DEL runs take json's escapes. json.dumps
-    writes what orjson rejects (a lone surrogate, an int beyond 64 bits, a
-    non-str key, a non-contiguous array, a dataclass, a datetime), a non-finite
-    array, and a skeleton with another ``null`` (None, NaN, an infinity).
-    orjson writes a plain Enum or a UUID unlike json; reports hold neither."""
+    newline, a numpy array written as its list: the :func:`_json_pieces` joined."""
+    return b"".join(_json_pieces(obj))
+
+
+def _write_json(obj, path: Path) -> None:
+    """Write :func:`_json_text` of ``obj`` to ``path``, each piece as it is made."""
+    with open(path, "wb") as fh:
+        fh.writelines(_json_pieces(obj))
+
+
+def _json_pieces(obj):
+    """The pieces of :func:`_json_text`; an array's are made when reached.
+
+    One orjson dump writes the skeleton, each 1-D float64 array as ``null``
+    and any other numpy value as its list, and only it is scanned: non-ASCII
+    or DEL runs take json's escapes, a float on a line that :func:`not_repr_hits`
+    hits is respelled by ``repr``, and each array's :func:`_array_pieces` take
+    its ``null``'s place. json.dumps writes what orjson rejects (a lone
+    surrogate, an int beyond 64 bits, a non-str key, a non-contiguous array,
+    a dataclass, a datetime), a non-finite array, and a skeleton with another
+    ``null`` (None, NaN, an infinity). orjson writes a plain Enum or a UUID
+    unlike json; reports hold neither."""
     arrays = []
 
     def stand_in(value):
@@ -190,14 +203,18 @@ def _json_text(obj) -> bytes:
 
     try:
         text = orjson.dumps(obj, default=stand_in, option=_ORJSON_OPTIONS)
+        if not text.isascii() or b"\x7f" in text:  # only in strings: numbers and nulls stay
+            text = _NOT_ASCII.sub(lambda run: encode_basestring_ascii(run[0])[1:-1],
+                                  text.decode()).encode()
         nulls = [null.start() for null in _NULL.finditer(text)]
     except TypeError:  # orjson.JSONEncodeError: what orjson refuses
         nulls = None
     if (nulls is None or len(nulls) != len(arrays)
             or not all(np.isfinite(values).all() for values in arrays)):
-        return (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
-                + "\n").encode()
-    edits = []  # (start, end, new pieces) in the skeleton
+        yield (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+               + "\n").encode()
+        return
+    edits, end = [], 0  # edits are (start, end, new pieces) in the skeleton
     for start in {text.rfind(b"\n", 0, at) + 1 for at in not_repr_hits(text)}:
         line = _NUMBER_LINE.fullmatch(text, start, text.index(b"\n", start))
         if line and not line[1].lstrip(b"-").isdigit():  # a float, not an int
@@ -205,35 +222,33 @@ def _json_text(obj) -> bytes:
     for at, values in zip(nulls, arrays):
         line = text[text.rfind(b"\n", 0, at) + 1:at]  # the indent, then maybe a key
         edits.append((at, at + 4, _array_pieces(values, (len(line) - len(line.lstrip())) // 2)))
-    pieces, end = [], 0
     for start, stop, new in sorted(edits):
-        pieces += (memoryview(text)[end:start], *new)
+        yield memoryview(text)[end:start]
+        yield from new
         end = stop
-    pieces.append(memoryview(text)[end:])
-    if text.isascii() and b"\x7f" not in text:  # only the skeleton's strings can fail it
-        return b"".join(pieces)
-    return _NOT_ASCII.sub(lambda run: encode_basestring_ascii(run[0])[1:-1],
-                          b"".join(pieces).decode()).encode()
+    yield memoryview(text)[end:]
 
 
-def _array_pieces(values: np.ndarray, depth: int) -> list[bytes]:
+def _array_pieces(values: np.ndarray, depth: int):
     """orjson's text of the finite float64 ``values`` ``depth`` deep, each run
-    between :func:`needs_repr` values dumped inside ``depth`` lists and cut out."""
-    if not values.size:
-        return [b"[]"]
+    between :func:`needs_repr` values dumped inside ``depth`` lists and cut
+    out; each run is dumped only when the piece before it has been taken."""
     indent = b" " * (2 * depth + 2)
     cut = (depth + 1) * (depth + 2)  # the lists' lines and the array's bracket, each end
-    lines, start = [], 0
+    start, gap = 0, b"[\n"
     for stop in [*np.flatnonzero(needs_repr(values)).tolist(), values.size]:
         if start < stop:
             wrapped = values[start:stop]
             for _ in range(depth):
                 wrapped = [wrapped]
-            lines.append(orjson.dumps(wrapped, option=_ARRAY_OPTIONS)[cut:-cut])
+            yield gap
+            yield orjson.dumps(wrapped, option=_ARRAY_OPTIONS)[cut:-cut]
+            gap = b",\n"
         if stop < values.size:
-            lines.append(indent + repr(float(values[stop])).encode())
+            yield gap + indent + repr(float(values[stop])).encode()
+            gap = b",\n"
         start = stop + 1
-    return [b"[\n", b",\n".join(lines), b"\n" + indent[2:] + b"]"]
+    yield b"\n" + indent[2:] + b"]" if values.size else b"[]"
 
 
 def _csv_text(header, rows) -> bytes:
@@ -270,7 +285,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     report_doc = {**head,
                   "models": {kind: _fit_report_dict(rep) for kind, rep in fits.items()}}
     outputs = {
-        args.out_dir / "fit_report.json": _json_text(report_doc),
+        args.out_dir / "fit_report.json": functools.partial(_write_json, report_doc),
         args.out_dir / "model_curves.csv": _model_curves_csv(ds, fits),
     }
     _write_outputs(outputs)

@@ -65,25 +65,32 @@ def load_csv(path: str | Path) -> Dataset:
     loss) aborts the load with a diagnostic naming the first bad file line.
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
     IngestError naming the file. A file of CSV_COLUMNS whose rows carry one
-    label is parsed whole (:func:`_one_label`). Other text without quotes or
-    CRs whose lines all hold as many fields as the header is split in bulk,
-    each float column parsed as by :func:`_floats`; any other text is read
-    row by row with the ``csv`` module. No path changes a value or a diagnostic.
+    label is parsed in chunks of rows, undecoded (:func:`_one_label`). Other
+    text without quotes or CRs whose lines all hold as many fields as the
+    header is split in bulk, each float column parsed as by :func:`_floats`;
+    any other text is read row by row with the ``csv`` module. No path
+    changes a value or a diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     # csv.reader takes lines lazily from the bytes, as from a file, so it reads
     # text that is split in bulk only up to the end of its header.
     rows = _rows(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                              newline="")), path)
     try:
         header = [h.strip() for h in next(rows)]
-    except StopIteration:
-        raise IngestError(f"{path}: empty file (missing header)") from None
+    except (StopIteration, ValueError) as exc:  # raised once the text is known to be UTF-8
+        header = exc
+    if header == list(CSV_COLUMNS) and (dataset := _one_label(data)) is not None:
+        return dataset
+    try:
+        text = data.decode("utf-8-sig")  # only where the one-label path declines
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if isinstance(header, StopIteration):
+        raise IngestError(f"{path}: empty file (missing header)")
+    if isinstance(header, ValueError):  # a header field over the csv limit
+        raise header
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -93,8 +100,6 @@ def load_csv(path: str | Path) -> Dataset:
     extra = [c for c in header if c not in CSV_COLUMNS]
     if extra:
         warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
-    if header == list(CSV_COLUMNS) and (dataset := _one_label(data)) is not None:
-        return dataset
 
     # Each check notes its first bad row as (row, check order, message). The
     # earliest row wins, then the earlier check. Data row i is file line i + 2.
@@ -126,32 +131,37 @@ def load_csv(path: str | Path) -> Dataset:
 
 def _one_label(data: bytes) -> Dataset | None:
     """The dataset of CSV bytes whose rows all end with the first row's label
-    tail ``,scenario,environment,campaign``: one JSON array once each tail is
-    ``,\\n``. None where ``float`` and the label check could read it otherwise:
-    a quote or CR, a newline not ending a tail, a row not of three fields
-    before it, a byte outside JSON numbers, a zero (orjson reads ``-0`` as 0)."""
+    tail ``,scenario,environment,campaign``, parsed ``LOAD_CHUNK`` bytes at a
+    time, cut at row ends: a chunk is one JSON array once each tail is ``,\\n``.
+    None where ``float`` and the label check could read it otherwise: a quote
+    or CR, a newline not ending a tail, a row not of three fields before it, a
+    byte outside JSON numbers, a zero (orjson reads ``-0`` as 0). So the text
+    is UTF-8 if its header is: each other byte is ASCII or in a decoded tail."""
     start = data.find(b"\n") + 1  # of the first row
     if not start or start == len(data) or b'"' in data or b"\r" in data:
         return None
-    data = data if data.endswith(b"\n") else data + b"\n"
-    fields = data[start:data.index(b"\n", start)].split(b",")
+    end = data.find(b"\n", start)
+    fields = data[start:end if end >= 0 else None].split(b",")
     if len(fields) != len(CSV_COLUMNS):
         return None
-    tail = b"," + b",".join(fields[3:]) + b"\n"  # the header holds it only as a bad label
-    rows = data.count(tail)  # a file of several labels stops here, at two counts
-    if data.count(b"\n") != rows + 1:
-        return None
-    flat = data.replace(tail, b",\n")
-    body = np.frombuffer(flat, dtype=np.uint8, offset=start)
-    commas = np.flatnonzero(body == ord(","))
-    if (commas.size != 3 * rows or (body[commas[2::3] + 1] != ord("\n")).any()
-            or flat[start:].translate(None, b"0123456789+-.eE, \t\n")):
-        return None
+    tail, values = b"," + b",".join(fields[3:]) + b"\n", []
     try:
         scenario, environment, campaign = (field.decode().strip() for field in fields[3:])
         label = (Scenario.parse(scenario), Environment(environment), campaign)
-        items = orjson.loads(b"".join((b"[", memoryview(flat)[start:-2], b"]")))
-        values = np.fromiter(items, dtype=np.float64, count=len(items)).reshape(rows, 3)
+        while start < len(data):
+            stop = data.find(b"\n", start + LOAD_CHUNK - 1) + 1 or len(data)
+            chunk = data[start:stop].removesuffix(b"\n") + b"\n"  # the last row's may lack it
+            rows, flat = chunk.count(tail), chunk.replace(tail, b",\n")
+            body = np.frombuffer(flat, dtype=np.uint8)
+            commas = np.flatnonzero(body == ord(","))
+            if (chunk.count(b"\n") != rows or commas.size != 3 * rows
+                    or (body[commas[2::3] + 1] != ord("\n")).any()
+                    or flat.translate(None, b"0123456789+-.eE, \t\n")):
+                return None
+            items = orjson.loads(b"".join((b"[", memoryview(flat)[:-2], b"]")))
+            values.append(np.fromiter(items, dtype=np.float64, count=len(items)))
+            start = stop
+        values = np.concatenate(values).reshape(-1, 3)  # no chunk kept while the columns copy
         return Dataset.from_columns(*values.T, labels=(label,)) if values.all() else None
     except ValueError:  # a bad label or sample (DomainError), or orjson.JSONDecodeError
         return None
@@ -274,6 +284,7 @@ def float_texts(values) -> list[str]:
     return texts if values.size else []
 
 
+LOAD_CHUNK = 1 << 18  # bytes of rows parsed per orjson call in _one_label
 CSV_CHUNK = 8192  # rows formatted per write in write_csv
 
 
@@ -322,13 +333,15 @@ def counter_uniforms(seed: int, index) -> np.ndarray:
     ``(seed + (i+1) * 0x9E3779B97F4A7C15) mod 2^64``; the top 53 bits,
     offset by half a ulp, give the uniform. Pure 64-bit integer arithmetic,
     so any implementation reproduces the stream bit-for-bit; numpy's uint64
-    array arithmetic wraps mod 2^64.
+    array arithmetic wraps mod 2^64. The offset rounds the top word, 2^53 - 1,
+    up to 1.0, which is taken as the float below 1.
     """
     z = np.uint64(seed) + (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    return np.minimum(((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53,
+                      math.nextafter(1.0, 0.0))
 
 
 def counter_uniform(seed: int, index: int) -> float:

@@ -285,18 +285,20 @@ def _refit_points(ds: Dataset, spec: SplitSpec, models, f0, d0_bounds) -> Predic
         for kind in models if reason is None else ():
             try:
                 report = fit_with_reversion(measurement, kind, f0=f0, d0_bounds=d0_bounds)
-                reports.append((report, prediction_sigma(report.params, prediction)))
+                reports.append((report.params, report.flags,  # not the residuals
+                                (report.sigma, prediction_sigma(report.params, prediction))))
             except (FitError, DomainError) as exc:
                 reason = str(exc)
                 break
         reasons.append(reason)
         fitted += [reports] if reason is None else []
-    # each model's reports over the fitted points, as a stack
-    fits = tuple(StackedFit([r.params.kind for r, _ in column],
-                            np.array([list(param_values(r.params).values()) for r, _ in column]),
-                            [r.flags for r, _ in column], [None] * len(column))
+        del measurement, prediction  # not kept while the next split is made
+    # each model's fits over the fitted points, as a stack
+    fits = tuple(StackedFit([p.kind for p, _, _ in column],
+                            np.array([list(param_values(p).values()) for p, _, _ in column]),
+                            [flags for _, flags, _ in column], [None] * len(column))
                  for column in zip(*fitted))
-    sigma = [[(report.sigma, predicted) for report, predicted in row] for row in fitted]
+    sigma = [[sigmas for _, _, sigmas in row] for row in fitted]
     return PredictionReport(spec, models, points, tuple(counts), tuple(reasons), fits,
                             np.array(sigma).reshape(len(fitted), len(models), 2))
 

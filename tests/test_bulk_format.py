@@ -25,6 +25,7 @@ from pathlossfit.ingest import (
     CSV_COLUMNS,
     float_texts,
     load_csv,
+    needs_repr,
     not_repr_hits,
     spec_to_dict,
     write_csv,
@@ -265,6 +266,44 @@ class TestWriteCsv:
         write_csv(ds, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == reference_csv(ds)
         assert load_csv(tmp_path / "out.csv") == ds
+
+
+class TestStreamedReport:
+    def test_a_fit_report_is_written_an_array_at_a_time(self, tmp_path, monkeypatch):
+        # residuals of about 1e-4 dB: each array holds runs of needs_repr values
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=2e-4, seed=20160505,
+                             frequencies=((2.0, 300), (28.0, 300)),
+                             distance_range=(60.0, 1238.0))
+        spec_path = tmp_path / "sp\u00e9c.json"  # the report's path takes json's escape
+        spec_path.write_text(json.dumps(spec_to_dict(spec)), encoding="utf-8")
+        docs, written = [], []
+        write_json, array_pieces = cli._write_json, cli._array_pieces
+        staged = tmp_path / "fit_report.json.tmp"
+
+        def recording_write(obj, path):
+            docs.append(obj)
+            write_json(obj, path)
+
+        def sized_pieces(values, depth):
+            written.append(staged.stat().st_size)
+            yield from array_pieces(values, depth)
+
+        monkeypatch.setattr(cli, "_write_json", recording_write)
+        monkeypatch.setattr(cli, "_array_pieces", sized_pieces)
+        assert main(["fit", "--synthetic", str(spec_path), "--out-dir", str(tmp_path),
+                     "--models", "abg,ab,ci,ci_opt,cif", "--no-binning"]) == 0
+        text = (tmp_path / "fit_report.json").read_bytes()
+        monkeypatch.setattr(cli, "_array_pieces", array_pieces)
+        [doc] = docs
+        arrays = [model["residuals_db"] for model in doc["models"].values()]
+        assert all(needs_repr(values).any() and not needs_repr(values).all()
+                   for values in arrays)
+        assert text == _json_text(doc)
+        assert text.decode() == json.dumps(doc, indent=2, sort_keys=True,
+                                           default=np.ndarray.tolist) + "\n"
+        assert b'/sp\\u00e9c.json"' in text
+        # each array's text was in the file before the next one was dumped
+        assert len(written) == 5 and all(b - a > 600 * 15 for a, b in zip(written, written[1:]))
 
 
 class TestCostGuards:

@@ -12,6 +12,7 @@ from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from pathlossfit import CIParams, SyntheticSpec, generate
@@ -389,7 +390,7 @@ def test_plain_text_is_parsed_without_float_per_field(tmp_path, monkeypatch):
 
 def test_a_one_label_file_is_parsed_whole(tmp_path, monkeypatch):
     spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
-                         frequencies=((2.0, 1000), (28.0, 1000)),
+                         frequencies=((2.0, 5000), (28.0, 5000)),
                          distance_range=(10.0, 500.0))
     path = tmp_path / "plain.csv"
     ds = generate(spec)
@@ -400,7 +401,115 @@ def test_a_one_label_file_is_parsed_whole(tmp_path, monkeypatch):
 
     for name in ("_plain_columns", "_floats", "_labels"):
         monkeypatch.setattr(ingest, name, refuse)
+    monkeypatch.setattr(ingest.orjson, "loads", counting(ingest.orjson.loads))
+    for chunk in (ingest.LOAD_CHUNK, 4096):  # one parse per chunk of at least that many bytes
+        monkeypatch.setattr(ingest, "LOAD_CHUNK", chunk)
+        ingest.orjson.loads.calls = 0
+        assert load_csv(path) == ds
+        assert 2 <= ingest.orjson.loads.calls <= -(-path.stat().st_size // chunk)
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
     assert load_csv(path) == ds
+
+
+def counting(function):
+    """``function``, counting its calls in the wrapper's ``calls``."""
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return function(*args, **kwargs)
+    wrapper.calls = 0
+    return wrapper
+
+
+def uneven_rows(count):
+    """``count`` rows of one label whose numbers differ in length, so that
+    chunks are cut at uneven places."""
+    ds = generate(SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                                frequencies=((28.0, count),), distance_range=(10.0, 500.0)))
+    return [f"{f!r},{d!r},{loss!r},UMa,NLOS,c1\n" for f, d, loss
+            in zip(ds.frequency.tolist(), ds.distance.tolist(), ds.path_loss.tolist())]
+
+
+# what a later chunk's row may hold, as a change of its fields
+CHUNK_TRAPS = {
+    "none": lambda f: f,
+    "other label": lambda f: f[:5] + [b"c2\n"],
+    "-0": lambda f: f[:2] + [b"-0"] + f[3:],
+    "zero": lambda f: f[:2] + [b"0.0"] + f[3:],
+    "JSON whitespace": lambda f: f[:2] + [b" 7\t"] + f[3:],
+    "non-number": lambda f: f[:2] + [b"1_20"] + f[3:],
+    "bad JSON number": lambda f: f[:2] + [b"1..2"] + f[3:],
+    "short row": lambda f: f[:2] + f[3:],
+    "long row": lambda f: f[:3] + [b"7"] + f[3:],
+    "bad sample": lambda f: f[:1] + [b"0.5"] + f[2:],
+    "non-UTF-8 label": lambda f: f[:5] + [b"c\xe91\n"],
+    "non-UTF-8 number": lambda f: f[:2] + [b"1\xff"] + f[3:],
+}
+
+
+@pytest.mark.parametrize("trap", CHUNK_TRAPS)
+@pytest.mark.parametrize("kind", ["even", "uneven"])
+def test_a_chunked_load_equals_the_row_by_row_loader(tmp_path, monkeypatch, kind, trap):
+    """Chunks of three ROWs are cut exactly at a row's end, the last one too
+    (30 rows) or before a last chunk of one row (31 rows)."""
+    monkeypatch.setattr(ingest, "LOAD_CHUNK", 3 * len(ROW))
+    rows = [ROW] * 31 if kind == "even" else uneven_rows(31)
+    for bom, count, end in ((b"", 30, b"\n"), (b"\xef\xbb\xbf", 31, b"\n"), (b"", 31, b"")):
+        body = [row.encode() for row in rows[:count]]
+        body[20] = b",".join(CHUNK_TRAPS[trap](body[20].split(b",")))
+        data = bom + HEADER.encode() + b"".join(body).removesuffix(b"\n") + end
+        assert len(data) > 8 * ingest.LOAD_CHUNK
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        got = outcome(load_csv, path)
+        try:
+            data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            assert got == (f"IngestError: {path}: not UTF-8 text ({exc.reason})", [])
+            continue
+        want = outcome(reference_load_csv, path)
+        assert got[1] == want[1] == []
+        if isinstance(want[0], str):
+            assert got[0] == want[0]
+            continue
+        for column in ("frequency", "distance", "path_loss", "codes"):
+            assert getattr(got[0], column).tobytes() == getattr(want[0], column).tobytes()
+        assert got[0].labels == want[0].labels
+
+
+def test_short_rows_ending_three_chunks_are_not_read_as_one_row(tmp_path, monkeypatch):
+    # each chunk's numbers come one short, and the three chunks' together fill rows
+    short = ROW.replace("120.25,", "")
+    monkeypatch.setattr(ingest, "LOAD_CHUNK", len(ROW * 2 + short))
+    path = tmp_path / "in.csv"
+    path.write_text(HEADER + (ROW * 2 + short) * 3 + ROW * 3, encoding="utf-8")
+    assert outcome(load_csv, path) == outcome(reference_load_csv, path) == (
+        f"IngestError: {path} line 4: expected 6 columns, got 5", [])
+
+
+BIG = "x" * 200_000  # over csv.field_size_limit()
+
+
+@pytest.mark.parametrize("data", [
+    b"frequency_ghz\xff," + HEADER.encode().partition(b",")[2] + ROW.encode(),
+    HEADER.encode() + ROW.encode() + b"\xc3",
+    # the bad byte lies past the csv reader's first read of 8 KiB
+    HEADER.replace(",campaign", "").encode() + ROW.encode() * 400 + b"\xe9\n",
+    HEADER.replace("\n", ",note\n").encode() + ROW.encode() * 400 + b"\xe9\n",
+    HEADER.replace("\n", f",{BIG}\n").encode() + ROW.encode() + b"\xe9\n",
+    f"{BIG},{HEADER}".encode() + b"\xe9",
+], ids=["in the header", "cut short", "missing column", "extra column", "long header field",
+        "long field first"])
+def test_text_that_is_not_utf8_is_refused_before_its_header_is_read(tmp_path, data):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as error:
+        data.decode("utf-8-sig")
+    assert outcome(load_csv, path) == (
+        f"IngestError: {path}: not UTF-8 text ({error.value.reason})", [])
+    path.write_bytes(data.replace(b"\xff", b"").replace(b"\xc3", b"").replace(b"\xe9", b""))
+    if b"x" * 1000 in data:
+        assert outcome(load_csv, path) == (
+            f"IngestError: {path} line 1: field larger than field limit (131072)", [])
 
 
 JSON_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e16, -1e16,

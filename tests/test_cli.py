@@ -7,6 +7,7 @@ import os
 import pytest
 
 from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
+from pathlossfit import cli
 from pathlossfit.cli import build_parser, main
 from pathlossfit.ingest import spec_to_dict, write_csv
 from conftest import BAD_SPEC_FIELDS
@@ -669,6 +670,33 @@ class TestOutputTargets:
         assert_one_error_line(capsys.readouterr(), "rename failed")
         # the file renamed before the failure stays; no staged file is left
         assert [p.name for p in out_dir.iterdir()] == ["fit_report.json"]
+
+
+    def test_a_writer_failing_halfway_keeps_the_previous_output(self, tmp_path,
+                                                                exact_ci_spec_file, capsys,
+                                                                monkeypatch):
+        out_dir, pieces = tmp_path / "out", cli._array_pieces
+
+        def failing_pieces(values, depth):
+            if failing_pieces.arrays == 1:
+                raise OSError("disk full")
+            failing_pieces.arrays += 1
+            yield from pieces(values, depth)
+
+        for previous in (False, True):
+            if previous:
+                assert run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir) == 0
+            before = {p.name: p.read_bytes() for p in out_dir.glob("*")}
+            failing_pieces.arrays = 0
+            monkeypatch.setattr(cli, "_array_pieces", failing_pieces)
+            assert run("fit", "--synthetic", exact_ci_spec_file, "--out-dir", out_dir) == 2
+            monkeypatch.setattr(cli, "_array_pieces", pieces)
+            assert_one_error_line(capsys.readouterr(), "disk full")
+            # the failure came after the first array was written to the staged file
+            assert failing_pieces.arrays == 1
+            assert {p.name: p.read_bytes() for p in out_dir.glob("*")} == before
+            assert sorted(before) == (["fit_report.json", "model_curves.csv"] if previous
+                                      else [])
 
 
 class TestMalformedCommandLine:

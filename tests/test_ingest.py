@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 from statistics import NormalDist, _normal_dist_inv_cdf
 
@@ -25,6 +26,7 @@ from pathlossfit import (
     load_csv,
     write_csv,
 )
+from pathlossfit.cli import main
 from pathlossfit.domain import evaluate
 from pathlossfit.ingest import counter_uniforms, load_spec, spec_from_dict, spec_to_dict
 from conftest import BAD_SPEC_FIELDS
@@ -210,6 +212,22 @@ class TestCounterUniform:
         values = [counter_uniform(0, i) for i in range(1000)]
         assert all(0.0 < v < 1.0 for v in values)
 
+    def test_the_top_word_gives_the_float_below_1(self, tmp_path):
+        seed = seed_of_word((1 << 64) - 1, 1)  # the first sample's shadowing uniform
+        top = ((1 << 53) - 1 + 0.5) * 2.0 ** -53
+        assert python_int_uniform(seed, 1) == top == 1.0  # the offset rounds up
+        assert counter_uniform(seed, 1) == math.nextafter(1.0, 0.0)
+        assert counter_uniforms(seed, [0, 2, 3]).tolist() == [
+            python_int_uniform(seed, i) for i in (0, 2, 3)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_to_dict(SyntheticSpec(
+            truth=CIParams(2.9), sigma=5.7, seed=seed, frequencies=((28.0, 3),),
+            distance_range=(10.0, 500.0)))), encoding="utf-8")
+        assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 0
+        ds = load_csv(tmp_path / "out.csv")
+        noise = 5.7 * NormalDist().inv_cdf(math.nextafter(1.0, 0.0))
+        assert ds.path_loss[0] == evaluate(CIParams(2.9), 28.0, ds.distance)[0] + noise
+
     def test_counter_access_is_random(self):
         assert counter_uniform(42, 500) == counter_uniform(42, 500)
         assert counter_uniform(42, 500) != counter_uniform(42, 501)
@@ -223,6 +241,20 @@ class TestCounterUniform:
         want = [python_int_uniform(seed, i) for i in index]
         assert counter_uniforms(seed, index).tolist() == want
         assert counter_uniform(seed, index[0]) == want[0]
+
+
+def seed_of_word(word: int, index: int) -> int:
+    """The seed whose stream word number ``index`` is ``word``: the splitmix64
+    finalizer undone (each xorshift by its repeated shifts, each product by
+    the inverse multiplier mod 2^64), less the counter's offset."""
+    mask = (1 << 64) - 1
+    z = word
+    for shift, multiplier in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        z = x * pow(multiplier, -1, 1 << 64) & mask if multiplier else x
+    return (z - (index + 1) * 0x9E3779B97F4A7C15) & mask
 
 
 def python_int_uniform(seed: int, index: int) -> float:
