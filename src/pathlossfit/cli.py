@@ -166,6 +166,7 @@ _ARRAY_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 _NUMBER_LINE = re.compile(rb' *(?:"(?:[^"\\]|\\.)*": )?(-?\d[-+.\deE]*),?')
 _NULL = re.compile(rb"null")
 _NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does not
+_SCALARS = {bool, float, int, str}
 
 
 def _json_text(obj) -> bytes:
@@ -187,10 +188,11 @@ def _json_pieces(obj):
     and any other numpy value as its list, and only it is scanned: non-ASCII
     or DEL runs take json's escapes, a float on a line that :func:`not_repr_hits`
     hits is respelled by ``repr``, and each array's :func:`_array_pieces` take
-    its ``null``'s place. json.dumps writes what orjson rejects (a lone
-    surrogate, an int beyond 64 bits, a non-str key, a non-contiguous array,
-    a dataclass, a datetime), a non-finite array, and a skeleton with another
-    ``null`` (None, NaN, an infinity). orjson writes a plain Enum or a UUID
+    its ``null``'s place; a None's ``null`` stays. json.dumps writes what
+    orjson rejects (a lone surrogate, an int beyond 64 bits, a non-str key, a
+    non-contiguous array, a dataclass, a datetime), a non-finite array, and a
+    skeleton with a ``null`` that :func:`_stand_ins` does not account for (NaN,
+    an infinity, ``null`` in a string). orjson writes a plain Enum or a UUID
     unlike json; reports hold neither."""
     arrays = []
 
@@ -209,8 +211,10 @@ def _json_pieces(obj):
         nulls = [null.start() for null in _NULL.finditer(text)]
     except TypeError:  # orjson.JSONEncodeError: what orjson refuses
         nulls = None
+    if nulls is not None and len(nulls) != len(arrays):  # find the Nones among them
+        arrays = _stand_ins([obj], [])
     if (nulls is None or len(nulls) != len(arrays)
-            or not all(np.isfinite(values).all() for values in arrays)):
+            or not all(values is None or np.isfinite(values).all() for values in arrays)):
         yield (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
                + "\n").encode()
         return
@@ -220,13 +224,30 @@ def _json_pieces(obj):
         if line and not line[1].lstrip(b"-").isdigit():  # a float, not an int
             edits.append((line.start(1), line.end(1), [repr(float(line[1])).encode()]))
     for at, values in zip(nulls, arrays):
-        line = text[text.rfind(b"\n", 0, at) + 1:at]  # the indent, then maybe a key
-        edits.append((at, at + 4, _array_pieces(values, (len(line) - len(line.lstrip())) // 2)))
+        if values is not None:
+            line = text[text.rfind(b"\n", 0, at) + 1:at]  # the indent, then maybe a key
+            depth = (len(line) - len(line.lstrip())) // 2
+            edits.append((at, at + 4, _array_pieces(values, depth)))
     for start, stop, new in sorted(edits):
         yield memoryview(text)[end:start]
         yield from new
         end = stop
     yield memoryview(text)[end:]
+
+
+def _stand_ins(values, found: list) -> list:
+    """``found`` and each None and 1-D float64 array below the container
+    ``values``, in the dump's order: dict values by sorted key, lists and
+    tuples in order."""
+    for value in [values[key] for key in sorted(values)] if isinstance(values, dict) else values:
+        if type(value) in _SCALARS:  # most of a report, with nothing below it
+            continue
+        if isinstance(value, (dict, list, tuple)):
+            _stand_ins(value, found)
+        elif value is None or (type(value) is np.ndarray and value.dtype == np.float64
+                               and value.ndim == 1):
+            found.append(value)
+    return found
 
 
 def _array_pieces(values: np.ndarray, depth: int):
@@ -294,21 +315,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _model_curves_csv(ds: Dataset, fits: dict[str, FitReport]) -> bytes:
     """Mean path loss vs distance per frequency for each fitted model,
-    alongside the free-space reference."""
-    _, d, _ = ds.arrays()
-    grid = np.logspace(0.0, np.log10(float(d.max())), CURVE_POINTS)
+    alongside the free-space reference: one table, frequency by frequency."""
+    grid = np.logspace(0.0, np.log10(float(ds.arrays()[1].max())), CURVE_POINTS)
+    f, d = np.repeat(ds.frequencies, grid.size), np.tile(grid, len(ds.frequencies))
     header = ["frequency_ghz", "distance_m", "fspl_db"] + [f"{kind}_db" for kind in fits]
-    rows = []
-    for freq in ds.frequencies:
-        columns = [float_texts(np.full(grid.size, freq)), float_texts(grid),
-                   float_texts(fspl(freq, grid))]
-        for report in fits.values():
-            # blank below the model's reference distance (1 m unless fitted)
-            valid = grid >= report.params.d0
-            columns.append([""] * int(np.count_nonzero(~valid))
-                           + float_texts(evaluate(report.params, freq, grid[valid])))
-        rows += zip(*columns)
-    return _csv_text(header, rows)
+    columns = [float_texts(f), float_texts(d), float_texts(fspl(f, d))]
+    for report in fits.values():
+        # blank below the model's reference distance (1 m unless fitted)
+        valid, column = d >= report.params.d0, np.full(d.size, "", dtype=object)
+        column[valid] = float_texts(evaluate(report.params, f[valid], d[valid]))
+        columns.append(column.tolist())
+    return _csv_text(header, zip(*columns))
 
 
 # ---------------------------------------------------------------------------

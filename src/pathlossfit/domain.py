@@ -321,9 +321,9 @@ def fspl(frequency: float | np.ndarray, d0: float | np.ndarray = 1.0):
     """
     frequency = np.asarray(frequency, dtype=float)
     d0 = np.asarray(d0, dtype=float)
-    if np.any(frequency <= 0):
+    if (frequency <= 0).any():
         raise DomainError("frequency must be > 0 GHz")
-    if np.any(d0 <= 0):
+    if (d0 <= 0).any():
         raise DomainError("distance must be > 0 m")
     with np.errstate(over="ignore", divide="ignore"):  # a DomainError below instead
         out = 20.0 * np.log10(4.0 * math.pi * frequency * d0 * 1e9 / SPEED_OF_LIGHT)
@@ -411,9 +411,9 @@ def evaluate(params: ModelParams, frequency, distance):
     entry = _model_kind(params)
     frequency = np.asarray(frequency, dtype=float)
     distance = np.asarray(distance, dtype=float)
-    if np.any(frequency <= 0):
+    if (frequency <= 0).any():
         raise DomainError("frequency must be > 0 GHz")
-    if np.any(distance < params.d0):
+    if (distance < params.d0).any():
         raise DomainError(entry.below_d0.format(d0=params.d0))
     out = entry.formula(params, frequency, distance)
     return float(out) if np.ndim(out) == 0 else out
@@ -460,7 +460,7 @@ def rms(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DomainError("RMS of an empty sequence is undefined")
-    return float(np.sqrt(np.mean(arr * arr)))
+    return math.sqrt((arr * arr).sum() / arr.size)  # np.mean's sum and division, bit for bit
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,26 +73,19 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
     f, d, pl = ds.arrays()
     if len(ds) == 0:
         return ds
-    # One int64 key per (label, frequency, bin), from dense indices: one 1-D
-    # sort instead of a row sort. floor(d / w) stays a float until it is
-    # ranked, since with a tiny bin width it exceeds 2^63.
-    _, freq = np.unique(f, return_inverse=True)
-    _, label_freq = np.unique(ds.codes * (freq.max() + 1) + freq, return_inverse=True)
     with np.errstate(over="ignore"):  # a BinWidthError below instead
-        bins, bin_index = np.unique(np.floor(d / settings.bin_width), return_inverse=True)
-    if not np.isfinite(bins[-1]):
+        bins = np.floor(d / settings.bin_width)
+    if not np.isfinite(bins.max()):
         raise BinWidthError(f"bin_width {settings.bin_width} m is too small for distances "
                             f"up to {d.max()} m: distance / bin_width overflows")
-    key = label_freq.astype(np.int64) * bins.size + bin_index
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    # renumber groups by first occurrence, then list members group by group
-    # (stable, so each group's members stay in input order)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    group = rank[inverse]
-    order = np.argsort(group, kind="stable")
-    sizes = np.bincount(group)
-    starts = np.cumsum(sizes) - sizes
+    # one stable sort by (label, frequency, bin): each group is a run whose
+    # members keep input order, and its head is the group's first member
+    order = np.lexsort((bins, f, ds.codes))
+    keys = np.stack((ds.codes[order], f[order], bins[order]))
+    runs = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    sizes, heads = np.diff(np.r_[runs, d.size]), order[runs]
+    rank = np.argsort(heads)  # the runs in order of first occurrence
+    starts, sizes, heads = runs[rank], sizes[rank], heads[rank]
 
     # the m groups of size k as one (m, k) matrix: numpy sums each row as it
     # sums a 1-D array, so each mean is bit-identical to np.mean of the group
@@ -111,7 +104,6 @@ def bin_by_distance(ds: Dataset, settings: PreprocessSettings) -> Dataset:
                 raise DomainError(f"linear bin averaging is out of the float range for "
                                   f"path losses from {losses.min()} to {losses.max()} dB")
             path_loss[groups] = mean
-    heads = np.sort(first)  # each group's first member, in group order
     return Dataset.from_columns(f[heads], distance, path_loss, ds.codes[heads], ds.labels)
 
 

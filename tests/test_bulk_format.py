@@ -144,9 +144,24 @@ class TestJsonOneDump:
 
     def test_none_next_to_nan_and_the_infinities_takes_json_dumps(self):
         for doc in ({"a": None, "b": math.nan, "c": [math.inf, -math.inf, None]},
-                    [None, 1e-05], {"x": math.nan}, [-math.inf],
-                    {"r": np.array([0.5, math.nan])}, {"r": np.array([0.5]), "z": None}):
+                    {"x": math.nan}, [-math.inf], {"r": np.array([0.5, math.nan])},
+                    {"s": np.float64(math.nan), "z": None}, {"t": (None, 1.0, math.nan)},
+                    {"m": np.array([[0.5, math.nan]]), "z": None},
+                    {"r": np.array([math.nan]), "z": None}, {"s": "null", "z": None},
+                    {"m": np.array([[0.5]]), "x": math.nan, "z": None}):
             assert not one_dump(doc)
+
+    def test_a_numpy_nan_scalar_takes_json_dumps(self):
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as fallback:
+            with pytest.raises(TypeError):  # json.dumps writes no numpy scalar
+                _json_text({"s": np.float32(math.nan), "z": None})
+        assert fallback.called
+
+    def test_none_takes_one_dump_and_keeps_its_null(self):
+        for doc in ([None, 1e-05], {"r": np.array([0.5]), "z": None},
+                    {"a": [None, np.array([1e-05, 0.5])], "b": None, "é": None,
+                     "c": ({"n": None, "r": np.array([])}, np.array([1e16]), None)}):
+            assert one_dump(doc)
 
     @pytest.mark.parametrize("doc", [
         {"del": "a\x7fb"}, {"é": 1.0}, {"x": "snow ☃"}, {"x": ["é\x7f☃", "a\U0001f600b"]},
@@ -322,7 +337,10 @@ class TestCostGuards:
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert len(report["models"]["ci"]["residuals_db"]) == report["preprocess"]["n_output"]
 
-    def test_a_distance_sweep_report_is_one_orjson_dump(self, tmp_path, monkeypatch):
+    @staticmethod
+    def sweep_without_json_dumps(tmp_path, monkeypatch, *flags) -> dict:
+        """The report of a five-model sweep of a two-frequency campaign, run
+        with json.dumps refused."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_dict(SyntheticSpec(
             truth=CIParams(2.9), sigma=5.7, seed=7, frequencies=((2.0, 300), (28.0, 300)),
@@ -332,9 +350,21 @@ class TestCostGuards:
             raise AssertionError("the json.dumps fallback was entered")
         monkeypatch.setattr(json, "dumps", refuse)
         assert main(["sweep", "--synthetic", str(spec_path), "--out-dir", str(tmp_path),
-                     "--models", "abg,ab,ci,ci_opt,cif", "--split", "distance-close"]) == 0
-        report = json.loads((tmp_path / "sweep_report.json").read_text())
+                     "--models", "abg,ab,ci,ci_opt,cif", *flags]) == 0
+        return json.loads((tmp_path / "sweep_report.json").read_text())
+
+    def test_a_distance_sweep_report_is_one_orjson_dump(self, tmp_path, monkeypatch):
+        report = self.sweep_without_json_dumps(tmp_path, monkeypatch,
+                                               "--split", "distance-close")
         assert len(report["points"]) == 13 and report["input"]["seed"] == 7
+
+    @pytest.mark.parametrize("hold_out", [(), ("--hold-out", "28")], ids=["all", "hold-out"])
+    def test_a_frequency_hold_out_report_is_one_orjson_dump(self, tmp_path, monkeypatch,
+                                                            hold_out):
+        report = self.sweep_without_json_dumps(tmp_path, monkeypatch,
+                                               "--split", "frequency-loo", *hold_out)
+        assert report["split"]["held_out"] == (28.0 if hold_out else None)
+        assert len(report["points"]) == (1 if hold_out else 2)
 
     @pytest.mark.parametrize("average", BIN_AVERAGE_MODES)
     def test_bin_by_distance_takes_two_means_per_group_size(self, uma_synthetic,

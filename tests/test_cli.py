@@ -4,12 +4,16 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from pathlossfit import CIParams, Scenario, SyntheticSpec, generate, load_csv
+from pathlossfit import CIOptParams, CIParams, Scenario, SyntheticSpec, generate, load_csv
 from pathlossfit import cli
 from pathlossfit.cli import build_parser, main
-from pathlossfit.ingest import spec_to_dict, write_csv
+from pathlossfit.domain import evaluate, fspl
+from pathlossfit.fitters import (FITTER_KINDS, FLAG_ABG_AS_AB, FLAG_CIF_SINGLE_FREQUENCY,
+                                 fit_with_reversion)
+from pathlossfit.ingest import float_texts, spec_to_dict, write_csv
 from conftest import BAD_SPEC_FIELDS
 
 
@@ -51,6 +55,21 @@ def write_csv_rows(path, rows):
 def campaign_rows(scenario, distances=(5.0, 10.0, 30.0, 60.0, 120.0, 250.0, 400.0)):
     return [(f, d, 40.0 + f + 30.0 * math.log10(d) + (k % 3), scenario)
             for k, (f, d) in enumerate((f, d) for f in (2.0, 28.0) for d in distances)]
+
+
+def curves_per_frequency(ds, fits) -> bytes:
+    """The model curve CSV built one frequency at a time: the reference."""
+    grid = np.logspace(0.0, np.log10(float(ds.distance.max())), cli.CURVE_POINTS)
+    rows = [["frequency_ghz", "distance_m", "fspl_db", *(f"{kind}_db" for kind in fits)]]
+    for freq in ds.frequencies:
+        columns = [float_texts(np.full(grid.size, freq)), float_texts(grid),
+                   float_texts(fspl(freq, grid))]
+        for report in fits.values():
+            valid = grid >= report.params.d0
+            columns.append([""] * int(np.count_nonzero(~valid))
+                           + float_texts(evaluate(report.params, freq, grid[valid])))
+        rows += zip(*columns)
+    return "".join(",".join(row) + "\n" for row in rows).encode()
 
 
 def read_report(path):
@@ -185,6 +204,21 @@ class TestFit:
         first = lines[1].split(",")
         assert first[1] == "1.0"
         assert float(first[3]) == pytest.approx(float(first[2]), abs=1e-12)
+
+    # a CI-opt truth with d0 = 10 m, so that the fitted d0 blanks the first grid points
+    @pytest.mark.parametrize("frequencies", [(28.0,), (28.0, 73.0), (2.0, 10.0, 18.0, 28.0, 38.0)])
+    def test_model_curves_equal_a_table_built_per_frequency(self, frequencies):
+        ds = generate(SyntheticSpec(truth=CIOptParams(2.2, 10.0), sigma=2.0, seed=7,
+                                    frequencies=tuple((f, 60) for f in frequencies),
+                                    distance_range=(10.0, 200.0)))
+        fits = {kind: fit_with_reversion(ds, kind, d0_bounds=(5.0, 50.0))
+                for kind in FITTER_KINDS}
+        single = {FLAG_ABG_AS_AB, FLAG_CIF_SINGLE_FREQUENCY} <= {
+            flag for report in fits.values() for flag in report.flags}
+        assert single == (len(frequencies) == 1)
+        curves = cli._model_curves_csv(ds, fits)
+        assert curves == curves_per_frequency(ds, fits)
+        assert b",," in curves  # CI-opt's blanks below its d0
 
     def test_single_frequency_abg_becomes_ab_with_warning(self, tmp_path, capsys):
         csv_path = tmp_path / "single.csv"
@@ -580,6 +614,18 @@ class TestOverflow:
     def test_fspl_overflow_exits_1_with_one_line(self, capsys):
         assert run("fspl", "1e300", "1e300") == 1
         assert_one_error_line(capsys.readouterr(), "free-space path loss")
+
+    def test_a_curve_grid_past_the_fspl_range_exits_1_without_output(self, tmp_path, capsys):
+        # the fits hold at 1e308 m, but the curve grid's FSPL overflows at 28 GHz first
+        rows = [(f, d, 40.0 + f + 30.0 * math.log10(d) + k % 3, "UMa")
+                for k, (f, d) in enumerate((f, d) for f in (28.0, 73.0) for d in (5, 30, 400))]
+        data = write_csv_rows(tmp_path / "in.csv", [*rows, (28.0, 1e308, 150.0, "UMa")])
+        assert run("fit", "--input", data, "--out-dir", tmp_path / "out", "--models",
+                   "abg,ab,ci,ci_opt,cif") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: free-space path loss at 28.0 GHz and "
+                                "4.641588833612982e+298 m is out of the float range\n")
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--split", "frequency-loo", "--no-binning"),

@@ -138,16 +138,21 @@ class TestAgainstRowReferences:
         assert threshold(ds, settings) == threshold_by_rows(ds, settings)
 
     # Few groups with unrounded losses, so that many hold 8 or more members
-    # and a change of summation order would show in the last bits.
+    # and a change of summation order would show in the last bits. The labels
+    # interleave and are coded in an order other than that of first occurrence;
+    # with ``ties`` the distances take 8 values.
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 150),
            width=st.sampled_from((0.5, 2.0, 5.0, 50.0, 1e-300)),
-           average=st.sampled_from(("db", "linear")))
-    def test_bin_by_distance_is_bit_identical(self, seed, n, width, average):
+           average=st.sampled_from(("db", "linear")), ties=st.booleans())
+    @example(seed=1, n=150, width=50.0, average="db", ties=True)
+    def test_bin_by_distance_is_bit_identical(self, seed, n, width, average, ties):
         rng = np.random.default_rng(seed)
-        rows = zip(rng.choice([2.0, 28.0], n).tolist(), rng.uniform(1.0, 40.0, n).tolist(),
-                   rng.uniform(30.0, 250.0, n).tolist(),
-                   [LABELS[i] for i in rng.integers(0, len(LABELS), n)])
-        ds = dataset(rows)
+        distance = rng.uniform(1.0, 40.0, n)
+        if ties:
+            distance = rng.choice(distance[:8], n)
+        ds = Dataset.from_columns(rng.choice([2.0, 28.0], n), distance,
+                                  rng.uniform(30.0, 250.0, n), rng.integers(0, len(LABELS), n),
+                                  tuple(LABELS[i] for i in rng.permutation(len(LABELS))))
         settings = PreprocessSettings(bin_width=width, bin_average=average)
         assert bin_by_distance(ds, settings) == bin_by_rows(ds, settings)
 

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pathlossfit import (
     ABGParams,
@@ -52,7 +53,9 @@ class TestFspl:
     def test_28_ghz_one_meter(self):
         assert fspl(28.0, 1.0) == pytest.approx(FSPL_28_1, abs=1e-9)
 
-    @pytest.mark.parametrize("f,d", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -5.0)])
+    @pytest.mark.parametrize("f,d", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -5.0),
+                                     (np.array([28.0, 0.0, 2.0]), 1.0),
+                                     (28.0, np.array([1.0, 10.0, -5.0]))])
     def test_rejects_nonpositive_arguments(self, f, d):
         with pytest.raises(DomainError):
             fspl(f, d)
@@ -89,7 +92,7 @@ class TestEvalAbg:
         with pytest.raises(DomainError):
             eval_abg(ABGParams(2.0, 30.0, 2.0), 28.0, 0.9)
 
-    @pytest.mark.parametrize("f", [0.0, -2.0])
+    @pytest.mark.parametrize("f", [0.0, -2.0, np.array([28.0, -1.0])])
     def test_rejects_frequency_not_above_zero(self, f):
         with pytest.raises(DomainError, match="frequency must be > 0 GHz"):
             eval_abg(ABGParams(2.0, 30.0, 2.0), f, 10.0)
@@ -259,6 +262,20 @@ class TestValueTypes:
     def test_rms_of_nothing_is_undefined(self):
         with pytest.raises(DomainError, match="RMS of an empty sequence"):
             rms([])
+
+    # subnormals, squares that overflow (1e200) and single elements, 1-D and 2-D
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=30),
+                             elements=st.one_of(
+                                 st.floats(allow_nan=False, allow_subnormal=True),
+                                 st.sampled_from([5e-324, -2.5e-310, 1e200, -1e155]))))
+    @example(values=np.array([-3.0]))
+    @example(values=np.array([[1e-320]]))
+    @example(values=np.array([[1e200, 1.0], [2.0, -1e-300]]))
+    def test_rms_is_np_mean_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):
+            got, want = rms(values), float(np.sqrt(np.mean(values * values)))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_environment_values(self):
         assert Environment("LOS") is Environment.LOS

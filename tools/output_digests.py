@@ -27,10 +27,11 @@ and one sweep read each. Their reports' ``input.path`` needs json's escapes:
 ``\\u00e9`` for the accented name, which the JSON writer adds to its one
 orjson dump, and ``\\udce9`` for the lone surrogate that the other name
 decodes to, which orjson refuses, so that those reports are written by
-``json.dumps`` itself, as is every frequency hold-out report (its
-``held_out: null``). A name that is not UTF-8 is printed with ``\\xNN``
-escapes. ``--f0`` is passed to one fit and to one close sweep, so the
-explicit f0 reaches both the single fit and the stacked sweep solve.
+``json.dumps`` itself. A frequency hold-out report's ``held_out: null`` is a
+None, which keeps the one dump; a NaN or an infinity would not. A name that
+is not UTF-8 is printed with ``\\xNN`` escapes. ``--f0`` is passed to one
+fit and to one close sweep, so the explicit f0 reaches both the single fit
+and the stacked sweep solve.
 ``load_csv`` parses a file whose rows all carry one label in chunks of
 about 256 KiB cut at row ends (``raw.csv`` at factors 5 and 10, 0.57 and
 1.1 MB, spans several chunks), and any other file by columns or row by
@@ -40,6 +41,10 @@ their tails in turn. So that each of
 those paths is checked, ``TWO_LABEL`` holds ``raw.csv``'s rows and then
 ``short.csv``'s rows under their own label, and ``REORDERED`` is ``raw.csv``
 with its columns in another order; each gets a preprocess, a fit and a sweep.
+``INTERLEAVED`` alternates ``raw.csv``'s rows with ``short.csv``'s, so that the
+distance bins' groups interleave; it gets a binned fit and a close sweep.
+``FAR_SAMPLE`` is ``short.csv`` with one more sample at 1e308 m: its fit
+holds, but the curve table's free-space loss overflows, so it exits 1.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
 compares their outputs value by value instead.
 """
@@ -54,6 +59,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 SEEDS = (20160505, 7)
@@ -66,6 +72,8 @@ ACCENTED = "mesures-été.csv"  # a copy of raw.csv under a non-ASCII name
 NON_UTF8 = os.fsdecode(b"caf\xe9.csv")  # and under a name that is not UTF-8
 TWO_LABEL = "two-label.csv"
 REORDERED = "reordered.csv"
+INTERLEAVED = "interleaved.csv"
+FAR_SAMPLE = "far-sample.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -113,6 +121,10 @@ COMMANDS = (
           ("fit", "--input", name, "--out-dir", f"fit-{stem}", *ALL_MODELS, "--no-binning"),
           ("sweep", "--input", name, "--out-dir", f"sweep-{stem}", *ALL_MODELS,
            "--split", "distance-far"))),
+    ("fit", "--input", INTERLEAVED, "--out-dir", "fit-interleaved", *ALL_MODELS),
+    ("sweep", "--input", INTERLEAVED, "--out-dir", "sweep-interleaved", *ALL_MODELS,
+     "--split", "distance-close", "--d-max", "150"),
+    ("fit", "--input", FAR_SAMPLE, "--out-dir", "fit-far-sample", *ALL_MODELS),
 )
 
 
@@ -125,6 +137,19 @@ def reordered(raw: bytes) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def interleaved(raw: bytes, short: bytes) -> bytes:
+    """The rows of the CSVs ``raw`` and ``short`` taken in turn, under ``raw``'s header."""
+    header, _, rows = raw.partition(b"\n")
+    mixed = zip_longest(rows.splitlines(), short.splitlines()[1:])
+    return b"\n".join([header, *(row for pair in mixed for row in pair if row)]) + b"\n"
+
+
+def far_sample(short: bytes) -> bytes:
+    """The CSV ``short`` with one more 28 GHz sample, at 1e308 m, under its last row's label."""
+    loss_and_label = short.splitlines()[-1].split(b",")[2:]
+    return short + b",".join([b"28.0", b"1e+308", *loss_and_label]) + b"\n"
+
+
 # inputs made from the generated CSVs in the work directory, by name
 DERIVED = {
     ACCENTED: lambda work: (work / "raw.csv").read_bytes(),
@@ -132,6 +157,9 @@ DERIVED = {
     TWO_LABEL: lambda work: ((work / "raw.csv").read_bytes()
                              + (work / "short.csv").read_bytes().partition(b"\n")[2]),
     REORDERED: lambda work: reordered((work / "raw.csv").read_bytes()),
+    INTERLEAVED: lambda work: interleaved((work / "raw.csv").read_bytes(),
+                                          (work / "short.csv").read_bytes()),
+    FAR_SAMPLE: lambda work: far_sample((work / "short.csv").read_bytes()),
 }
 
 
