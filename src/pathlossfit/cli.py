@@ -215,8 +215,7 @@ def _json_pieces(obj):
         arrays = _stand_ins([obj], [])
     if (nulls is None or len(nulls) != len(arrays)
             or not all(values is None or np.isfinite(values).all() for values in arrays)):
-        yield (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
-               + "\n").encode()
+        yield (json.dumps(obj, indent=2, sort_keys=True, default=_tolist) + "\n").encode()
         return
     edits, end = [], 0  # edits are (start, end, new pieces) in the skeleton
     for start in {text.rfind(b"\n", 0, at) + 1 for at in not_repr_hits(text)}:
@@ -233,6 +232,11 @@ def _json_pieces(obj):
         yield from new
         end = stop
     yield memoryview(text)[end:]
+
+
+def _tolist(value):  # json.dumps' default: a numpy value's tolist(), else json's TypeError
+    return (value.tolist() if isinstance(value, (np.ndarray, np.generic))
+            else json.JSONEncoder().default(value))
 
 
 def _stand_ins(values, found: list) -> list:

@@ -5,7 +5,9 @@ CSV schema (UTF-8, optional byte order mark, comma separated, header required)::
     frequency_ghz,distance_m,path_loss_db,scenario,environment,campaign
 
 with scenario in {UMa, UMiSC, InHOffice, InHSM, Other:<label>} and
-environment in {LOS, NLOS}. Extra columns are ignored with a warning.
+environment in {LOS, NLOS}. Extra columns are ignored with a warning. A file
+in this column order with no quote or CR is parsed in chunks of rows, any
+other by the ``csv`` module (see :func:`load_csv`).
 
 The generator is reproducible across implementations: it draws uniforms from
 a counter-based splitmix64 stream and maps them through the inverse normal
@@ -64,27 +66,25 @@ def load_csv(path: str | Path) -> Dataset:
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
     loss) aborts the load with a diagnostic naming the first bad file line.
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
-    IngestError naming the file. A file of CSV_COLUMNS whose rows carry one
-    label is parsed in chunks of rows, undecoded (:func:`_one_label`). Other
-    text without quotes or CRs whose lines all hold as many fields as the
-    header is split in bulk, each float column parsed as by :func:`_floats`;
-    any other text is read row by row with the ``csv`` module. No path
-    changes a value or a diagnostic.
+    IngestError naming the file. A file of CSV_COLUMNS in order, with no quote
+    or CR and six fields a row, is parsed in chunks of rows, undecoded, with
+    any number of labels (:func:`_chunked`); any other text, or a bad value,
+    is read row by row with the ``csv`` module. Neither changes a diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
     # csv.reader takes lines lazily from the bytes, as from a file, so it reads
-    # text that is split in bulk only up to the end of its header.
+    # text that is parsed in chunks only up to the end of its header.
     rows = _rows(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                              newline="")), path)
     try:
         header = [h.strip() for h in next(rows)]
     except (StopIteration, ValueError) as exc:  # raised once the text is known to be UTF-8
         header = exc
-    if header == list(CSV_COLUMNS) and (dataset := _one_label(data)) is not None:
+    if header == list(CSV_COLUMNS) and (dataset := _chunked(data)) is not None:
         return dataset
     try:
-        text = data.decode("utf-8-sig")  # only where the one-label path declines
+        data.decode("utf-8-sig")  # only where the chunked path declines
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if isinstance(header, StopIteration):
@@ -104,16 +104,14 @@ def load_csv(path: str | Path) -> Dataset:
     # Each check notes its first bad row as (row, check order, message). The
     # earliest row wins, then the earlier check. Data row i is file line i + 2.
     problems: list[tuple[int, int, str]] = []
-    columns = _plain_columns(text, len(header))
-    if columns is None:
-        rows = list(rows)
-        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        short = np.flatnonzero(widths < len(header))
-        if short.size:
-            row = int(short[0])
-            problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
-            rows = rows[:row]
-        columns = list(zip(*rows)) or [()] * len(header)
+    rows = list(rows)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = np.flatnonzero(widths < len(header))
+    if short.size:
+        row = int(short[0])
+        problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
+        rows = rows[:row]
+    columns = list(zip(*rows)) or [()] * len(header)
     fields = {c: columns[header.index(c)] for c in CSV_COLUMNS}
 
     numbers = [_floats(fields[column], column, order, problems)
@@ -129,63 +127,54 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset.from_columns(*numbers, codes, labels)
 
 
-def _one_label(data: bytes) -> Dataset | None:
-    """The dataset of CSV bytes whose rows all end with the first row's label
-    tail ``,scenario,environment,campaign``, parsed ``LOAD_CHUNK`` bytes at a
-    time, cut at row ends: a chunk is one JSON array once each tail is ``,\\n``.
-    None where ``float`` and the label check could read it otherwise: a quote
-    or CR, a newline not ending a tail, a row not of three fields before it, a
-    byte outside JSON numbers, a zero (orjson reads ``-0`` as 0). So the text
-    is UTF-8 if its header is: each other byte is ASCII or in a decoded tail."""
+def _chunked(data: bytes) -> Dataset | None:
+    """The dataset of CSV bytes, parsed ``LOAD_CHUNK`` bytes at a time, cut at
+    row ends. Each row is cut at its third comma into numbers (a chunk's are
+    one JSON array once rows end ``,\\n``) and a label text coded through one
+    dict: by one replace if all rows end with the first row's tail, else at
+    each row's third of five commas. None where ``float`` or the label check
+    could differ: a quote or CR, a row not of six fields, a byte outside JSON
+    numbers before its tail, a zero (orjson reads ``-0`` as 0), a bad label or
+    sample. So the text is UTF-8 if its header is: the rest is ASCII or labels."""
     start = data.find(b"\n") + 1  # of the first row
     if not start or start == len(data) or b'"' in data or b"\r" in data:
         return None
-    end = data.find(b"\n", start)
-    fields = data[start:end if end >= 0 else None].split(b",")
-    if len(fields) != len(CSV_COLUMNS):
-        return None
-    tail, values = b"," + b",".join(fields[3:]) + b"\n", []
+    index, values, codes = {}, [], []  # label texts' codes; per chunk, floats and codes
     try:
-        scenario, environment, campaign = (field.decode().strip() for field in fields[3:])
-        label = (Scenario.parse(scenario), Environment(environment), campaign)
         while start < len(data):
             stop = data.find(b"\n", start + LOAD_CHUNK - 1) + 1 or len(data)
             chunk = data[start:stop].removesuffix(b"\n") + b"\n"  # the last row's may lack it
-            rows, flat = chunk.count(tail), chunk.replace(tail, b",\n")
+            tail = b"," + chunk[:chunk.index(b"\n") + 1].split(b",", 3)[-1]
+            rows = chunk.count(b"\n")
+            if chunk.count(tail) == rows:  # one label
+                flat = chunk.replace(tail, b",\n")
+                codes.append(index.setdefault(tail[1:-1], len(index)))
+            else:
+                commas, ends = (np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == c)
+                                for c in b",\n")
+                if (np.searchsorted(commas, ends) != np.arange(5, 5 * rows + 1, 5)).any():
+                    return None  # a row not of five commas
+                cut = bytearray(chunk)
+                np.frombuffer(cut, dtype=np.uint8)[commas[2::5]] = ord("\n")
+                pieces = bytes(cut).split(b"\n")  # each row's numbers, then its label text
+                flat, texts = b",\n".join(pieces[::2]), pieces[1::2]
+                codes.append(np.fromiter((index.setdefault(text, len(index)) for text in texts),
+                                         dtype=np.intp, count=rows))
             body = np.frombuffer(flat, dtype=np.uint8)
             commas = np.flatnonzero(body == ord(","))
-            if (chunk.count(b"\n") != rows or commas.size != 3 * rows
-                    or (body[commas[2::3] + 1] != ord("\n")).any()
+            if (commas.size != 3 * rows or (body[commas[2::3] + 1] != ord("\n")).any()
                     or flat.translate(None, b"0123456789+-.eE, \t\n")):
                 return None
             items = orjson.loads(b"".join((b"[", memoryview(flat)[:-2], b"]")))
             values.append(np.fromiter(items, dtype=np.float64, count=len(items)))
             start = stop
+        labels = _merge_labels((text.decode().split(",") for text in index), remap := [])
+        codes = None if len(labels) == 1 else np.array(remap, dtype=np.intp)[np.concatenate(
+            [np.broadcast_to(c, len(v) // 3) for c, v in zip(codes, values)])]  # built once
         values = np.concatenate(values).reshape(-1, 3)  # no chunk kept while the columns copy
-        return Dataset.from_columns(*values.T, labels=(label,)) if values.all() else None
+        return Dataset.from_columns(*values.T, codes, labels) if values.all() else None
     except ValueError:  # a bad label or sample (DomainError), or orjson.JSONDecodeError
         return None
-
-
-def _plain_columns(text: str, width: int) -> list[list[str]] | None:
-    """The data columns of text with no quote or CR whose lines all hold
-    ``width`` fields, by one split; None for any other text.
-
-    Each newline stays at the start of the field after it, for the float
-    parse and the label strip to drop. Every line has ``width`` fields exactly
-    when there are lines x width fields and every ``width``-th one, the first
-    column, starts a line.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    body = text.removesuffix("\n")
-    split = body.replace("\n", ",\n")
-    lines = len(split) - len(body) + 1  # one comma is added per newline
-    fields = split.split(",")
-    if len(fields) != lines * width:
-        return None
-    columns = [fields[width + k::width] for k in range(width)]
-    return columns if "".join(columns[0]).count("\n") == lines - 1 else None
 
 
 def _rows(reader, path: Path):
@@ -238,17 +227,23 @@ def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
     index: dict[tuple[str, str, str], int] = {}
     raw = np.array([index.setdefault(key, len(index)) for key in
                     zip(text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
+    try:
+        labels = _merge_labels(index, remap := [])
+    except ValueError as exc:  # DomainError too
+        problems.append((int(np.argmax(raw == len(remap))), 4, str(exc)))
+        return raw, ()
+    return np.array(remap, dtype=np.intp)[raw], labels
+
+
+def _merge_labels(texts, remap: list[int]) -> tuple:
+    """The labels of distinct (scenario, environment, campaign) texts, each text's code put in
+    ``remap``: texts that parse alike share one. A bad label raises ValueError, its code unset."""
     labels: dict[tuple, int] = {}
-    remap = []
-    for code, (scenario, environment, campaign) in enumerate(index):
-        try:
-            label = (Scenario.parse(scenario.strip()), Environment(environment.strip()),
-                     campaign.strip())
-        except (DomainError, ValueError) as exc:
-            problems.append((int(np.argmax(raw == code)), 4, str(exc)))
-            return raw, ()
+    for scenario, environment, campaign in texts:
+        label = (Scenario.parse(scenario.strip()), Environment(environment.strip()),
+                 campaign.strip())
         remap.append(labels.setdefault(label, len(labels)))
-    return np.array(remap, dtype=np.intp)[raw], tuple(labels)
+    return tuple(labels)
 
 
 def needs_repr(values: np.ndarray) -> np.ndarray:
@@ -284,7 +279,7 @@ def float_texts(values) -> list[str]:
     return texts if values.size else []
 
 
-LOAD_CHUNK = 1 << 18  # bytes of rows parsed per orjson call in _one_label
+LOAD_CHUNK = 1 << 18  # bytes of rows parsed per orjson call in _chunked
 CSV_CHUNK = 8192  # rows formatted per write in write_csv
 
 

@@ -9,13 +9,14 @@ import json
 import math
 import warnings
 from decimal import Decimal, localcontext
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from pathlossfit import CIParams, SyntheticSpec, generate
+from pathlossfit import UMA, UMI_SC, CIParams, Dataset, Environment, SyntheticSpec, generate
 from pathlossfit import ingest
 from pathlossfit.cli import _json_text
 from pathlossfit.domain import first_violation
@@ -166,7 +167,7 @@ ROW = "28,100.5,120.25,UMa,NLOS,c1\n"
 
 def one_label_traps(test):
     """The test, also run on files that hold one label but for one row, and
-    on one-label files whose text the one-label path must refuse or read as
+    on one-label files whose text the chunked path must refuse or read as
     ``float`` does."""
     files = [
         HEADER + ROW * 2 + ROW.replace("NLOS", "LOS"),        # the last row's label differs
@@ -399,7 +400,7 @@ def test_a_one_label_file_is_parsed_whole(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the per-field path was entered")
 
-    for name in ("_plain_columns", "_floats", "_labels"):
+    for name in ("_floats", "_labels"):
         monkeypatch.setattr(ingest, name, refuse)
     monkeypatch.setattr(ingest.orjson, "loads", counting(ingest.orjson.loads))
     for chunk in (ingest.LOAD_CHUNK, 4096):  # one parse per chunk of at least that many bytes
@@ -418,6 +419,45 @@ def counting(function):
         return function(*args, **kwargs)
     wrapper.calls = 0
     return wrapper
+
+
+def chunk_count(data: bytes, size: int) -> int:
+    """The chunks of at least ``size`` bytes, cut at row ends, that the rows
+    after the header of ``data`` make."""
+    start, count = data.find(b"\n") + 1, 0
+    while start < len(data):
+        start, count = data.find(b"\n", start + size - 1) + 1 or len(data), count + 1
+    return count
+
+
+@pytest.mark.parametrize("layout", ["two-label", "interleaved"])
+def test_a_file_of_several_labels_is_parsed_in_chunks(tmp_path, monkeypatch, layout):
+    ds = generate(SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                                frequencies=((2.0, 9000), (28.0, 9000)),
+                                distance_range=(10.0, 500.0)))
+    row = np.arange(len(ds))
+    codes = row >= len(ds) // 2 if layout == "two-label" else row % 2
+    mixed = Dataset.from_columns(ds.frequency, ds.distance, ds.path_loss, codes,
+                                 ((UMA, Environment.NLOS, "c1"), (UMI_SC, Environment.LOS, "c2")))
+    path = tmp_path / "mixed.csv"
+    write_csv(mixed, path)
+    want = reference_load_csv(path)
+
+    def refuse(*args):
+        raise AssertionError("the per-field path was entered")
+
+    for name in ("_floats", "_labels"):
+        monkeypatch.setattr(ingest, name, refuse)
+    monkeypatch.setattr(ingest.orjson, "loads", counting(ingest.orjson.loads))
+    for chunk in (ingest.LOAD_CHUNK, 4096):
+        monkeypatch.setattr(ingest, "LOAD_CHUNK", chunk)
+        ingest.orjson.loads.calls = 0
+        got = load_csv(path)
+        assert ingest.orjson.loads.calls == chunk_count(path.read_bytes(), chunk) >= 3
+        for column in ("frequency", "distance", "path_loss", "codes"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        assert got.labels == want.labels
+        assert got == mixed
 
 
 def uneven_rows(count):
@@ -446,15 +486,41 @@ CHUNK_TRAPS = {
 }
 
 
+def relabel(rows, at, old, new):
+    """``rows`` with ``old`` replaced by ``new`` in the rows that ``at`` picks by index."""
+    return [row.replace(old, new) if at(i) else row for i, row in enumerate(rows)]
+
+
+# the label columns of the rows before the trap of CHUNK_TRAPS; with even rows
+# and the trap "none", row 21 starts a chunk
+LABEL_TRAPS = {
+    "one label": lambda rows: rows,
+    "interleaved": lambda rows: relabel(rows, lambda i: i % 2, b",c1\n", b",c2\n"),
+    "change at a cut": lambda rows: relabel(rows, lambda i: i >= 21, b",c1\n", b",c2\n"),
+    "new label first in a chunk": lambda rows: relabel(rows, lambda i: i == 21, b",c1\n",
+                                                       b",c2\n"),
+    "spaced": lambda rows: relabel(rows, lambda i: i % 2, b",UMa,", b", UMa ,"),
+    "bad label later": lambda rows: relabel(LABEL_TRAPS["interleaved"](rows), lambda i: i == 25,
+                                            b",UMa,", b",Rural,"),
+    "non-UTF-8 second label": lambda rows: relabel(rows, lambda i: i % 2, b",c1\n", b",c\xe92\n"),
+    "four commas": lambda rows: relabel(LABEL_TRAPS["interleaved"](rows), lambda i: i == 25,
+                                        b",NLOS,", b","),
+    "six commas": lambda rows: relabel(LABEL_TRAPS["interleaved"](rows), lambda i: i == 25,
+                                       b",NLOS,", b",NLOS,x,"),
+}
+
+
 @pytest.mark.parametrize("trap", CHUNK_TRAPS)
 @pytest.mark.parametrize("kind", ["even", "uneven"])
 def test_a_chunked_load_equals_the_row_by_row_loader(tmp_path, monkeypatch, kind, trap):
     """Chunks of three ROWs are cut exactly at a row's end, the last one too
-    (30 rows) or before a last chunk of one row (31 rows)."""
+    (30 rows) or before a last chunk of one row (31 rows); each file is also
+    loaded with each of LABEL_TRAPS, so that its chunks mix labels."""
     monkeypatch.setattr(ingest, "LOAD_CHUNK", 3 * len(ROW))
     rows = [ROW] * 31 if kind == "even" else uneven_rows(31)
-    for bom, count, end in ((b"", 30, b"\n"), (b"\xef\xbb\xbf", 31, b"\n"), (b"", 31, b"")):
-        body = [row.encode() for row in rows[:count]]
+    for labels, (bom, count, end) in product(LABEL_TRAPS, ((b"", 30, b"\n"),
+                                             (b"\xef\xbb\xbf", 31, b"\n"), (b"", 31, b""))):
+        body = LABEL_TRAPS[labels]([row.encode() for row in rows[:count]])
         body[20] = b",".join(CHUNK_TRAPS[trap](body[20].split(b",")))
         data = bom + HEADER.encode() + b"".join(body).removesuffix(b"\n") + end
         assert len(data) > 8 * ingest.LOAD_CHUNK

@@ -32,17 +32,22 @@ None, which keeps the one dump; a NaN or an infinity would not. A name that
 is not UTF-8 is printed with ``\\xNN`` escapes. ``--f0`` is passed to one
 fit and to one close sweep, so the explicit f0 reaches both the single fit
 and the stacked sweep solve.
-``load_csv`` parses a file whose rows all carry one label in chunks of
-about 256 KiB cut at row ends (``raw.csv`` at factors 5 and 10, 0.57 and
-1.1 MB, spans several chunks), and any other file by columns or row by
-row; ``write_csv`` joins the rows of a chunk that share one label with that
+``load_csv`` parses a file of the canonical columns in their order, with no
+quote or CR, in chunks of about 256 KiB cut at row ends (``raw.csv`` at
+factors 5 and 10, 0.57 and 1.1 MB, spans several chunks): a chunk whose rows
+share one label by one replace of its tail, any other by cutting each row at
+its third comma. Any other file is read row by row by the ``csv`` module.
+``write_csv`` joins the rows of a chunk that share one label with that
 label's tail, and those of any other chunk by one join over the rows and
 their tails in turn. So that each of
 those paths is checked, ``TWO_LABEL`` holds ``raw.csv``'s rows and then
 ``short.csv``'s rows under their own label, and ``REORDERED`` is ``raw.csv``
 with its columns in another order; each gets a preprocess, a fit and a sweep.
 ``INTERLEAVED`` alternates ``raw.csv``'s rows with ``short.csv``'s, so that the
-distance bins' groups interleave; it gets a binned fit and a close sweep.
+distance bins' groups interleave and every chunk mixes labels; it gets a
+binned fit and a close sweep. ``SPACED_LABEL`` is ``raw.csv`` with every other
+row's scenario written `` UMa ``, which loads as the one label of ``raw.csv``;
+it gets a fit and a close sweep.
 ``FAR_SAMPLE`` is ``short.csv`` with one more sample at 1e308 m: its fit
 holds, but the curve table's free-space loss overflows, so it exits 1.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
@@ -74,6 +79,7 @@ TWO_LABEL = "two-label.csv"
 REORDERED = "reordered.csv"
 INTERLEAVED = "interleaved.csv"
 FAR_SAMPLE = "far-sample.csv"
+SPACED_LABEL = "spaced-label.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -125,6 +131,9 @@ COMMANDS = (
     ("sweep", "--input", INTERLEAVED, "--out-dir", "sweep-interleaved", *ALL_MODELS,
      "--split", "distance-close", "--d-max", "150"),
     ("fit", "--input", FAR_SAMPLE, "--out-dir", "fit-far-sample", *ALL_MODELS),
+    ("fit", "--input", SPACED_LABEL, "--out-dir", "fit-spaced-label", *ALL_MODELS),
+    ("sweep", "--input", SPACED_LABEL, "--out-dir", "sweep-spaced-label", *ALL_MODELS,
+     "--split", "distance-close"),
 )
 
 
@@ -150,6 +159,14 @@ def far_sample(short: bytes) -> bytes:
     return short + b",".join([b"28.0", b"1e+308", *loss_and_label]) + b"\n"
 
 
+def spaced_label(raw: bytes) -> bytes:
+    """The CSV ``raw`` with every other row's scenario ``UMa`` written `` UMa ``."""
+    header, _, rows = raw.partition(b"\n")
+    lines = rows.splitlines()
+    lines[1::2] = [line.replace(b",UMa,", b", UMa ,") for line in lines[1::2]]
+    return b"\n".join([header, *lines]) + b"\n"
+
+
 # inputs made from the generated CSVs in the work directory, by name
 DERIVED = {
     ACCENTED: lambda work: (work / "raw.csv").read_bytes(),
@@ -160,6 +177,7 @@ DERIVED = {
     INTERLEAVED: lambda work: interleaved((work / "raw.csv").read_bytes(),
                                           (work / "short.csv").read_bytes()),
     FAR_SAMPLE: lambda work: far_sample((work / "short.csv").read_bytes()),
+    SPACED_LABEL: lambda work: spaced_label((work / "raw.csv").read_bytes()),
 }
 
 
