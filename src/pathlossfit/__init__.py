@@ -27,16 +27,12 @@ from .domain import (
     SPEED_OF_LIGHT,
     UMA,
     UMI_SC,
-    eval_abg,
-    eval_ci,
-    eval_cif,
     evaluate,
     fspl,
     param_values,
     params_from_dict,
     params_to_dict,
     rms,
-    weighted_mean_frequency,
 )
 from .fitters import (
     DegenerateDesignError,
@@ -49,9 +45,9 @@ from .fitters import (
     fit_ci,
     fit_ci_opt,
     fit_cif,
-    fit_model,
+    fit_with_reversion,
 )
-from .ingest import IngestError, SyntheticSpec, counter_uniform, generate, load_csv, write_csv
+from .ingest import IngestError, SyntheticSpec, counter_uniforms, generate, load_csv, write_csv
 from .oracle import oracle_fit
 from .preprocess import PreprocessSettings, apply as preprocess, bin_by_distance, threshold
 from .sensitivity import (

@@ -51,6 +51,7 @@ from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
                          apply as preprocess_apply)
 from .sensitivity import (
     DEFAULT_D_MAX,
+    DEFAULT_MODELS,
     FrequencyLOO,
     PredictionReport,
     SplitSpec,
@@ -499,7 +500,7 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override the synthetic spec's seed")
     sub.add_argument("--out-dir", type=Path, default=Path("."),
                      help="directory for report files (default: current)")
-    sub.add_argument("--models", type=_parse_models, default=("abg", "ci", "cif"),
+    sub.add_argument("--models", type=_parse_models, default=DEFAULT_MODELS,
                      help="comma-separated models: abg, ab, ci, ci_opt, cif")
     sub.add_argument("--f0", type=_parse_f0, default="auto",
                      help="CIF balance frequency in GHz, or 'auto' (weighted mean)")
@@ -509,13 +510,15 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_preprocess_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bin-width", type=float, default=2.0,
-                     help="distance bin width in meters (default 2)")
-    sub.add_argument("--threshold-margin", type=float, default=100.0,
-                     help="cut samples above FSPL(f, 1 m) + margin dB (default 100)")
+    defaults = PreprocessSettings()  # the flags' defaults are its fields'
+    sub.add_argument("--bin-width", type=float, default=defaults.bin_width,
+                     help=f"distance bin width in meters (default {defaults.bin_width:g})")
+    sub.add_argument("--threshold-margin", type=float, default=defaults.threshold_margin,
+                     help=f"cut samples above FSPL(f, 1 m) + margin dB "
+                          f"(default {defaults.threshold_margin:g})")
     sub.add_argument("--no-binning", action="store_true", help="disable distance binning")
     sub.add_argument("--no-threshold", action="store_true", help="disable the loss threshold")
-    sub.add_argument("--bin-average", choices=BIN_AVERAGE_MODES, default="db",
+    sub.add_argument("--bin-average", choices=BIN_AVERAGE_MODES, default=defaults.bin_average,
                      help="average bins in dB (default) or linear power")
 
 

@@ -97,9 +97,8 @@ Label = tuple[Scenario, Environment, str]
 DEFAULT_LABEL: Label = (OTHER, Environment.NLOS, "")
 
 
-# Compatibility shim: one (frequency GHz, distance m, loss dB) row for
-# Dataset(rows), which bench/checks.py still calls. Build datasets with
-# Dataset.from_columns.
+# One (frequency GHz, distance m, loss dB) row for Dataset(rows), kept because
+# bench/checks.py builds its datasets from rows. Build others with Dataset.from_columns.
 PathLossSample = namedtuple("PathLossSample", "frequency distance path_loss")
 
 
@@ -121,11 +120,11 @@ class Dataset:
     ``freq_summary`` lists each unique frequency once, ascending, with its
     sample count; the counts always sum to ``len(dataset)``. Every fit of the
     dataset shares its ``design`` and ``moments``, each built on first use.
+    A dataset is a value: ``==`` compares samples and :meth:`row_labels`.
     """
 
     def __init__(self, rows: Iterable[PathLossSample] = ()) -> None:
-        # Compatibility shim (see PathLossSample): each row is (frequency,
-        # distance, path_loss) and every sample gets the default label.
+        """Kept for bench/checks.py: (f, d, loss) rows, each with the default label."""
         f, d, pl = np.array(tuple(rows) or np.empty((0, 3)), dtype=float).T
         self._assign(f, d, pl, np.zeros(f.size, dtype=np.intp), (DEFAULT_LABEL,))
         self._validate()
@@ -202,7 +201,7 @@ class Dataset:
     @cached_property
     def moments(self):  # the one-point fitters.Moments record of the design
         from .fitters import Moments
-        columns = self.design.columns()  # first: an empty dataset's error
+        columns = self.design.variables  # first: an empty dataset's error
         frequencies, counts = zip(*self.freq_summary)
         return Moments.of(columns, frequencies, [counts])
 
@@ -211,7 +210,7 @@ class Dataset:
         return tuple(f for f, _ in self.freq_summary)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return the read-only (frequency, distance, path_loss) columns, uncopied."""
+        """The read-only (frequency, distance, path_loss) columns; a traced bench span."""
         return self.frequency, self.distance, self.path_loss
 
     def filter(self, keep) -> "Dataset":
@@ -419,19 +418,8 @@ def evaluate(params: ModelParams, frequency, distance):
     return float(out) if np.ndim(out) == 0 else out
 
 
-eval_abg = eval_ci = eval_cif = evaluate  # the per-kind names, kept for callers
-
-
-def weighted_mean_frequency(ds: Dataset) -> int:
-    """:func:`auto_f0` of the dataset as an int GHz (0 below a 0.5 GHz mean);
-    raises on an empty dataset."""
-    if len(ds) == 0:
-        raise DomainError("weighted mean frequency of an empty dataset is undefined")
-    return int(auto_f0(ds.freq_summary))
-
-
 def auto_f0(freq_counts: Iterable[tuple[float, int]]) -> float:
-    """CIF's automatic balance frequency from (frequency GHz, sample count) pairs.
+    """The oracle's CIF balance frequency from (frequency GHz, sample count) pairs.
 
     It is the count-weighted mean frequency rounded to the nearest integer
     GHz, ties half away from zero (14.5 -> 15), or the unrounded mean where
@@ -486,5 +474,5 @@ class FitReport:
     @classmethod
     def from_residuals(cls, params: ModelParams, residuals,
                        flags: tuple[str, ...] = ()) -> "FitReport":
-        """The report of ``residuals``: one copy of them and one RMS."""
+        """The report of ``residuals``, under a name that the bench traces."""
         return cls(params, residuals, flags)

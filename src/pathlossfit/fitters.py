@@ -83,7 +83,8 @@ _ONE, _D, _F, _G, _A, _B = np.eye(len(VARIABLES))
 class RegressionDesign:
     """Per-sample regression variables shared by all fitters: the (6, n)
     array ``variables``, one row per VARIABLES entry and one column per
-    sample, and the frequency ``f`` in GHz. D, F, A and B are its rows:
+    sample, and the frequency ``f`` in GHz. D, F, A and B are its rows, named
+    for the tests and the acceptance gate:
 
     A: excess loss over free space at 1 m, path_loss - FSPL(f, 1 m), dB
     B: total path loss, dB
@@ -96,6 +97,7 @@ class RegressionDesign:
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "RegressionDesign":
+        """The design of ``ds``, under a name that the bench traces."""
         if len(ds) == 0:
             raise DegenerateDesignError("cannot fit an empty dataset")
         f, d, pl = ds.arrays()
@@ -107,13 +109,6 @@ class RegressionDesign:
     F = property(lambda self: self.variables[2])
     A = property(lambda self: self.variables[4])
     B = property(lambda self: self.variables[5])
-
-    def __len__(self) -> int:
-        return int(self.f.size)
-
-    def columns(self) -> np.ndarray:
-        """The (6, n) rows of VARIABLES, one column per sample."""
-        return self.variables
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +372,7 @@ class StackedFit:
     ``MODEL_KINDS[...].value_names``, its flags, its error (None if it
     fitted) and the residual form over VARIABLES that its solve minimised,
     whose RMS over any record is :func:`moments_sigma` (None where the points
-    were fitted one at a time). :attr:`params` builds the params objects."""
+    were fitted one at a time). :meth:`at` builds a point's params object."""
 
     kinds: list[str]
     values: np.ndarray
@@ -391,10 +386,6 @@ class StackedFit:
             return None
         entry = MODEL_KINDS[self.kinds[i]]
         return entry.params(*self.values[i, :len(entry.names)].tolist())
-
-    @property
-    def params(self) -> list:
-        return [self.at(i) for i in range(len(self.errors))]
 
     def take(self, index: list[int]) -> "StackedFit":
         """The fits of the points ``index``, in that order."""
@@ -424,7 +415,7 @@ def _fit(ds: Dataset, kind: str, f0="auto", d0_bounds=D0_BOUNDS_DEFAULT, *args) 
     """Fit ``ds`` as a stack of one, its record; the residuals come from its
     regression columns. Both are built once per dataset."""
     params, flags = (fit := _solve(ds.moments, kind, [f0], d0_bounds, *args)).result()
-    return FitReport.from_residuals(params, fit.forms[0] @ ds.design.columns(), flags)
+    return FitReport.from_residuals(params, fit.forms[0] @ ds.design.variables, flags)
 
 
 def fit_ci(ds: Dataset) -> FitReport:
@@ -565,7 +556,3 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
                 out.kinds[i], out.flags[i], out.errors[i] = (
                     fit_kind, fit.flags[j] + flag, fit.errors[j])
     return out
-
-
-# The one fit entry point under its public name.
-fit_model = fit_with_reversion

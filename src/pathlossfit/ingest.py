@@ -11,7 +11,7 @@ other by the ``csv`` module (see :func:`load_csv`).
 
 The generator is reproducible across implementations: it draws uniforms from
 a counter-based splitmix64 stream and maps them through the inverse normal
-CDF (see :func:`counter_uniform` and :func:`generate`).
+CDF (see :func:`counter_uniforms` and :func:`generate`).
 """
 
 from __future__ import annotations
@@ -132,11 +132,13 @@ def _chunked(data: bytes) -> Dataset | None:
     row ends. Each row is cut at its third comma into numbers (a chunk's are
     one JSON array once rows end ``,\\n``) and a label text coded through one
     dict: by one replace if all rows end with the first row's tail, else at
-    each row's third of five commas. None where ``float`` or the label check
-    could differ: a quote or CR, a row not of six fields, a byte outside JSON
-    numbers before its tail, a zero (orjson reads ``-0`` as 0), a bad label or
-    sample. So the text is UTF-8 if its header is: the rest is ASCII or labels."""
+    each row's third of five commas. None where ``float``, the label check or
+    ``csv``'s field limit could differ: a quote or CR, a row not of six fields
+    or longer than the limit, a byte outside JSON numbers before its tail, a
+    zero (orjson reads ``-0`` as 0), a bad label or sample. So the text is
+    UTF-8 if its header is: the rest is ASCII or labels."""
     start = data.find(b"\n") + 1  # of the first row
+    limit = csv.field_size_limit()  # a field over it lies in a row over it
     if not start or start == len(data) or b'"' in data or b"\r" in data:
         return None
     index, values, codes = {}, [], []  # label texts' codes; per chunk, floats and codes
@@ -149,11 +151,13 @@ def _chunked(data: bytes) -> Dataset | None:
             if chunk.count(tail) == rows:  # one label
                 flat = chunk.replace(tail, b",\n")
                 codes.append(index.setdefault(tail[1:-1], len(index)))
+                label = len(tail) - 2  # bytes of each row's label text
             else:
                 commas, ends = (np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == c)
                                 for c in b",\n")
                 if (np.searchsorted(commas, ends) != np.arange(5, 5 * rows + 1, 5)).any():
                     return None  # a row not of five commas
+                label = ends - commas[2::5] - 1
                 cut = bytearray(chunk)
                 np.frombuffer(cut, dtype=np.uint8)[commas[2::5]] = ord("\n")
                 pieces = bytes(cut).split(b"\n")  # each row's numbers, then its label text
@@ -163,7 +167,8 @@ def _chunked(data: bytes) -> Dataset | None:
             body = np.frombuffer(flat, dtype=np.uint8)
             commas = np.flatnonzero(body == ord(","))
             if (commas.size != 3 * rows or (body[commas[2::3] + 1] != ord("\n")).any()
-                    or flat.translate(None, b"0123456789+-.eE, \t\n")):
+                    or flat.translate(None, b"0123456789+-.eE, \t\n")
+                    or (np.diff(commas[2::3], prepend=-2) - 1 + label).max() > limit):
                 return None
             items = orjson.loads(b"".join((b"[", memoryview(flat)[:-2], b"]")))
             values.append(np.fromiter(items, dtype=np.float64, count=len(items)))
@@ -339,11 +344,6 @@ def counter_uniforms(seed: int, index) -> np.ndarray:
                       math.nextafter(1.0, 0.0))
 
 
-def counter_uniform(seed: int, index: int) -> float:
-    """The index-th uniform of the seeded stream (see :func:`counter_uniforms`)."""
-    return float(counter_uniforms(seed, [index])[0])
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a reproducible synthetic measurement campaign.
@@ -424,6 +424,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def spec_to_dict(spec: SyntheticSpec) -> dict:
+    """The JSON form of ``spec`` that :func:`spec_from_dict` reads; tests write specs with it."""
     return {
         "truth": params_to_dict(spec.truth),
         "frequencies": [{"frequency_ghz": f, "count": c} for f, c in spec.frequencies],

@@ -74,7 +74,7 @@ class _DistanceSplit:
         return self.delta_grid
 
     def masks(self, ds: Dataset, point: float) -> tuple[np.ndarray, np.ndarray]:
-        """(measurement, prediction) masks over ``ds`` at gap ``point``."""
+        """(measurement, prediction) masks over ``ds`` at gap ``point``, for :func:`split`."""
         key, limit = self.sign * ds.distance, self.sign * self.cutoff
         return key > limit + point, key <= limit
 
@@ -151,7 +151,8 @@ def split(ds: Dataset, spec: SplitSpec, point: float) -> tuple[Dataset, Dataset]
     """Partition per the spec's rule at one sweep point.
 
     Returns (measurement, prediction). For the distance rules, samples in the
-    widening gap between the sets belong to neither and are dropped.
+    widening gap between the sets belong to neither and are dropped; tests
+    refit each such split as the reference of the moment sweeps.
     """
     measurement, prediction = spec.masks(ds, point)
     return ds.filter(measurement), ds.filter(prediction)
@@ -191,8 +192,8 @@ class PredictionReport:
     (n_meas, n_pred, n_gap) ``counts`` and its ``skip_reason`` (None where
     every model fitted); over the fitted points, each model's StackedFit and
     the (points, models, 2) measurement and prediction ``sigma``. ``table``
-    reads the columns point by point, and ``points`` builds the SweepPoints
-    from it on first use."""
+    reads the columns point by point; for the tests and the bench tracer,
+    ``points`` and ``active_points`` build SweepPoints from it on first use."""
 
     spec: SplitSpec
     models: tuple[str, ...]
@@ -325,7 +326,7 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     active = reasons.count(None)  # the measurement sets shrink: the nonempty ones are a prefix
     fits, sigma = [], np.empty((active, len(models), 2))
     if active:
-        columns = RegressionDesign.from_dataset(ds).columns()[:, order]  # sorted: not cached
+        columns = RegressionDesign.from_dataset(ds).variables[:, order]  # sorted: not cached
         frequencies = np.array(ds.frequencies)
         frequency = np.searchsorted(frequencies, ds.frequency[order])
         bounds = [0, n_pred, *starts[:active], n]
@@ -367,22 +368,10 @@ class ParamRange:
 
 @dataclass(frozen=True)
 class ParameterTrace:
-    """Per-parameter ranges over a sweep's fitted points, and the long-form
-    (point, model, name, value) rows, built from the report on first use."""
+    """Per-parameter ranges over a sweep's fitted points, sorted by (model,
+    name); the report's ``table`` gives the values point by point."""
 
-    report: PredictionReport
     ranges: tuple[ParamRange, ...]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[float, str, str, float], ...]:
-        return tuple((point, model, name, value) for point, _, _, models in self.report.table()
-                     for model, _, values, *_ in models for name, value in values.items())
-
-    def range_of(self, model: str, name: str) -> ParamRange:
-        for r in self.ranges:
-            if r.model == model and r.name == name:
-                return r
-        raise KeyError((model, name))
 
 
 def parameter_trace(report: PredictionReport) -> ParameterTrace:
@@ -395,5 +384,5 @@ def parameter_trace(report: PredictionReport) -> ParameterTrace:
             spans.update(((model, name), (low, high)) for name, low, high in zip(
                 MODEL_KINDS[model].value_names, fit.values.min(axis=0).tolist(),
                 fit.values.max(axis=0).tolist()))
-    return ParameterTrace(report, tuple(ParamRange(model, name, low, high)
-                                        for (model, name), (low, high) in sorted(spans.items())))
+    return ParameterTrace(tuple(ParamRange(model, name, low, high)
+                                for (model, name), (low, high) in sorted(spans.items())))

@@ -552,6 +552,28 @@ def test_short_rows_ending_three_chunks_are_not_read_as_one_row(tmp_path, monkey
         f"IngestError: {path} line 4: expected 6 columns, got 5", [])
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["at the limit", "over it"])
+@pytest.mark.parametrize("order,environments", [
+    (CSV_COLUMNS, ("NLOS", "NLOS")), (CSV_COLUMNS, ("NLOS", "LOS")),
+    (CSV_COLUMNS[::-1], ("NLOS", "NLOS")),
+], ids=["one label", "two labels", "reordered"])
+def test_the_csv_field_limit_holds_in_any_column_order(tmp_path, order, environments, extra):
+    limit = csv.field_size_limit()
+    campaign = "c" * (limit + extra)
+    rows = [dict(zip(CSV_COLUMNS, ("28", distance, "120.25", "UMa", environment, campaign)))
+            for distance, environment in zip(("100.5", "200.5"), environments)]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(",".join(row[c] for c in order) + "\n"
+                            for row in [dict(zip(CSV_COLUMNS, CSV_COLUMNS)), *rows]),
+                    encoding="utf-8")
+    got = outcome(load_csv, path)
+    if extra:
+        assert got == (f"IngestError: {path} line 2: field larger than field limit ({limit})", [])
+    else:
+        assert got == outcome(reference_load_csv, path)
+        assert got[0].row_labels()[0][2] == campaign and len(got[0]) == 2
+
+
 BIG = "x" * 200_000  # over csv.field_size_limit()
 
 

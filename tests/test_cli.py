@@ -14,6 +14,8 @@ from pathlossfit.domain import evaluate, fspl
 from pathlossfit.fitters import (FITTER_KINDS, FLAG_ABG_AS_AB, FLAG_CIF_SINGLE_FREQUENCY,
                                  fit_with_reversion)
 from pathlossfit.ingest import float_texts, spec_to_dict, write_csv
+from pathlossfit.preprocess import PreprocessSettings
+from pathlossfit.sensitivity import DEFAULT_MODELS
 from conftest import BAD_SPEC_FIELDS
 
 
@@ -301,12 +303,8 @@ class TestFit:
         write_csv(generate(spec), path)
         code = run("fit", "--input", path, "--out-dir", tmp_path / "fitout")
         err = capsys.readouterr().err
-        if "," not in campaign:
-            assert code == 0 and (tmp_path / "fitout" / "fit_report.json").exists()
-            assert load_csv(path).labels[0][2] == campaign
-        else:
-            assert code == 2 and not (tmp_path / "fitout").exists()
-            assert err == f"error: {path} line 2: field larger than field limit (131072)\n"
+        assert code == 2 and not (tmp_path / "fitout").exists()
+        assert err == f"error: {path} line 2: field larger than field limit (131072)\n"
 
     def test_duplicate_required_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -783,3 +781,15 @@ class TestParserReuse:
 
     def test_one_parser_serves_every_call(self):
         assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "in.csv"],
+    ["sweep", "--input", "in.csv", "--split", "frequency-loo"],
+    ["preprocess", "--input", "in.csv", "--out", "out.csv"],
+], ids=["fit", "sweep", "preprocess"])
+def test_flag_defaults_are_read_from_the_modules_that_own_them(argv):
+    args = build_parser().parse_args(argv)
+    assert cli._preprocess_settings(args) == PreprocessSettings()
+    if argv[0] != "preprocess":
+        assert args.models == DEFAULT_MODELS

@@ -24,16 +24,13 @@ from pathlossfit import (
     FREE_SPACE_INTERCEPT_DB,
     Scenario,
     UMA,
-    eval_abg,
-    eval_ci,
-    eval_cif,
     evaluate,
     fspl,
     params_from_dict,
     params_to_dict,
     rms,
-    weighted_mean_frequency,
 )
+from pathlossfit.domain import auto_f0
 from conftest import make_dataset
 
 FSPL_28_1 = 61.39094384872776  # 20*log10(4*pi*28e9/c), evaluated independently
@@ -74,92 +71,92 @@ class TestFspl:
 
 class TestEvalAbg:
     def test_pure_distance_slope(self):
-        assert eval_abg(ABGParams(1.0, 0.0, 0.0), 17.3, 10.0) == pytest.approx(10.0)
+        assert evaluate(ABGParams(1.0, 0.0, 0.0), 17.3, 10.0) == pytest.approx(10.0)
 
     def test_uma_nlos_parameters_at_28ghz_100m(self):
         # 10*3.5*2 + 13.6 + 24*log10(28)
         params = ABGParams(3.5, 13.6, 2.4)
-        assert eval_abg(params, 28.0, 100.0) == pytest.approx(118.33179275221326, abs=1e-9)
+        assert evaluate(params, 28.0, 100.0) == pytest.approx(118.33179275221326, abs=1e-9)
 
     @pytest.mark.parametrize("f", [0.5, 2.0, 28.0, 73.0])
     @pytest.mark.parametrize("d", [1.0, 10.0, 444.4])
     def test_degenerates_to_free_space(self, f, d):
         params = ABGParams(2.0, FREE_SPACE_INTERCEPT_DB, 2.0)
-        assert eval_abg(params, f, d) == pytest.approx(
+        assert evaluate(params, f, d) == pytest.approx(
             fspl(f, 1.0) + 20.0 * math.log10(d), abs=1e-9)
 
     def test_rejects_distance_below_one_meter(self):
         with pytest.raises(DomainError):
-            eval_abg(ABGParams(2.0, 30.0, 2.0), 28.0, 0.9)
+            evaluate(ABGParams(2.0, 30.0, 2.0), 28.0, 0.9)
 
     @pytest.mark.parametrize("f", [0.0, -2.0, np.array([28.0, -1.0])])
     def test_rejects_frequency_not_above_zero(self, f):
         with pytest.raises(DomainError, match="frequency must be > 0 GHz"):
-            eval_abg(ABGParams(2.0, 30.0, 2.0), f, 10.0)
+            evaluate(ABGParams(2.0, 30.0, 2.0), f, 10.0)
 
     def test_ab_params_evaluate_with_gamma_two(self):
         ab = ABParams(2.6, 34.0)
         abg = ABGParams(2.6, 34.0, 2.0)
-        assert eval_abg(ab, 28.0, 150.0) == eval_abg(abg, 28.0, 150.0)
+        assert evaluate(ab, 28.0, 150.0) == evaluate(abg, 28.0, 150.0)
 
 
 class TestEvalCi:
     def test_n2_at_28ghz_100m(self):
-        assert eval_ci(CIParams(2.0), 28.0, 100.0) == pytest.approx(
+        assert evaluate(CIParams(2.0), 28.0, 100.0) == pytest.approx(
             FSPL_28_1 + 40.0, abs=1e-9)
 
     def test_anchors_to_free_space_at_d0(self):
-        assert eval_ci(CIParams(7.7), 28.0, 1.0) == pytest.approx(fspl(28.0, 1.0))
-        assert eval_ci(CIOptParams(3.3, 4.0), 10.0, 4.0) == pytest.approx(fspl(10.0, 4.0))
+        assert evaluate(CIParams(7.7), 28.0, 1.0) == pytest.approx(fspl(28.0, 1.0))
+        assert evaluate(CIOptParams(3.3, 4.0), 10.0, 4.0) == pytest.approx(fspl(10.0, 4.0))
 
     def test_uma_nlos_at_one_km_vs_abg(self):
         # CI predicts ~5 dB more received power at 1 km than the ABG fit of
         # the same campaign (its known far-distance divergence)
-        ci = eval_ci(CIParams(2.9), 28.0, 1000.0)
-        abg = eval_abg(ABGParams(3.5, 13.6, 2.4), 28.0, 1000.0)
+        ci = evaluate(CIParams(2.9), 28.0, 1000.0)
+        abg = evaluate(ABGParams(3.5, 13.6, 2.4), 28.0, 1000.0)
         assert ci == pytest.approx(148.39094384872777, abs=1e-9)
         assert abg - ci == pytest.approx(4.94, abs=0.01)
 
     def test_rejects_distance_below_d0(self):
         with pytest.raises(DomainError):
-            eval_ci(CIOptParams(2.0, 8.0), 28.0, 7.9)
+            evaluate(CIOptParams(2.0, 8.0), 28.0, 7.9)
 
     def test_identifies_with_degenerate_abg(self):
         for f in (0.5, 2.0, 28.0, 100.0):
             for d in (1.0, 3.7, 250.0):
-                abg = eval_abg(ABGParams(2.9, FREE_SPACE_INTERCEPT_DB, 2.0), f, d)
-                assert abg == pytest.approx(eval_ci(CIParams(2.9), f, d), abs=1e-9)
+                abg = evaluate(ABGParams(2.9, FREE_SPACE_INTERCEPT_DB, 2.0), f, d)
+                assert abg == pytest.approx(evaluate(CIParams(2.9), f, d), abs=1e-9)
 
 
 class TestEvalCif:
     def test_b_zero_reverts_to_ci(self):
         for f in (2.0, 28.0, 73.0):
-            got = eval_cif(CIFParams(3.1, 0.0, 17.0), f, 50.0)
-            assert got == eval_ci(CIParams(3.1), f, 50.0)
+            got = evaluate(CIFParams(3.1, 0.0, 17.0), f, 50.0)
+            assert got == evaluate(CIParams(3.1), f, 50.0)
 
     def test_at_f0_reverts_to_ci(self):
-        got = eval_cif(CIFParams(3.1, 0.42, 17.0), 17.0, 50.0)
-        assert got == pytest.approx(eval_ci(CIParams(3.1), 17.0, 50.0), abs=1e-12)
+        got = evaluate(CIFParams(3.1, 0.42, 17.0), 17.0, 50.0)
+        assert got == pytest.approx(evaluate(CIParams(3.1), 17.0, 50.0), abs=1e-12)
 
     def test_inh_nlos_like_parameters(self):
         # 10*3.1*(1 - 0.001*12/17)*log10(50) + fspl(29, 1)
-        got = eval_cif(CIFParams(3.1, -0.001, 17.0), 29.0, 50.0)
+        got = evaluate(CIFParams(3.1, -0.001, 17.0), 29.0, 50.0)
         assert got == pytest.approx(114.32663585300773, abs=1e-9)
 
     def test_continuous_in_frequency(self):
         params = CIFParams(3.1, 0.1, 17.0)
         f = np.linspace(16.0, 18.0, 2001)
-        values = eval_cif(params, f, 50.0)
+        values = evaluate(params, f, 50.0)
         assert np.max(np.abs(np.diff(values))) < 0.01
 
     def test_rejects_distance_below_one_meter(self):
         with pytest.raises(DomainError):
-            eval_cif(CIFParams(3.0, 0.0, 17.0), 29.0, 0.5)
+            evaluate(CIFParams(3.0, 0.0, 17.0), 29.0, 0.5)
 
     @pytest.mark.parametrize("f", [0.0, -2.0])
     def test_rejects_frequency_not_above_zero(self, f):
         with pytest.raises(DomainError, match="frequency must be > 0 GHz"):
-            eval_cif(CIFParams(3.0, 0.0, 17.0), f, 10.0)
+            evaluate(CIFParams(3.0, 0.0, 17.0), f, 10.0)
 
 
 # each kind's params, the d0 they carry and the kind's text below that d0
@@ -187,7 +184,6 @@ def test_every_kind_is_defined_for_positive_f_and_d_from_its_d0(params, d0, belo
     assert type(at_d0) is float and math.isfinite(at_d0)
     curve = evaluate(params, np.array([28.0, 73.0]), np.array([d0, 10.0 * d0]))
     assert isinstance(curve, np.ndarray) and curve.shape == (2,)
-    assert eval_abg is eval_ci is eval_cif is evaluate
 
 
 @given(
@@ -208,19 +204,15 @@ def test_mean_loss_nondecreasing_in_distance(d1, d2, f, slope):
 class TestWeightedMeanFrequency:
     def test_single_frequency(self):
         ds = make_dataset([(28.0, 100.0, 120.0)] * 4)
-        assert weighted_mean_frequency(ds) == 28
+        assert int(auto_f0(ds.freq_summary)) == 28
 
     def test_weighted_counts(self):
         ds = make_dataset([(2.0, 10.0, 80.0)] * 3 + [(10.0, 10.0, 90.0)])
-        assert weighted_mean_frequency(ds) == 4
+        assert int(auto_f0(ds.freq_summary)) == 4
 
     def test_half_rounds_away_from_zero(self):
         rows = [(f, 10.0, 90.0) for f in (2.0, 10.0, 18.0, 28.0)]
-        assert weighted_mean_frequency(make_dataset(rows)) == 15  # mean 14.5
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(DomainError):
-            weighted_mean_frequency(make_dataset([]))
+        assert int(auto_f0(make_dataset(rows).freq_summary)) == 15  # mean 14.5
 
 
 class TestValueTypes:

@@ -21,7 +21,7 @@ from pathlossfit import (
     fit_ci,
     fit_ci_opt,
     fit_cif,
-    fit_model,
+    fit_with_reversion,
     fspl,
     generate,
     rms,
@@ -41,7 +41,7 @@ def lstsq(columns, y) -> np.ndarray:
 def reference_fits(ds: Dataset, f0: float) -> dict[str, tuple[float, ...]]:
     """Each linear fit's parameters, solved by SVD on its design matrix."""
     x = RegressionDesign.from_dataset(ds)
-    one = np.ones(len(x))
+    one = np.ones(x.f.size)
     alpha, beta, gamma = lstsq([x.D, one, x.F], x.B)
     ab_alpha, ab_beta = lstsq([x.D, one], x.B - 2.0 * x.F)
     n_opt, intercept = lstsq([x.D, one], x.A)
@@ -214,7 +214,7 @@ def oracle_sigma(ds: Dataset, kind: str) -> float:
 @given(ds=extreme_designs())
 def test_extreme_designs_fit_as_the_oracle_or_name_the_degeneracy(kind, ds):
     try:
-        report = fit_model(ds, kind)
+        report = fit_with_reversion(ds, kind)
     except FitError:  # each subclass and message names the degeneracy
         return
     if report.flags:  # clamped or unidentifiable d0, a single-frequency reversion

@@ -64,7 +64,7 @@ def record(rng, distances: str, frequencies: tuple, loss: str, size: int) -> Mom
         slope, shift = {"ci": (rng.uniform(2.2, 4.0), 0.0), "offset_up": (3.5, 40.0),
                         "offset_down": (3.5, -40.0)}[loss]
         pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + shift + rng.standard_normal(size)
-    columns = RegressionDesign.from_dataset(Dataset.from_columns(f, d, pl)).columns()
+    columns = RegressionDesign.from_dataset(Dataset.from_columns(f, d, pl)).variables
     counts = np.bincount(np.searchsorted(TABLE, f), minlength=TABLE.size)
     return Moments.of(columns, TABLE, [counts])
 
@@ -78,7 +78,7 @@ def stacked(records: list[Moments]) -> Moments:
 def assert_point_equal(m: Moments, whole, i: int, alone) -> None:
     """Point ``i`` of ``whole``, a fit of ``m``, is point 0 of ``alone``, the
     fit of that point alone, bit for bit, and so is its residual sigma."""
-    assert repr(whole.params[i]) == repr(alone.params[0])
+    assert repr(whole.at(i)) == repr(alone.at(0))
     assert whole.flags[i] == alone.flags[0]
     got, want = whole.errors[i], alone.errors[0]
     assert (type(got), str(got)) == (type(want), str(want))
@@ -106,7 +106,7 @@ def solve_every_way(m: Moments, f0, d0_bounds) -> dict:
                     assert (type(exc), str(exc)) == (type(want), str(want))
                 else:
                     assert whole.errors[i] is None
-                    assert repr(result) == repr((whole.params[i], whole.flags[i]))
+                    assert repr(result) == repr((whole.at(i), whole.flags[i]))
     # no params check backs the solver: each fitted d0 lies in the bounds, or
     # is the 1 m of an unidentifiable d0 (n near 2)
     lo, hi = d0_bounds
@@ -149,10 +149,10 @@ def test_the_edge_cases_are_reached_and_kept_apart():
     assert fits["ci_opt"].errors[:5] == [None] * 5
     assert fits["ci_opt"].flags[:4] == [
         (), (FLAG_D0_UNIDENTIFIABLE,), (FLAG_D0_CLAMPED_LOW,), (FLAG_D0_CLAMPED_HIGH,)]
-    assert isinstance(fits["abg"].params[4], ABParams)
+    assert isinstance(fits["abg"].at(4), ABParams)
     assert fits["abg"].flags[4] == (FLAG_ABG_AS_AB,)
     assert fits["cif"].flags[4] == (FLAG_CIF_SINGLE_FREQUENCY,)
-    assert fits["cif"].params[4].f0 == 28.0
+    assert fits["cif"].at(4).f0 == 28.0
     assert isinstance(fits["ci"].errors[5], DegenerateDesignError)
     assert fits["abg"].errors[:5] == [None] * 5
     assert isinstance(fits["abg"].errors[5], DegenerateDesignError)
@@ -167,7 +167,7 @@ def test_a_sigma_tie_keeps_the_bound_that_d0_overshot(monkeypatch):
     monkeypatch.setattr(fitters, "moments_sigma", lambda forms, m: np.zeros(len(forms)))
     fit = fit_stack(m, "ci_opt")
     assert fit.flags == [(FLAG_D0_CLAMPED_LOW,), (FLAG_D0_CLAMPED_HIGH,)]
-    assert [params.d0 for params in fit.params] == [0.1, 50.0]
+    assert [fit.at(i).d0 for i in range(len(fit.errors))] == [0.1, 50.0]
 
 
 def test_a_bad_f0_is_an_error_at_every_point(noisy_multifreq):
@@ -178,7 +178,7 @@ def test_a_bad_f0_is_an_error_at_every_point(noisy_multifreq):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = fit_stack(m, "cif", f0=-1.0)
-    assert fit.params == [None] * 3
+    assert [fit.at(i) for i in range(len(fit.errors))] == [None] * 3
     assert [str(error) for error in fit.errors] == ["f0 must be > 0 GHz, got -1.0"] * 3
 
 
@@ -214,7 +214,7 @@ def test_a_bad_f0_keeps_each_points_error_and_its_text(f0):
                  "fit_cif needs at least one sample with d > 1 m (all distances are 1 m)")
     assert [(type(error), str(error)) for error in fit.errors] == [
         *[bad_f0] * 4, (type(None), "None"), one_meter, *[bad_f0] * 2, one_meter]
-    assert fit.params[4].f0 == 28.0
+    assert fit.at(4).f0 == 28.0
     assert fit.flags[4] == fit.flags[8] == (FLAG_CIF_SINGLE_FREQUENCY,)
 
 

@@ -22,7 +22,7 @@ from pathlossfit import (
     FitError,
     FrequencyLOO,
     SweepError,
-    fit_model,
+    fit_with_reversion,
     fspl,
     prediction_sigma,
     run_sweep,
@@ -53,7 +53,7 @@ def reference_points(ds, spec, models):
         try:
             entries = []
             for kind in models:
-                report = fit_model(measurement, kind)
+                report = fit_with_reversion(measurement, kind)
                 entries.append((report.params, report.sigma,
                                 prediction_sigma(report.params, prediction), report.flags))
         except (FitError, DomainError) as exc:
@@ -210,10 +210,10 @@ def test_each_sample_set_builds_one_design(monkeypatch, uma_synthetic):
 
     # five fits of one dataset share its design and record
     ds = fresh(uma_synthetic)
-    reports = [fit_model(ds, kind) for kind in FITTER_KINDS]
+    reports = [fit_with_reversion(ds, kind) for kind in FITTER_KINDS]
     assert built == [ds]
     for kind, report in zip(FITTER_KINDS, reports):
-        alone = fit_model(fresh(ds), kind)
+        alone = fit_with_reversion(fresh(ds), kind)
         assert repr(report.params) == repr(alone.params) and report.flags == alone.flags
         assert report.sigma.hex() == alone.sigma.hex()
         assert report.residuals.tobytes() == alone.residuals.tobytes()
@@ -227,7 +227,7 @@ def test_each_sample_set_builds_one_design(monkeypatch, uma_synthetic):
         assert measurement == split(ds, spec, point.point)[0]
         prediction = split(ds, spec, point.point)[1]
         for entry in point.models:
-            alone = fit_model(fresh(measurement), entry.model)
+            alone = fit_with_reversion(fresh(measurement), entry.model)
             assert repr(entry.params) == repr(alone.params) and entry.flags == alone.flags
             assert entry.measurement_sigma.hex() == alone.sigma.hex()
             assert (entry.prediction_sigma.hex()
@@ -258,7 +258,7 @@ def test_sweep_f0_rounds_half_up_like_a_fit():
     ds = make_dataset(rows)
     report = run_sweep(ds, DistanceClose(200.0, (0.0,)), ("cif",))
     (entry,) = report.points[0].models
-    want = fit_model(split(ds, DistanceClose(200.0, (0.0,)), 0.0)[0], "cif").params
+    want = fit_with_reversion(split(ds, DistanceClose(200.0, (0.0,)), 0.0)[0], "cif").params
     assert entry.params.f0 == want.f0 == 15.0
     assert entry.params.n == pytest.approx(want.n, rel=RTOL)
 

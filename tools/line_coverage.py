@@ -1,14 +1,22 @@
-"""List the function-body lines of ``src/pathlossfit`` that the tests never run.
+"""List the function-body lines of ``src/pathlossfit`` that tests or CLI commands never run.
 
     python3 tools/line_coverage.py [PYTEST_ARGS...]
+    python3 tools/line_coverage.py --cli [SEED [FACTOR]]
 
-runs pytest on ``tests/`` in this process, with a line tracer installed by
-``sys.settrace`` and ``threading.settrace``, then prints each line of a
-function body in ``src/pathlossfit`` that never ran (``path:line: source``)
-and the count per module. It needs no ``coverage`` package. Lines run only
-by a CLI that a test starts as a subprocess are not counted as run: the
-tracer sees this process alone. Module and class bodies are not listed,
-since importing the package runs them.
+The first form runs pytest on ``tests/`` in this process, with a line tracer
+installed by ``sys.settrace`` and ``threading.settrace``, then prints each
+line of a function body in ``src/pathlossfit`` that never ran
+(``path:line: source``) and the count per module. It needs no ``coverage``
+package. Lines run only by a CLI that a test starts as a subprocess are not
+counted as run: the tracer sees this process alone. Module and class bodies
+are not listed, since importing the package runs them.
+
+The second form runs ``tools/output_digests.py``'s ``COMMANDS`` instead,
+each by ``cli.main`` in this process, in a temporary directory with the
+same specs and derived inputs, for the seed ``SEED`` (default: each of its
+``SEEDS``) at ``FACTOR`` times the spec counts (default 1). The lines it
+lists are those that the program's own commands never reach: error branches,
+and code that only tests or other callers use.
 
 Exits with pytest's status when the tests fail, else 0.
 """
@@ -16,14 +24,17 @@ Exits with pytest's status when the tests fail, else 0.
 from __future__ import annotations
 
 import inspect
+import io
 import os
 import sys
+import tempfile
 import threading
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import CodeType
 
-import pytest
+from output_digests import SEEDS, run_commands
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pathlossfit"
@@ -42,8 +53,9 @@ def body_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``args``; its status and the lines run per module path."""
+def traced(run) -> tuple[object, dict[str, set[int]]]:
+    """Call ``run()`` under the line tracer; what it returns and the lines run
+    per module path."""
     modules = {str(path): set() for path in PACKAGE.glob("*.py")}
     seen: dict[str, set[int] | None] = {}  # code file name -> its module's lines
 
@@ -58,19 +70,50 @@ def traced_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
             seen[name] = modules.get(os.path.realpath(name))
         return trace_line if seen[name] is not None else None
 
-    sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(trace_call)
     sys.settrace(trace_call)
     try:
-        status = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *args])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), modules
+    return result, modules
 
 
-def main() -> int:
-    status, ran = traced_pytest(sys.argv[1:])
+def run_pytest(args: list[str]) -> int:
+    import pytest
+    return int(pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *args]))
+
+
+def run_cli_matrix(seeds, factor: int) -> int:
+    """Run every command of the digest matrix by ``cli.main`` for each seed;
+    their output is dropped."""
+    from pathlossfit.cli import main as cli_main
+
+    def run(argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return cli_main(list(argv))
+
+    home = Path.cwd()
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # the commands name their files relative to the work directory
+            try:
+                for _ in run_commands(run, seed, factor, Path(tmp)):
+                    pass
+            finally:
+                os.chdir(home)
+    return 0
+
+
+def main(args: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    if args[:1] == ["--cli"]:
+        seeds = [int(args[1])] if len(args) > 1 else SEEDS
+        factor = int(args[2]) if len(args) > 2 else 1
+        status, ran = traced(lambda: run_cli_matrix(seeds, factor))
+    else:
+        status, ran = traced(lambda: run_pytest(args))
     if status != 0:
         print(f"pytest exited {status}; no coverage reported", file=sys.stderr)
         return status
@@ -86,4 +129,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -36,7 +36,8 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-from output_digests import FACTORS, SEEDS, run_commands, shown, src_dirs, written_files
+from output_digests import (FACTORS, SEEDS, in_subprocess, run_commands, shown, src_dirs,
+                            written_files)
 
 KINDS = ("abg", "ab", "ci", "ci_opt", "cif")
 
@@ -131,7 +132,8 @@ def main() -> int:
             comparison.where = f"{seed} x{factor}"
             with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
                 work = (Path(tmp_a), Path(tmp_b))
-                runs = [list(run_commands(src, seed, factor, w)) for src, w in zip(srcs, work)]
+                runs = [list(run_commands(in_subprocess(src, w), seed, factor, w))
+                        for src, w in zip(srcs, work)]
                 for (argv, a), (_, b) in zip(*runs):
                     for stream in ("returncode", "stdout", "stderr"):
                         if getattr(a, stream) != getattr(b, stream):

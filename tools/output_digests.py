@@ -50,6 +50,10 @@ row's scenario written `` UMa ``, which loads as the one label of ``raw.csv``;
 it gets a fit and a close sweep.
 ``FAR_SAMPLE`` is ``short.csv`` with one more sample at 1e308 m: its fit
 holds, but the curve table's free-space loss overflows, so it exits 1.
+``SINGLE_FREQUENCY`` holds ``raw.csv``'s 28 GHz rows: its fit reverts ABG to
+AB, with a warning on stderr, and CIF to the CI slope. The matrix ends with
+``generate --seed`` and ``fspl``, once with a finite distance and once with
+``inf``, which exits 2.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
 compares their outputs value by value instead.
 """
@@ -80,6 +84,7 @@ REORDERED = "reordered.csv"
 INTERLEAVED = "interleaved.csv"
 FAR_SAMPLE = "far-sample.csv"
 SPACED_LABEL = "spaced-label.csv"
+SINGLE_FREQUENCY = "single-frequency.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -134,6 +139,10 @@ COMMANDS = (
     ("fit", "--input", SPACED_LABEL, "--out-dir", "fit-spaced-label", *ALL_MODELS),
     ("sweep", "--input", SPACED_LABEL, "--out-dir", "sweep-spaced-label", *ALL_MODELS,
      "--split", "distance-close"),
+    ("fit", "--input", SINGLE_FREQUENCY, "--out-dir", "fit-single-frequency", *ALL_MODELS),
+    ("generate", "--spec", "spec.json", "--out", "raw-seed-3.csv", "--seed", "3"),
+    ("fspl", "28", "100"),
+    ("fspl", "28", "inf"),
 )
 
 
@@ -167,6 +176,13 @@ def spaced_label(raw: bytes) -> bytes:
     return b"\n".join([header, *lines]) + b"\n"
 
 
+def single_frequency(raw: bytes) -> bytes:
+    """The CSV ``raw`` with only its 28 GHz rows."""
+    header, _, rows = raw.partition(b"\n")
+    return b"\n".join([header, *(row for row in rows.splitlines()
+                                 if row.startswith(b"28.0,"))]) + b"\n"
+
+
 # inputs made from the generated CSVs in the work directory, by name
 DERIVED = {
     ACCENTED: lambda work: (work / "raw.csv").read_bytes(),
@@ -178,6 +194,7 @@ DERIVED = {
                                           (work / "short.csv").read_bytes()),
     FAR_SAMPLE: lambda work: far_sample((work / "short.csv").read_bytes()),
     SPACED_LABEL: lambda work: spaced_label((work / "raw.csv").read_bytes()),
+    SINGLE_FREQUENCY: lambda work: single_frequency((work / "raw.csv").read_bytes()),
 }
 
 
@@ -197,18 +214,25 @@ def short_spec(seed: int, factor: int) -> dict:
             "distance_range": [10, 200], "scenario": "InHOffice", "environment": "LOS"}
 
 
-def run_commands(src: Path, seed: int, factor: int, work: Path):
-    """Write the specs into the directory ``work`` and run COMMANDS there with
-    ``src`` first on the import path; yield each argv and its completed run."""
+def in_subprocess(src: Path, work: Path):
+    """A runner of an argv as ``python3 -m pathlossfit`` in the directory
+    ``work`` with ``src`` first on the import path: it returns the completed run."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    return lambda argv: subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
+                                       cwd=work, env=env, capture_output=True)
+
+
+def run_commands(run, seed: int, factor: int, work: Path):
+    """Write the specs into the directory ``work``, then yield each argv of
+    COMMANDS and ``run(argv)``, each derived input written before the first
+    command that reads it; ``run`` runs the command in ``work``."""
     for name, make in (("spec.json", spec), ("short.json", short_spec)):
         (work / name).write_text(json.dumps(make(seed, factor)), encoding="utf-8")
     for argv in COMMANDS:
         for name, make in DERIVED.items():
             if name in argv and not (work / name).exists():
                 (work / name).write_bytes(make(work))
-        yield argv, subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
-                                   cwd=work, env=env, capture_output=True)
+        yield argv, run(argv)
 
 
 def shown(text: str) -> str:
@@ -223,7 +247,7 @@ def written_files(work: Path) -> list[Path]:
 def digest_lines(src: Path, seed: int, factor: int):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for argv, done in run_commands(src, seed, factor, work):
+        for argv, done in run_commands(in_subprocess(src, work), seed, factor, work):
             yield (f"{seed} x{factor} exit={done.returncode} stdout={sha256(done.stdout)} "
                    f"stderr={sha256(done.stderr)} {shown(' '.join(argv))}")
         for path in written_files(work):
