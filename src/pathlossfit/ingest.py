@@ -326,21 +326,19 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def counter_uniforms(seed: int, index) -> np.ndarray:
-    """Uniforms number ``index`` (a nonnegative integer or an array of them)
-    of the seeded stream, each strictly inside (0, 1); a float for an integer.
+    """Uniforms number ``index`` (an array of nonnegative integers) of the
+    seeded stream, each strictly inside (0, 1).
 
     Word ``i`` is the splitmix64 finalizer applied to
     ``(seed + (i+1) * 0x9E3779B97F4A7C15) mod 2^64``; the top 53 bits,
     offset by half a ulp, give the uniform. Pure 64-bit integer arithmetic,
     so any implementation reproduces the stream bit-for-bit; numpy's uint64
-    arithmetic wraps mod 2^64, and the wrap is meant, so the overflow warning
-    numpy gives for scalars is off. The offset rounds the top word,
-    2^53 - 1, up to 1.0, which is taken as the float below 1.
+    array arithmetic wraps mod 2^64. The offset rounds the top word, 2^53 - 1,
+    up to 1.0, which is taken as the float below 1.
     """
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = np.uint64(seed) + (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return np.minimum(((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53,
                       math.nextafter(1.0, 0.0))

@@ -293,8 +293,8 @@ class TestFit:
         assert "latin1.csv" in err and "Traceback" not in err
         assert not (tmp_path / "fitout").exists()
 
-    @pytest.mark.parametrize("campaign", ["c" * 200_000, "c," * 100_000],
-                             ids=["unquoted", "quoted"])
+    # unquoted fields and other column orders: test_bulk_load.py
+    @pytest.mark.parametrize("campaign", ["c," * 100_000], ids=["quoted"])
     def test_campaign_over_the_csv_field_limit(self, tmp_path, capsys, campaign):
         spec = SyntheticSpec(truth=CIParams(2.9), sigma=0.0, seed=1,
                              frequencies=((2.0, 20), (28.0, 20)),

@@ -204,7 +204,7 @@ class TestCounterUniform:
         words = [6457827717110365317, 3203168211198807973, 9817491932198370423]
         for i, word in enumerate(words):
             expected = ((word >> 11) + 0.5) * 2.0 ** -53
-            assert counter_uniforms(1234567, i) == expected
+            assert counter_uniforms(1234567, [i])[0] == expected
 
     def test_strictly_inside_unit_interval(self):
         values = counter_uniforms(0, np.arange(1000)).tolist()
@@ -214,7 +214,7 @@ class TestCounterUniform:
         seed = seed_of_word((1 << 64) - 1, 1)  # the first sample's shadowing uniform
         top = ((1 << 53) - 1 + 0.5) * 2.0 ** -53
         assert python_int_uniform(seed, 1) == top == 1.0  # the offset rounds up
-        assert counter_uniforms(seed, 1) == math.nextafter(1.0, 0.0)
+        assert counter_uniforms(seed, [1])[0] == math.nextafter(1.0, 0.0)
         assert counter_uniforms(seed, [0, 2, 3]).tolist() == [
             python_int_uniform(seed, i) for i in (0, 2, 3)]
         spec = tmp_path / "spec.json"
@@ -227,9 +227,9 @@ class TestCounterUniform:
         assert ds.path_loss[0] == evaluate(CIParams(2.9), 28.0, ds.distance)[0] + noise
 
     def test_counter_access_is_random(self):
-        assert counter_uniforms(42, 500) == counter_uniforms(42, 500)
-        assert counter_uniforms(42, 500) != counter_uniforms(42, 501)
-        assert counter_uniforms(42, 500) != counter_uniforms(43, 500)
+        assert counter_uniforms(42, [500])[0] == counter_uniforms(42, [500])[0]
+        assert counter_uniforms(42, [500])[0] != counter_uniforms(42, [501])[0]
+        assert counter_uniforms(42, [500])[0] != counter_uniforms(43, [500])[0]
 
     # Seeds near 2^64 and indices up to 2^62 make seed + (i+1) * golden wrap
     # mod 2^64, which Python integers only do through the explicit mask.
@@ -238,7 +238,7 @@ class TestCounterUniform:
     def test_numpy_stream_matches_python_integer_splitmix64(self, seed, index):
         want = [python_int_uniform(seed, i) for i in index]
         assert counter_uniforms(seed, index).tolist() == want
-        assert counter_uniforms(seed, index[0]) == want[0]
+        assert counter_uniforms(seed, index[:1])[0] == want[0]
 
 
 def seed_of_word(word: int, index: int) -> int:

@@ -1,7 +1,7 @@
 """List the function-body lines of ``src/pathlossfit`` that tests or CLI commands never run.
 
     python3 tools/line_coverage.py [PYTEST_ARGS...]
-    python3 tools/line_coverage.py --cli [SEED [FACTOR]]
+    python3 tools/line_coverage.py --cli [SEED]
 
 The first form runs pytest on ``tests/`` in this process, with a line tracer
 installed by ``sys.settrace`` and ``threading.settrace``, then prints each
@@ -14,9 +14,9 @@ are not listed, since importing the package runs them.
 The second form runs ``tools/output_digests.py``'s ``COMMANDS`` instead,
 each by ``cli.main`` in this process, in a temporary directory with the
 same specs and derived inputs, for the seed ``SEED`` (default: each of its
-``SEEDS``) at ``FACTOR`` times the spec counts (default 1). The lines it
-lists are those that the program's own commands never reach: error branches,
-and code that only tests or other callers use.
+``SEEDS``) at the spec counts. The lines it lists are those that the
+program's own commands never reach: error branches, and code that only tests
+or other callers use.
 
 Exits with pytest's status when the tests fail, else 0.
 """
@@ -85,7 +85,7 @@ def run_pytest(args: list[str]) -> int:
     return int(pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *args]))
 
 
-def run_cli_matrix(seeds, factor: int) -> int:
+def run_cli_matrix(seeds) -> None:
     """Run every command of the digest matrix by ``cli.main`` for each seed;
     their output is dropped."""
     from pathlossfit.cli import main as cli_main
@@ -99,24 +99,22 @@ def run_cli_matrix(seeds, factor: int) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)  # the commands name their files relative to the work directory
             try:
-                for _ in run_commands(run, seed, factor, Path(tmp)):
+                for _ in run_commands(run, seed, 1, Path(tmp)):
                     pass
             finally:
                 os.chdir(home)
-    return 0
 
 
 def main(args: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     if args[:1] == ["--cli"]:
         seeds = [int(args[1])] if len(args) > 1 else SEEDS
-        factor = int(args[2]) if len(args) > 2 else 1
-        status, ran = traced(lambda: run_cli_matrix(seeds, factor))
+        _, ran = traced(lambda: run_cli_matrix(seeds))
     else:
         status, ran = traced(lambda: run_pytest(args))
-    if status != 0:
-        print(f"pytest exited {status}; no coverage reported", file=sys.stderr)
-        return status
+        if status != 0:
+            print(f"pytest exited {status}; no coverage reported", file=sys.stderr)
+            return status
     missed = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
