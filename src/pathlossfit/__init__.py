@@ -54,7 +54,6 @@ from .sensitivity import (
     DistanceClose,
     DistanceFar,
     FrequencyLOO,
-    ParameterTrace,
     PredictionReport,
     SweepError,
     parameter_trace,

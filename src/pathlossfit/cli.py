@@ -170,20 +170,15 @@ _NOT_ASCII = re.compile(r"[^\x00-\x7e]+")  # what json escapes and orjson does n
 _SCALARS = {bool, float, int, str}
 
 
-def _json_text(obj) -> bytes:
-    """The UTF-8 text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
-    newline, a numpy array written as its list: the :func:`_json_pieces` joined."""
-    return b"".join(_json_pieces(obj))
-
-
 def _write_json(obj, path: Path) -> None:
-    """Write :func:`_json_text` of ``obj`` to ``path``, each piece as it is made."""
+    """Write :func:`_json_pieces` of ``obj`` to ``path``, each piece as it is made."""
     with open(path, "wb") as fh:
         fh.writelines(_json_pieces(obj))
 
 
 def _json_pieces(obj):
-    """The pieces of :func:`_json_text`; an array's are made when reached.
+    """The UTF-8 text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+    newline, a numpy array as its list, in pieces; an array's made when reached.
 
     One orjson dump writes the skeleton, each 1-D float64 array as ``null``
     and any other numpy value as its list, and only it is scanned: non-ASCII
@@ -347,7 +342,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     report = run_sweep(ds, split_spec, args.models,
                        f0=args.f0, d0_bounds=tuple(args.d0_bounds))
-    trace = parameter_trace(report)
 
     report_doc = {
         **head,
@@ -357,11 +351,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "parameter_ranges": [
             {"model": r.model, "param": r.name, "low": r.low,
              "high": r.high, "width": r.width}
-            for r in trace.ranges
+            for r in parameter_trace(report)
         ],
     }
     outputs = {
-        args.out_dir / "sweep_report.json": _json_text(report_doc),
+        args.out_dir / "sweep_report.json": functools.partial(_write_json, report_doc),
         args.out_dir / "sweep_trace.csv": _sweep_trace_csv(report),
     }
     _write_outputs(outputs)

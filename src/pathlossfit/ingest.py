@@ -403,19 +403,24 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """
     d_lo, d_hi = spec.distance_range
     counts = [count for _, count in spec.frequencies]
-    sample = np.arange(sum(counts))
+    try:
+        sample = np.arange(sum(counts))
+    except (MemoryError, ValueError) as exc:  # more samples than memory or numpy can index
+        raise IngestError(f"bad synthetic spec: {sum(counts)} samples: {exc}") from None
     u_dist = counter_uniforms(spec.seed, 2 * sample)
     u_shad = counter_uniforms(spec.seed, 2 * sample + 1)
     if spec.distance_law == "log-uniform":
         distance = d_lo * (d_hi / d_lo) ** u_dist
     else:
         distance = d_lo + (d_hi - d_lo) * u_dist
-    noise = spec.sigma * np.fromiter(map(_normal_dist_inv_cdf, u_shad.tolist(), repeat(0.0),
-                                         repeat(1.0)), dtype=np.float64, count=u_shad.size)
-    mean = [evaluate(spec.truth, freq, part) for (freq, _), part
-            in zip(spec.frequencies, np.split(distance, np.cumsum(counts)[:-1]))]
+    with np.errstate(over="ignore"):  # a DomainError below instead
+        noise = spec.sigma * np.fromiter(map(_normal_dist_inv_cdf, u_shad.tolist(), repeat(0.0),
+                                             repeat(1.0)), dtype=np.float64, count=u_shad.size)
+        mean = [evaluate(spec.truth, freq, part) for (freq, _), part
+                in zip(spec.frequencies, np.split(distance, np.cumsum(counts)[:-1]))]
+        path_loss = np.concatenate(mean) + noise
     frequency = np.repeat([freq for freq, _ in spec.frequencies], counts)
-    return Dataset.from_columns(frequency, distance, np.concatenate(mean) + noise,
+    return Dataset.from_columns(frequency, distance, path_loss,
                                 labels=((spec.scenario, spec.environment, spec.campaign),))
 
 
@@ -482,4 +487,6 @@ def load_spec(path: str | Path) -> SyntheticSpec:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise IngestError(f"bad synthetic spec: {path}: {exc}") from None
     return spec_from_dict(data)

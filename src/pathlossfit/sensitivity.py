@@ -136,11 +136,8 @@ def steps(stop: float, step: float = 50.0) -> tuple[float, ...]:
     return tuple(out)
 
 
-def default_close_spec(scenario_name: str = "UMa") -> DistanceClose:
-    if scenario_name not in DEFAULT_D_MAX:
-        raise SweepError(f"no default d_max for scenario {scenario_name!r}; "
-                         f"known: {sorted(DEFAULT_D_MAX)}")
-    return DistanceClose(DEFAULT_D_MAX[scenario_name], steps(600.0))
+def default_close_spec() -> DistanceClose:
+    return DistanceClose(DEFAULT_D_MAX["UMa"], steps(600.0))
 
 
 def default_far_spec() -> DistanceFar:
@@ -366,16 +363,10 @@ class ParamRange:
         return self.high - self.low
 
 
-@dataclass(frozen=True)
-class ParameterTrace:
-    """Per-parameter ranges over a sweep's fitted points, sorted by (model,
-    name); the report's ``table`` gives the values point by point."""
-
-    ranges: tuple[ParamRange, ...]
-
-
-def parameter_trace(report: PredictionReport) -> ParameterTrace:
-    """The min/max spread of each fitted parameter over the sweep's fitted points."""
+def parameter_trace(report: PredictionReport) -> tuple[ParamRange, ...]:
+    """The min/max spread of each fitted parameter over the sweep's fitted
+    points, sorted by (model, name); the report's ``table`` gives the values
+    point by point."""
     if not report.point:
         raise SweepError("empty prediction report")
     spans = {}
@@ -384,5 +375,5 @@ def parameter_trace(report: PredictionReport) -> ParameterTrace:
             spans.update(((model, name), (low, high)) for name, low, high in zip(
                 MODEL_KINDS[model].value_names, fit.values.min(axis=0).tolist(),
                 fit.values.max(axis=0).tolist()))
-    return ParameterTrace(tuple(ParamRange(model, name, low, high)
-                                for (model, name), (low, high) in sorted(spans.items())))
+    return tuple(ParamRange(model, name, low, high)
+                 for (model, name), (low, high) in sorted(spans.items()))

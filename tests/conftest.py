@@ -62,7 +62,3 @@ def assert_params_close(got, want, atol):
     assert gv.keys() == wv.keys()
     for name in wv:
         assert gv[name] == pytest.approx(wv[name], abs=atol), name
-
-
-def log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathlossfit import CIParams, Dataset, SyntheticSpec
 from pathlossfit import cli
-from pathlossfit.cli import _json_text, main
+from pathlossfit.cli import main
 from pathlossfit.domain import Environment, Scenario
 from pathlossfit.ingest import (
     CSV_CHUNK,
@@ -71,20 +71,25 @@ json_docs = st.recursive(
     max_leaves=30)
 
 
+def json_text(obj) -> bytes:
+    """The JSON report writer's text of ``obj``: its pieces joined."""
+    return b"".join(cli._json_pieces(obj))
+
+
 class TestJsonText:
     @settings(max_examples=100, deadline=None)
     @given(doc=json_docs)
     def test_matches_json_dumps(self, doc):
-        assert _json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_report_shapes(self):
         doc = {"é": [1.0, math.nan, -math.inf, 1e16], "b": (), "a": {}, "ints": [1, True, 2.5],
                "grid": (0.0, 50.0), "nested": [{"z": None, "y": "☃\n"}, []]}
-        assert _json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert json_text(doc).decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
-            _json_text({"x": object()})
+            json_text({"x": object()})
 
 
 def json_reference(doc) -> str:
@@ -92,12 +97,12 @@ def json_reference(doc) -> str:
 
 
 def one_dump(doc) -> bool:
-    """Whether ``_json_text(doc)`` is one orjson dump, never falling back to
+    """Whether ``json_text(doc)`` is one orjson dump, never falling back to
     ``json.dumps``; asserts that its text is json's either way (an array's
     as that of its list)."""
     reference = json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
     with mock.patch.object(json, "dumps", wraps=json.dumps) as fallback:
-        assert _json_text(doc).decode() == reference
+        assert json_text(doc).decode() == reference
     return not fallback.called
 
 
@@ -135,7 +140,7 @@ class TestJsonOneDump:
                             max_size=5)),
         max_leaves=30))
     def test_ascii_documents_without_null_match_json_dumps(self, doc):
-        assert _json_text(doc).decode() == json_reference(doc)
+        assert json_text(doc).decode() == json_reference(doc)
 
     @pytest.mark.parametrize("text", NEEDLES)
     def test_needles_in_strings_and_keys_are_left_alone(self, text):
@@ -153,7 +158,7 @@ class TestJsonOneDump:
 
     def test_a_numpy_nan_scalar_takes_json_dumps(self):
         with mock.patch.object(json, "dumps", wraps=json.dumps) as fallback:
-            text = _json_text({"s": np.float32(math.nan), "z": None})
+            text = json_text({"s": np.float32(math.nan), "z": None})
         assert fallback.called
         assert text.decode() == json_reference({"s": math.nan, "z": None})
 
@@ -196,13 +201,13 @@ class TestJsonOneDump:
             with pytest.raises(TypeError):
                 json.dumps({"x": value})
             with pytest.raises(TypeError):
-                _json_text({"x": value})
+                json_text({"x": value})
 
     def test_a_non_str_key_is_written_as_json_writes_it(self):
         with pytest.raises(TypeError):  # orjson refuses it, json.dumps writes "1"
             orjson.dumps({1: "x"}, option=cli._ORJSON_OPTIONS)
         assert not one_dump({1: "x", 2.5: [None]})
-        assert _json_text({1: "x"}).decode() == '{\n  "1": "x"\n}\n'
+        assert json_text({1: "x"}).decode() == '{\n  "1": "x"\n}\n'
 
     def test_a_str_enum_is_written_as_json_writes_it(self):
         assert one_dump({"band": Band.MM_WAVE, "bands": [Band.MM_WAVE]})
@@ -313,7 +318,7 @@ class TestStreamedReport:
         arrays = [model["residuals_db"] for model in doc["models"].values()]
         assert all(needs_repr(values).any() and not needs_repr(values).all()
                    for values in arrays)
-        assert text == _json_text(doc)
+        assert text == json_text(doc)
         assert text.decode() == json.dumps(doc, indent=2, sort_keys=True,
                                            default=np.ndarray.tolist) + "\n"
         assert b'/sp\\u00e9c.json"' in text

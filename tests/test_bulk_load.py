@@ -18,7 +18,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from pathlossfit import UMA, UMI_SC, CIParams, Dataset, Environment, SyntheticSpec, generate
 from pathlossfit import ingest
-from pathlossfit.cli import _json_text
+from pathlossfit.cli import _json_pieces
 from pathlossfit.domain import first_violation
 from pathlossfit.ingest import CSV_COLUMNS, IngestError, load_csv, write_csv
 
@@ -612,18 +612,23 @@ def as_lists(obj):
     return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
+def json_text(obj) -> bytes:
+    """The JSON report writer's text of ``obj``: its pieces joined."""
+    return b"".join(_json_pieces(obj))
+
+
 class TestJsonArrays:
     def test_float_arrays_are_written_as_their_lists(self):
         doc = {"edges": np.array(JSON_EDGES), "empty": np.array([]),
                "finite": np.array([1.5, -2.25, 1e-7]),
                "models": {"ci": {"residuals_db": np.array([math.nan]), "n": 1}},
                "strided": np.array(JSON_EDGES)[::3], "list": [np.array([-math.inf, 2.0])]}
-        assert _json_text(doc).decode() == json.dumps(as_lists(doc), indent=2, sort_keys=True) + "\n"
+        assert json_text(doc).decode() == json.dumps(as_lists(doc), indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(allow_subnormal=True),
                                      st.sampled_from(JSON_EDGES)), max_size=30))
     def test_matches_json_dumps_of_the_list(self, values):
         array = np.array(values, dtype=np.float64)
-        assert (_json_text({"r": array}).decode()
+        assert (json_text({"r": array}).decode()
                 == json.dumps({"r": array.tolist()}, indent=2, sort_keys=True) + "\n")

@@ -151,6 +151,28 @@ class TestGenerate:
         assert err.startswith("error: bad synthetic spec: ") and err.count("\n") == 1
         assert not out.exists()
 
+    # counts of 2**50 and more fail before anything is allocated; no count
+    # stands for a file of 200,000 nested arrays
+    @pytest.mark.parametrize("command", ["generate", "fit"])
+    @pytest.mark.parametrize("count,naming", [
+        (2 ** 50, "1125899906842624 samples: Unable to allocate"),
+        (10 ** 20, "100000000000000000000 samples: Maximum allowed size exceeded"),
+        (None, "maximum recursion depth exceeded"),
+    ], ids=["count-2**50", "count-1e20", "nested"])
+    def test_a_spec_too_large_to_read_or_draw_exits_2_with_one_line(
+            self, tmp_path, ci_spec_file, capsys, command, count, naming):
+        doc = {**json.loads(ci_spec_file.read_text()),
+               "frequencies": [{"frequency_ghz": 28.0, "count": count}]}
+        spec, out = tmp_path / "big.json", tmp_path / "out"
+        spec.write_text(json.dumps(doc) if count else "[" * 200_000, encoding="utf-8")
+        argv = {"generate": ("generate", "--spec", spec, "--out", out),
+                "fit": ("fit", "--synthetic", spec, "--out-dir", out)}[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad synthetic spec: ") and err.count("\n") == 1
+        assert naming in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("frequency", [0, -2])
     def test_nonpositive_frequency_exits_2_with_its_own_message(self, tmp_path, ci_spec_file,
                                                               capsys, frequency):
@@ -650,6 +672,20 @@ class TestOverflow:
         assert_one_error_line(capsys.readouterr(),
                               "free-space path loss at 1e+307 GHz and 1.0 m")
         assert not (tmp_path / "out").exists()
+
+    # sigma 1e308 times a standard normal draw beyond 1.8 overflows, and so
+    # does a slope of 1e307 times 10 log10(d)
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", 1e308), ("truth", {"kind": "ci", "n": 1e307}),
+    ], ids=["shadowing", "truth"])
+    def test_a_spec_past_the_float_range_gives_no_numpy_warning(self, tmp_path, capsys,
+                                                                ci_spec_file, field, value):
+        spec, out = tmp_path / "wide.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps({**json.loads(ci_spec_file.read_text()), field: value}),
+                        encoding="utf-8")
+        assert run("generate", "--spec", spec, "--out", out) == 1
+        assert_one_error_line(capsys.readouterr(), "path_loss must be finite, got ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("losses,naming", [
         ((4000.0, 120.0), "path losses from 120.0 to 4000.0 dB"),

@@ -7,7 +7,7 @@ normal equations, so it is an independent reference for every linear fit.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from pathlossfit import (
     CIParams,
@@ -162,28 +162,37 @@ def test_cif_sigma_does_not_depend_on_f0(seed, frequencies, n_per, log_ratio):
 SIGMA_RTOL = 1e-6
 
 
+def extreme_design(seed: int, size: int, offset: float, f_lo: float, f_hi: float,
+                   tied: bool, slope: float, noise: float) -> Dataset:
+    """``size`` distances within 1 m above ``offset``, and frequencies between
+    ``f_lo`` and ``f_hi``: one per sample tied to its distance (D and F nearly
+    collinear), or else the two ends, drawn independently of distance; a CI
+    ``slope`` and ``noise`` dB of shadowing, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    position = rng.uniform(0.0, 1.0, size)
+    if tied:
+        f = f_lo * (f_hi / f_lo) ** position
+    else:
+        f = rng.choice([f_lo, f_hi], size)
+    d = offset + position
+    pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + noise * rng.standard_normal(size)
+    return Dataset.from_columns(f, d, pl)
+
+
 @st.composite
 def extreme_designs(draw) -> Dataset:
-    """Distances within 1 m above an offset of up to 1e5 m, and frequencies
-    from 0.5 to 300 GHz between two ends that may lie a relative 1e-7 apart:
-    either the two ends, drawn independently of distance, or one frequency
-    per sample tied to its distance (D and F nearly collinear); a CI slope
-    and noise from 1e-3 to 10 dB."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    """:func:`extreme_design` at legal extremes: an offset of up to 1e5 m,
+    frequencies from 0.5 to 300 GHz between two ends that may lie a relative
+    1e-7 apart, a CI slope and noise from 1e-3 to 10 dB."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
     size = draw(st.integers(6, 40))
     offset = draw(st.one_of(st.just(1e5), st.floats(1.0, 1e5)))
     f_lo = draw(st.floats(0.5, 300.0))
     f_hi = draw(st.one_of(st.floats(0.5, 300.0),  # or a relative gap of 1e-7 to 1e-3
                           st.floats(1e-7, 1e-3).map(lambda gap: min(f_lo * (1.0 + gap), 300.0))))
-    position = rng.uniform(0.0, 1.0, size)
-    if draw(st.booleans()):
-        f = f_lo * (f_hi / f_lo) ** position
-    else:
-        f = rng.choice([f_lo, f_hi], size)
-    d = offset + position
+    tied = draw(st.booleans())
     slope, noise = draw(st.floats(2.0, 4.0)), draw(st.floats(1e-3, 10.0))
-    pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + noise * rng.standard_normal(size)
-    return Dataset.from_columns(f, d, pl)
+    return extreme_design(seed, size, offset, f_lo, f_hi, tied, slope, noise)
 
 
 def oracle_sigma(ds: Dataset, kind: str) -> float:
@@ -207,11 +216,15 @@ def oracle_sigma(ds: Dataset, kind: str) -> float:
         "near SINGULARITY_RTOL with its sigma off the least-squares minimum")))
       for kind in ("abg", "cif")),
     "ab", "ci", "ci_opt"])
-# derandomized, so the strict xfails meet the same failing examples every run;
-# not shrunk, since they fail by design
+# The strict xfails fail in every run on the stored designs: the derandomized
+# examples alone do not promise that, since Hypothesis also draws from the
+# literals of the modules that happen to be imported. Not shrunk, since they
+# fail by design.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          phases=(Phase.generate,))
+          phases=(Phase.explicit, Phase.generate))
 @given(ds=extreme_designs())
+@example(ds=extreme_design(33, 6, 1e5, 81.2, 81.200081, True, 2.2, 2.0))  # ABG 8e-4 off
+@example(ds=extreme_design(81, 6, 1e5, 1.1, 1.100011, True, 3.5, 1.0))  # CIF 4e-4 off
 def test_extreme_designs_fit_as_the_oracle_or_name_the_degeneracy(kind, ds):
     try:
         report = fit_with_reversion(ds, kind)

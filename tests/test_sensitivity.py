@@ -85,7 +85,7 @@ class TestDefaults:
         assert DEFAULT_D_MAX == {"UMa": 200.0, "UMiSC": 50.0, "InHOffice": 15.0}
 
     def test_uma_close_spec(self):
-        spec = default_close_spec("UMa")
+        spec = default_close_spec()
         assert spec.d_max == 200.0
         assert spec.delta_grid == steps(600.0, 50.0)
         assert spec.delta_grid[0] == 0.0 and spec.delta_grid[-1] == 600.0
@@ -95,10 +95,6 @@ class TestDefaults:
         spec = default_far_spec()
         assert spec.d_min == 600.0
         assert spec.delta_grid == steps(400.0, 50.0)
-
-    def test_unknown_scenario(self):
-        with pytest.raises(SweepError):
-            default_close_spec("InHSM")
 
     def test_step_must_be_positive(self):
         with pytest.raises(SweepError, match="step must be positive"):
@@ -235,7 +231,7 @@ class TestRunSweep:
 
 def range_of(trace, model: str, name: str):
     """The range of ``model``'s parameter ``name`` in ``trace``."""
-    return next(r for r in trace.ranges if (r.model, r.name) == (model, name))
+    return next(r for r in trace if (r.model, r.name) == (model, name))
 
 
 class TestParameterTrace:
@@ -243,7 +239,7 @@ class TestParameterTrace:
         report = run_sweep(noisy_multifreq, DistanceClose(100.0, (0.0,)),
                            ("abg", "ci"))
         trace = parameter_trace(report)
-        assert all(r.width == 0.0 for r in trace.ranges)
+        assert all(r.width == 0.0 for r in trace)
 
     def test_ci_slope_stays_put_on_ci_truth(self, uma_synthetic):
         report = run_sweep(uma_synthetic, DistanceClose(200.0, steps(600.0, 50.0)),
