@@ -16,6 +16,7 @@ CDF (see :func:`counter_uniforms` and :func:`generate`).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -35,6 +36,7 @@ from .domain import (
     Dataset,
     DomainError,
     Environment,
+    MODEL_KINDS,
     ModelParams,
     OTHER,
     Scenario,
@@ -46,6 +48,7 @@ from .domain import (
 
 CSV_COLUMNS = ("frequency_ghz", "distance_m", "path_loss_db",
                "scenario", "environment", "campaign")
+_HEADER_NAMES = [name.encode() for name in CSV_COLUMNS]
 
 DISTANCE_LAWS = ("log-uniform", "uniform")
 
@@ -66,31 +69,26 @@ def load_csv(path: str | Path) -> Dataset:
     Any row violating the sample invariants (f > 0 GHz, d >= 1 m, finite
     loss) aborts the load with a diagnostic naming the first bad file line.
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
-    IngestError naming the file. A file of CSV_COLUMNS in order, with no quote
-    or CR and six fields a row, is parsed in chunks of rows, undecoded, with
-    any number of labels (:func:`_chunked`); any other text, or a bad value,
-    is read row by row with the ``csv`` module. Neither changes a diagnostic.
+    IngestError naming the file. A file whose first line's bytes name
+    CSV_COLUMNS in order, with no quote or CR and six fields a row, is parsed
+    in chunks of rows, undecoded, with any number of labels (:func:`_chunked`);
+    any other text, or a bad value, is read row by row with the ``csv``
+    module and ``float``. Neither changes a diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
-    # csv.reader takes lines lazily from the bytes, as from a file, so it reads
-    # text that is parsed in chunks only up to the end of its header.
+    if (dataset := _chunked(data)) is not None:
+        return dataset
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = _rows(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                              newline="")), path)
     try:
         header = [h.strip() for h in next(rows)]
-    except (StopIteration, ValueError) as exc:  # raised once the text is known to be UTF-8
-        header = exc
-    if header == list(CSV_COLUMNS) and (dataset := _chunked(data)) is not None:
-        return dataset
-    try:
-        data.decode("utf-8-sig")  # only where the chunked path declines
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if isinstance(header, StopIteration):
-        raise IngestError(f"{path}: empty file (missing header)")
-    if isinstance(header, ValueError):  # a header field over the csv limit
-        raise header
+    except StopIteration:
+        raise IngestError(f"{path}: empty file (missing header)") from None
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise IngestError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -132,14 +130,19 @@ def _chunked(data: bytes) -> Dataset | None:
     row ends. Each row is cut at its third comma into numbers (a chunk's are
     one JSON array once rows end ``,\\n``) and a label text coded through one
     dict: by one replace if all rows end with the first row's tail, else at
-    each row's third of five commas. None where ``float``, the label check or
-    ``csv``'s field limit could differ: a quote or CR, a row not of six fields
-    or longer than the limit, a byte outside JSON numbers before its tail, a
-    zero (orjson reads ``-0`` as 0), a bad label or sample. So the text is
-    UTF-8 if its header is: the rest is ASCII or labels."""
+    each row's third of five commas. None unless the first line, after an
+    optional BOM, names CSV_COLUMNS in order, each name stripped by
+    ``bytes.strip``; and where ``float``, the label check or ``csv``'s field
+    limit could differ: a quote or CR, a row not of six fields or longer than
+    the limit, a byte outside JSON numbers before its tail, a zero (orjson
+    reads ``-0`` as 0), a bad label or sample. So the text is UTF-8: the
+    header is ASCII, the rest ASCII or labels."""
     start = data.find(b"\n") + 1  # of the first row
+    names = data[:start].removeprefix(codecs.BOM_UTF8).split(b",")
+    if [name.strip() for name in names] != _HEADER_NAMES:  # also where no line ends
+        return None
     limit = csv.field_size_limit()  # a field over it lies in a row over it
-    if not start or start == len(data) or b'"' in data or b"\r" in data:
+    if start == len(data) or b'"' in data or b"\r" in data:
         return None
     index, values, codes = {}, [], []  # label texts' codes; per chunk, floats and codes
     try:
@@ -191,31 +194,10 @@ def _rows(reader, path: Path):
 
 
 _SAMPLE_COLUMNS = ("frequency", "distance", "path_loss")
-_JSON_NUMBERS = frozenset({float, int})  # the item types orjson gives JSON numbers
 
 
 def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np.ndarray:
-    """The parsed values; on a bad one, only those before it, and a problem noted.
-
-    The column is parsed as one JSON array by orjson. The result is kept when
-    it holds one number per field: no field then holds a comma, so each holds
-    one JSON number between JSON whitespace, whose value ``float`` also
-    gives. Integer items are re-read by ``float``, which keeps the sign of
-    ``-0``. Any other column (text such as ``1_0``, ``.5``, ``nan``, ``true``,
-    ``"1"`` or an empty field) is read field by field by ``float``, which
-    gives the same values and stops at the first bad one, naming it.
-    """
-    try:
-        items = orjson.loads(f"[{','.join(texts)}]")
-    except orjson.JSONDecodeError:
-        items = None
-    if items is not None and len(items) == len(texts):
-        kinds = set(map(type, items))
-        if kinds <= _JSON_NUMBERS:
-            if int in kinds:
-                items = [float(t) if type(v) is int else v for v, t in zip(items, texts)]
-            return np.fromiter(items, dtype=np.float64, count=len(items))
-    del items  # not kept through the per-field pass
+    """``float`` of each field; on a bad one, only those before it, and a problem noted."""
     values = []
     for text in texts:
         try:
@@ -458,11 +440,26 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _truth(data: dict) -> ModelParams:
+    """The truth of its JSON form: ``kind`` and the kind's value names, each
+    fixed one (AB's ``gamma``) at its value; else a bad spec."""
+    truth = params_from_dict(data)
+    entry = MODEL_KINDS[truth.kind]
+    for name, value in data.items():
+        if name not in ("kind", *entry.value_names):
+            raise IngestError(f"bad synthetic spec: truth key {name!r} is not a parameter of "
+                              f"kind {truth.kind} ({', '.join(entry.value_names)})")
+        if name in entry.fixed and value != entry.fixed[name]:
+            raise IngestError(f"bad synthetic spec: truth {name} of kind {truth.kind} is fixed "
+                              f"at {entry.fixed[name]!r}, got {value!r}")
+    return truth
+
+
 def spec_from_dict(data: dict) -> SyntheticSpec:
     """The spec of its JSON form; a malformed value is a "bad synthetic spec"."""
     try:
         return SyntheticSpec(
-            truth=params_from_dict(data["truth"]),
+            truth=_truth(data["truth"]),
             frequencies=tuple((entry["frequency_ghz"], entry["count"])
                               for entry in data["frequencies"]),
             distance_range=data["distance_range"],
@@ -475,7 +472,9 @@ def spec_from_dict(data: dict) -> SyntheticSpec:
         )
     except IngestError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise IngestError(f"bad synthetic spec: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"bad synthetic spec: {exc}") from exc
 
 

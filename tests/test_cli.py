@@ -151,6 +151,25 @@ class TestGenerate:
         assert err.startswith("error: bad synthetic spec: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "fit"])
+    @pytest.mark.parametrize("change,message", [
+        ({"truth": {"kind": "cif", "n": 1e307, "b": 1e300}}, "missing key 'f0'"),
+        ({"sigma": None}, "missing key 'sigma'"),
+        ({"truth": {"kind": "ci", "n": 2, "d0": 1e300}},
+         "truth key 'd0' is not a parameter of kind ci (n)"),
+    ], ids=["truth-without-f0", "without-sigma", "ci-truth-with-d0"])
+    def test_a_missing_or_unknown_spec_key_is_named(self, tmp_path, ci_spec_file, capsys,
+                                                    command, change, message):
+        doc = {**json.loads(ci_spec_file.read_text()), **change}
+        spec, out = tmp_path / "bad.json", tmp_path / "out"
+        spec.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}),
+                        encoding="utf-8")
+        argv = {"generate": ("generate", "--spec", spec, "--out", out),
+                "fit": ("fit", "--synthetic", spec, "--out-dir", out)}[command]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: bad synthetic spec: {message}\n"
+        assert not out.exists()
+
     # counts of 2**50 and more fail before anything is allocated; no count
     # stands for a file of 200,000 nested arrays
     @pytest.mark.parametrize("command", ["generate", "fit"])

@@ -25,7 +25,7 @@ from pathlossfit import (
     write_csv,
 )
 from pathlossfit.cli import main
-from pathlossfit.domain import evaluate
+from pathlossfit.domain import ABGParams, ABParams, CIOptParams, evaluate
 from pathlossfit.ingest import counter_uniforms, load_spec, spec_from_dict, spec_to_dict
 from conftest import BAD_SPEC_FIELDS
 
@@ -369,12 +369,42 @@ class TestGenerate:
 
 
 class TestSpecJson:
-    def test_round_trip(self):
-        spec = SyntheticSpec(truth=CIFParams(2.9, -0.002, 12.0), sigma=5.7, seed=11,
+    @pytest.mark.parametrize("truth", [
+        ABGParams(2.1, 31.0, 2.3), ABParams(2.8, 40.0), CIParams(2.9), CIOptParams(2.2, 10.0),
+        CIFParams(2.9, -0.002, 12.0)], ids=lambda truth: truth.kind)
+    def test_round_trip(self, truth):
+        spec = SyntheticSpec(truth=truth, sigma=5.7, seed=11,
                              frequencies=((2.0, 5), (38.0, 7)),
                              distance_range=(60.0, 1238.0),
                              scenario=Scenario("UMa"), campaign="aau")
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize("truth,message", [
+        ({"kind": "ci", "n": 2, "d0": 1e300},
+         "truth key 'd0' is not a parameter of kind ci (n)"),
+        ({"kind": "abg", "alpha": 2, "beta": 30, "gamma": 2, "f0": 1},
+         "truth key 'f0' is not a parameter of kind abg (alpha, beta, gamma)"),
+        ({"kind": "ab", "alpha": 2, "beta": 30, "gamma": 3},
+         "truth gamma of kind ab is fixed at 2.0, got 3"),
+        ({"kind": "ab", "alpha": 2, "beta": 30, "gamma": True},
+         "truth gamma of kind ab is fixed at 2.0, got True"),
+        ({"kind": "cif", "n": 1e307, "b": 1e300}, "missing key 'f0'"),
+    ], ids=["ci-d0", "abg-f0", "ab-gamma-3", "ab-gamma-true", "cif-no-f0"])
+    def test_a_truth_holds_only_its_kinds_values(self, truth, message):
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=11,
+                             frequencies=((2.0, 5),), distance_range=(60.0, 1238.0))
+        with pytest.raises(IngestError) as error:
+            spec_from_dict({**spec_to_dict(spec), "truth": truth})
+        assert str(error.value) == f"bad synthetic spec: {message}"
+
+    @pytest.mark.parametrize("gamma", [2, 2.0, None], ids=["int", "float", "absent"])
+    def test_ab_takes_its_fixed_gamma_or_none(self, gamma):
+        truth = {"kind": "ab", "alpha": 2.8, "beta": 40.0}
+        if gamma is not None:
+            truth["gamma"] = gamma
+        spec = SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=11,
+                             frequencies=((2.0, 5),), distance_range=(60.0, 1238.0))
+        assert spec_from_dict({**spec_to_dict(spec), "truth": truth}).truth == ABParams(2.8, 40.0)
 
     def test_load_spec_errors(self, tmp_path):
         path = tmp_path / "spec.json"

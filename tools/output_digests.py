@@ -51,7 +51,11 @@ it gets a fit and a close sweep.
 ``FAR_SAMPLE`` is ``short.csv`` with one more sample at 1e308 m: its fit
 holds, but the curve table's free-space loss overflows, so it exits 1.
 ``SINGLE_FREQUENCY`` holds ``raw.csv``'s 28 GHz rows: its fit reverts ABG to
-AB, with a warning on stderr, and CIF to the CI slope. The matrix ends with
+AB, with a warning on stderr, and CIF to the CI slope. ``CRLF`` is ``raw.csv``
+with CRLF line ends, which the ``csv`` module reads, and ``BOM_HEADER`` is
+``raw.csv`` after a UTF-8 byte order mark with a space on each side of each
+header name, which the chunked reader reads (it strips each name's bytes);
+each gets a fit and a close sweep. The matrix ends with
 ``generate --seed`` and ``fspl``, once with a finite distance and once with
 ``inf``, which exits 2.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
@@ -85,6 +89,8 @@ INTERLEAVED = "interleaved.csv"
 FAR_SAMPLE = "far-sample.csv"
 SPACED_LABEL = "spaced-label.csv"
 SINGLE_FREQUENCY = "single-frequency.csv"
+CRLF = "crlf.csv"
+BOM_HEADER = "bom-header.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -140,6 +146,11 @@ COMMANDS = (
     ("sweep", "--input", SPACED_LABEL, "--out-dir", "sweep-spaced-label", *ALL_MODELS,
      "--split", "distance-close"),
     ("fit", "--input", SINGLE_FREQUENCY, "--out-dir", "fit-single-frequency", *ALL_MODELS),
+    *(command for name in (CRLF, BOM_HEADER) for stem in [name.removesuffix(".csv")]
+      for command in (
+          ("fit", "--input", name, "--out-dir", f"fit-{stem}", *ALL_MODELS),
+          ("sweep", "--input", name, "--out-dir", f"sweep-{stem}", *ALL_MODELS,
+           "--split", "distance-close"))),
     ("generate", "--spec", "spec.json", "--out", "raw-seed-3.csv", "--seed", "3"),
     ("fspl", "28", "100"),
     ("fspl", "28", "inf"),
@@ -183,6 +194,13 @@ def single_frequency(raw: bytes) -> bytes:
                                  if row.startswith(b"28.0,"))]) + b"\n"
 
 
+def bom_header(raw: bytes) -> bytes:
+    """The CSV ``raw`` after a UTF-8 byte order mark, each header name between spaces."""
+    header, _, rows = raw.partition(b"\n")
+    names = b",".join(b" " + name + b" " for name in header.split(b","))
+    return b"\xef\xbb\xbf" + names + b"\n" + rows
+
+
 # inputs made from the generated CSVs in the work directory, by name
 DERIVED = {
     ACCENTED: lambda work: (work / "raw.csv").read_bytes(),
@@ -195,6 +213,8 @@ DERIVED = {
     FAR_SAMPLE: lambda work: far_sample((work / "short.csv").read_bytes()),
     SPACED_LABEL: lambda work: spaced_label((work / "raw.csv").read_bytes()),
     SINGLE_FREQUENCY: lambda work: single_frequency((work / "raw.csv").read_bytes()),
+    CRLF: lambda work: (work / "raw.csv").read_bytes().replace(b"\n", b"\r\n"),
+    BOM_HEADER: lambda work: bom_header((work / "raw.csv").read_bytes()),
 }
 
 
