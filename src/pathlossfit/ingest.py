@@ -7,7 +7,7 @@ CSV schema (UTF-8, optional byte order mark, comma separated, header required)::
 with scenario in {UMa, UMiSC, InHOffice, InHSM, Other:<label>} and
 environment in {LOS, NLOS}. Extra columns are ignored with a warning. A file
 in this column order with no quote or CR is parsed in chunks of rows, any
-other by the ``csv`` module (see :func:`load_csv`).
+other by the ``csv`` module in one pass over its rows (see :func:`load_csv`).
 
 The generator is reproducible across implementations: it draws uniforms from
 a counter-based splitmix64 stream and maps them through the inverse normal
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from statistics import _normal_dist_inv_cdf  # private; test_ingest pins it to NormalDist.inv_cdf
-from typing import Sequence
 
 import numpy as np
 import orjson
@@ -71,9 +70,12 @@ def load_csv(path: str | Path) -> Dataset:
     A leading UTF-8 byte order mark is skipped; text that is not UTF-8 is an
     IngestError naming the file. A file whose first line's bytes name
     CSV_COLUMNS in order, with no quote or CR and six fields a row, is parsed
-    in chunks of rows, undecoded, with any number of labels (:func:`_chunked`);
-    any other text, or a bad value, is read row by row with the ``csv``
-    module and ``float``. Neither changes a diagnostic.
+    in chunks of rows, undecoded, with any number of labels (:func:`_chunked`).
+    Any other text, or a bad value, is read by the ``csv`` module in one pass
+    over the rows, each checked in turn for its width, its three numbers by
+    ``float`` and its label; the first row that fails ends the pass, and a
+    sample rule broken in an earlier row is named before it. Neither path
+    changes a diagnostic.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -99,30 +101,43 @@ def load_csv(path: str | Path) -> Dataset:
     if extra:
         warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}")
 
-    # Each check notes its first bad row as (row, check order, message). The
-    # earliest row wins, then the earlier check. Data row i is file line i + 2.
-    problems: list[tuple[int, int, str]] = []
-    rows = list(rows)
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    short = np.flatnonzero(widths < len(header))
-    if short.size:
-        row = int(short[0])
-        problems.append((row, 0, f"expected {len(header)} columns, got {len(rows[row])}"))
-        rows = rows[:row]
-    columns = list(zip(*rows)) or [()] * len(header)
-    fields = {c: columns[header.index(c)] for c in CSV_COLUMNS}
+    # imported here, not with the module: loading its shared library at import
+    # shifts the heap's layout, which raised a 1M-row chunked load's peak by 5%
+    from array import array
 
-    numbers = [_floats(fields[column], column, order, problems)
-               for order, column in enumerate(CSV_COLUMNS[:3], start=1)]
-    codes, labels = _labels(fields, problems)
-    for order, (name, values) in enumerate(zip(_SAMPLE_COLUMNS, numbers), start=5):
-        problem = first_violation(name, values)
-        if problem is not None:
-            problems.append((problem[0], order, problem[1]))
-    if problems:
-        row, _, message = min(problems)
+    at = [header.index(c) for c in CSV_COLUMNS]
+    numbers = [(column, j, array("d")) for column, j in zip(CSV_COLUMNS[:3], at)]
+    codes, index, labels = array("q"), {}, {}  # label texts' codes; the labels they name
+    problem = None  # of the first row that fails, which ends the pass
+    for row in rows:
+        if len(row) < len(header):
+            problem = f"expected {len(header)} columns, got {len(row)}"
+            break
+        try:
+            for column, j, values in numbers:
+                values.append(float(row[j]))
+        except ValueError:
+            problem = f"unparsable {column} value {row[j].strip()!r}"
+            break
+        texts = row[at[3]], row[at[4]], row[at[5]]
+        if (code := index.get(texts)) is None:
+            try:
+                code = index[texts] = labels.setdefault(_label(*texts), len(labels))
+            except ValueError as exc:  # DomainError too
+                problem = str(exc)
+                break
+        codes.append(code)
+    for _ in rows:  # a csv error in a later row is named first
+        pass
+    columns = [np.frombuffer(values)[:len(codes)] for _, _, values in numbers]
+    problems = [found for name, values in zip(("frequency", "distance", "path_loss"), columns)
+                if (found := first_violation(name, values)) is not None]
+    if problem is not None:
+        problems.append((len(codes), problem))
+    if problems:  # a sample rule broken in an earlier row, then the earlier column, wins
+        row, message = min(problems, key=lambda found: found[0])
         raise IngestError(f"{path} line {row + 2}: {message}")
-    return Dataset.from_columns(*numbers, codes, labels)
+    return Dataset.from_columns(*columns, codes, tuple(labels))
 
 
 def _chunked(data: bytes) -> Dataset | None:
@@ -130,13 +145,14 @@ def _chunked(data: bytes) -> Dataset | None:
     row ends. Each row is cut at its third comma into numbers (a chunk's are
     one JSON array once rows end ``,\\n``) and a label text coded through one
     dict: by one replace if all rows end with the first row's tail, else at
-    each row's third of five commas. None unless the first line, after an
-    optional BOM, names CSV_COLUMNS in order, each name stripped by
-    ``bytes.strip``; and where ``float``, the label check or ``csv``'s field
-    limit could differ: a quote or CR, a row not of six fields or longer than
-    the limit, a byte outside JSON numbers before its tail, a zero (orjson
-    reads ``-0`` as 0), a bad label or sample. So the text is UTF-8: the
-    header is ASCII, the rest ASCII or labels."""
+    each row's third of five commas. Each distinct text is parsed once by
+    :func:`_label`, as in :func:`load_csv`'s pass. None unless the first
+    line, after an optional BOM, names CSV_COLUMNS in order, each name
+    stripped by ``bytes.strip``; and where ``float``, the label check or
+    ``csv``'s field limit could differ: a quote or CR, a row not of six
+    fields or longer than the limit, a byte outside JSON numbers before its
+    tail, a zero (orjson reads ``-0`` as 0), a bad label or sample. So the
+    text is UTF-8: the header is ASCII, the rest ASCII or labels."""
     start = data.find(b"\n") + 1  # of the first row
     names = data[:start].removeprefix(codecs.BOM_UTF8).split(b",")
     if [name.strip() for name in names] != _HEADER_NAMES:  # also where no line ends
@@ -176,12 +192,14 @@ def _chunked(data: bytes) -> Dataset | None:
             items = orjson.loads(b"".join((b"[", memoryview(flat)[:-2], b"]")))
             values.append(np.fromiter(items, dtype=np.float64, count=len(items)))
             start = stop
-        labels = _merge_labels((text.decode().split(",") for text in index), remap := [])
+        labels: dict[tuple, int] = {}
+        remap = [labels.setdefault(_label(*text.decode().split(",")), len(labels))
+                 for text in index]
         codes = None if len(labels) == 1 else np.array(remap, dtype=np.intp)[np.concatenate(
             [np.broadcast_to(c, len(v) // 3) for c, v in zip(codes, values)])]  # built once
         values = np.concatenate(values).reshape(-1, 3)  # no chunk kept while the columns copy
-        return Dataset.from_columns(*values.T, codes, labels) if values.all() else None
-    except ValueError:  # a bad label or sample (DomainError), or orjson.JSONDecodeError
+        return Dataset.from_columns(*values.T, codes, tuple(labels)) if values.all() else None
+    except (TypeError, ValueError):  # a label not of three texts, or a bad label, sample or JSON
         return None
 
 
@@ -193,44 +211,9 @@ def _rows(reader, path: Path):
         raise IngestError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-_SAMPLE_COLUMNS = ("frequency", "distance", "path_loss")
-
-
-def _floats(texts: Sequence[str], column: str, order: int, problems: list) -> np.ndarray:
-    """``float`` of each field; on a bad one, only those before it, and a problem noted."""
-    values = []
-    for text in texts:
-        try:
-            values.append(float(text))
-        except ValueError:
-            problems.append((len(values), order, f"unparsable {column} value {text.strip()!r}"))
-            break
-    return np.array(values, dtype=float)
-
-
-def _labels(text: dict, problems: list) -> tuple[np.ndarray, tuple]:
-    """Each row's label code (rows are coded by their three label texts) and
-    the distinct labels; on a bad label, a problem noted."""
-    index: dict[tuple[str, str, str], int] = {}
-    raw = np.array([index.setdefault(key, len(index)) for key in
-                    zip(text["scenario"], text["environment"], text["campaign"])], dtype=np.intp)
-    try:
-        labels = _merge_labels(index, remap := [])
-    except ValueError as exc:  # DomainError too
-        problems.append((int(np.argmax(raw == len(remap))), 4, str(exc)))
-        return raw, ()
-    return np.array(remap, dtype=np.intp)[raw], labels
-
-
-def _merge_labels(texts, remap: list[int]) -> tuple:
-    """The labels of distinct (scenario, environment, campaign) texts, each text's code put in
-    ``remap``: texts that parse alike share one. A bad label raises ValueError, its code unset."""
-    labels: dict[tuple, int] = {}
-    for scenario, environment, campaign in texts:
-        label = (Scenario.parse(scenario.strip()), Environment(environment.strip()),
-                 campaign.strip())
-        remap.append(labels.setdefault(label, len(labels)))
-    return tuple(labels)
+def _label(scenario: str, environment: str, campaign: str) -> tuple:
+    """The label that a row's three label texts name; a bad one raises ValueError."""
+    return Scenario.parse(scenario.strip()), Environment(environment.strip()), campaign.strip()
 
 
 def needs_repr(values: np.ndarray) -> np.ndarray:
@@ -354,6 +337,9 @@ class SyntheticSpec:
             (_number(f, "frequency_ghz"), _typed(c, int, "count")) for f, c in self.frequencies))
         object.__setattr__(self, "distance_range", tuple(
             _number(v, "distance_range") for v in self.distance_range))
+        if len(self.distance_range) != 2:
+            raise IngestError(f"bad synthetic spec: distance_range must hold two numbers, "
+                              f"got {len(self.distance_range)}")
         object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
         _typed(self.seed, int, "seed")
         _typed(self.campaign, str, "campaign")
@@ -441,28 +427,33 @@ def _typed(value, kind: type, name: str):
 
 
 def _truth(data: dict) -> ModelParams:
-    """The truth of its JSON form: ``kind`` and the kind's value names, each
-    fixed one (AB's ``gamma``) at its value; else a bad spec."""
-    truth = params_from_dict(data)
-    entry = MODEL_KINDS[truth.kind]
-    for name, value in data.items():
+    """The truth of its JSON form: a str ``kind`` and the kind's value names,
+    each a finite number and each fixed one (AB's ``gamma``) at its value;
+    else a bad spec."""
+    kind = _typed(data["kind"], str, "truth kind")
+    entry = MODEL_KINDS.get(kind)
+    for name, value in data.items() if entry is not None else ():
         if name not in ("kind", *entry.value_names):
             raise IngestError(f"bad synthetic spec: truth key {name!r} is not a parameter of "
-                              f"kind {truth.kind} ({', '.join(entry.value_names)})")
+                              f"kind {kind} ({', '.join(entry.value_names)})")
         if name in entry.fixed and value != entry.fixed[name]:
-            raise IngestError(f"bad synthetic spec: truth {name} of kind {truth.kind} is fixed "
+            raise IngestError(f"bad synthetic spec: truth {name} of kind {kind} is fixed "
                               f"at {entry.fixed[name]!r}, got {value!r}")
-    return truth
+        if name != "kind":
+            _number(value, f"truth {name}")
+    return params_from_dict(data)  # an unknown kind or a missing value raises here
 
 
 def spec_from_dict(data: dict) -> SyntheticSpec:
     """The spec of its JSON form; a malformed value is a "bad synthetic spec"."""
     try:
+        data = _typed(data, dict, "spec")
         return SyntheticSpec(
-            truth=_truth(data["truth"]),
-            frequencies=tuple((entry["frequency_ghz"], entry["count"])
-                              for entry in data["frequencies"]),
-            distance_range=data["distance_range"],
+            truth=_truth(_typed(data["truth"], dict, "truth")),
+            frequencies=tuple((_typed(entry, dict, "frequencies entry")["frequency_ghz"],
+                               entry["count"])
+                              for entry in _typed(data["frequencies"], list, "frequencies")),
+            distance_range=_typed(data["distance_range"], list, "distance_range"),
             sigma=data["sigma"],
             seed=data["seed"],
             distance_law=data.get("distance_law", "log-uniform"),

@@ -7,10 +7,10 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,10 +50,11 @@ def reference_load_csv(path):
     columns = list(zip(*rows)) or [()] * len(header)
     text = {c: columns[header.index(c)] for c in CSV_COLUMNS}
 
-    numbers = [ingest._floats(text[column], column, order, problems)
+    numbers = [reference_floats(text[column], column, order, problems)
                for order, column in enumerate(CSV_COLUMNS[:3], start=1)]
-    codes, labels = ingest._labels(text, problems)
-    for order, (name, values) in enumerate(zip(ingest._SAMPLE_COLUMNS, numbers), start=5):
+    codes, labels = reference_labels(text, problems)
+    for order, (name, values) in enumerate(zip(("frequency", "distance", "path_loss"), numbers),
+                                           start=5):
         problem = first_violation(name, values)
         if problem is not None:
             problems.append((problem[0], order, problem[1]))
@@ -188,6 +189,8 @@ def one_label_traps(test):
         HEADER + ROW.replace("UMa", "Rural") * 2,              # a bad label
         HEADER + ROW + "\n",                                  # a blank last line
         HEADER + ROW + "28,100.5,120.25,7,8,UMa,NLOS,c1\n",
+        HEADER + ROW.replace(",NLOS,c1", "") * 2,              # a label tail of one text
+        HEADER + ROW.replace("c1", "c1,x") * 2,                # and of four
     ]
     for text in files:
         test = example(file=(text, True, []))(example(file=(text, False, []))(test))
@@ -349,9 +352,7 @@ def test_load_csv_equals_float_and_label_references(tmp_path_factory, rows, labe
     path = tmp_path_factory.mktemp("floats") / "in.csv"
     path.write_text(buffer.getvalue(), encoding="utf-8")
     got, got_warnings = outcome(load_csv, path)
-    with mock.patch.object(ingest, "_floats", reference_floats), \
-            mock.patch.object(ingest, "_labels", reference_labels):
-        want, want_warnings = outcome(reference_load_csv, path)
+    want, want_warnings = outcome(reference_load_csv, path)
     assert got_warnings == want_warnings == []
     if isinstance(want, str):
         assert got == want
@@ -389,10 +390,9 @@ def test_a_one_label_file_is_parsed_whole(tmp_path, monkeypatch):
     write_csv(ds, path)
 
     def refuse(*args):
-        raise AssertionError("the per-field path was entered")
+        raise AssertionError("the csv path was entered")
 
-    for name in ("_floats", "_labels"):
-        monkeypatch.setattr(ingest, name, refuse)
+    monkeypatch.setattr(ingest.csv, "reader", refuse)
     monkeypatch.setattr(ingest.orjson, "loads", counting(ingest.orjson.loads))
     for chunk in (ingest.LOAD_CHUNK, 4096):  # one parse per chunk of at least that many bytes
         monkeypatch.setattr(ingest, "LOAD_CHUNK", chunk)
@@ -435,10 +435,9 @@ def test_a_file_of_several_labels_is_parsed_in_chunks(tmp_path, monkeypatch, lay
     want = reference_load_csv(path)
 
     def refuse(*args):
-        raise AssertionError("the per-field path was entered")
+        raise AssertionError("the csv path was entered")
 
-    for name in ("_floats", "_labels"):
-        monkeypatch.setattr(ingest, name, refuse)
+    monkeypatch.setattr(ingest.csv, "reader", refuse)
     monkeypatch.setattr(ingest.orjson, "loads", counting(ingest.orjson.loads))
     for chunk in (ingest.LOAD_CHUNK, 4096):
         monkeypatch.setattr(ingest, "LOAD_CHUNK", chunk)
@@ -541,6 +540,37 @@ def test_short_rows_ending_three_chunks_are_not_read_as_one_row(tmp_path, monkey
     path.write_text(HEADER + (ROW * 2 + short) * 3 + ROW * 3, encoding="utf-8")
     assert outcome(load_csv, path) == outcome(reference_load_csv, path) == (
         f"IngestError: {path} line 4: expected 6 columns, got 5", [])
+
+
+@pytest.mark.parametrize("copy", ["reordered", "CRLF"])
+def test_the_csv_path_costs_a_few_times_the_file(tmp_path, copy):
+    """The csv path's peak of traced memory stays under five times the file's
+    bytes: it holds no list of rows (about eleven times)."""
+    ds = generate(SyntheticSpec(truth=CIParams(2.9), sigma=5.7, seed=7,
+                                frequencies=((2.0, 10000), (28.0, 10000)),
+                                distance_range=(10.0, 500.0)))
+    path = tmp_path / "in.csv"
+    write_csv(ds, path)
+    lines = path.read_bytes().split(b"\n")
+    data = (b"\n".join(b",".join(line.split(b",")[::-1]) for line in lines) if copy == "reordered"
+            else b"\r\n".join(lines))
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        got = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ds
+    assert peak < 5 * len(data)
+
+
+def test_a_csv_error_after_the_first_bad_row_is_named_first(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(HEADER + ROW.replace("100.5", "x") + ROW + ROW.replace("c1", BIG),
+                    encoding="utf-8")
+    assert outcome(load_csv, path) == (
+        f"IngestError: {path} line 4: field larger than field limit (131072)", [])
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at the limit", "over it"])

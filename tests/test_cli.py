@@ -157,13 +157,23 @@ class TestGenerate:
         ({"sigma": None}, "missing key 'sigma'"),
         ({"truth": {"kind": "ci", "n": 2, "d0": 1e300}},
          "truth key 'd0' is not a parameter of kind ci (n)"),
-    ], ids=["truth-without-f0", "without-sigma", "ci-truth-with-d0"])
+        ({"truth": "ci"}, "truth must be a JSON dict, got 'ci'"),
+        ({"truth": {"kind": ["ci"], "n": 2}}, "truth kind must be a JSON str, got ['ci']"),
+        ({"truth": {"kind": "ci", "n": [2]}}, "truth n must be a finite number, got [2]"),
+        ({"frequencies": [5]}, "frequencies entry must be a JSON dict, got 5"),
+        ({"distance_range": 5}, "distance_range must be a JSON list, got 5"),
+        ({"distance_range": [1, 2, 3]}, "distance_range must hold two numbers, got 3"),
+        ([1, 2], "spec must be a JSON dict, got [1, 2]"),
+    ], ids=["truth-without-f0", "without-sigma", "ci-truth-with-d0", "truth-a-str",
+            "kind-a-list", "n-a-list", "frequency-a-number", "distance-range-a-number",
+            "three-distances", "spec-a-list"])
     def test_a_missing_or_unknown_spec_key_is_named(self, tmp_path, ci_spec_file, capsys,
                                                     command, change, message):
-        doc = {**json.loads(ci_spec_file.read_text()), **change}
+        doc = change if isinstance(change, list) else {
+            k: v for k, v in {**json.loads(ci_spec_file.read_text()), **change}.items()
+            if v is not None}
         spec, out = tmp_path / "bad.json", tmp_path / "out"
-        spec.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}),
-                        encoding="utf-8")
+        spec.write_text(json.dumps(doc), encoding="utf-8")
         argv = {"generate": ("generate", "--spec", spec, "--out", out),
                 "fit": ("fit", "--synthetic", spec, "--out-dir", out)}[command]
         assert run(*argv) == 2

@@ -55,7 +55,10 @@ AB, with a warning on stderr, and CIF to the CI slope. ``CRLF`` is ``raw.csv``
 with CRLF line ends, which the ``csv`` module reads, and ``BOM_HEADER`` is
 ``raw.csv`` after a UTF-8 byte order mark with a space on each side of each
 header name, which the chunked reader reads (it strips each name's bytes);
-each gets a fit and a close sweep. The matrix ends with
+each gets a fit and a close sweep. ``BAD_DISTANCE`` is ``REORDERED`` with an
+unparsable distance in its middle row, and ``SHORT_ROW`` is ``CRLF`` with its
+middle row one field short; the ``csv`` module reads both, and each gets a fit,
+which exits 2 naming that row's line. The matrix ends with
 ``generate --seed`` and ``fspl``, once with a finite distance and once with
 ``inf``, which exits 2.
 ``tools/output_compare.py`` runs the same matrix on two checkouts and
@@ -91,6 +94,8 @@ SPACED_LABEL = "spaced-label.csv"
 SINGLE_FREQUENCY = "single-frequency.csv"
 CRLF = "crlf.csv"
 BOM_HEADER = "bom-header.csv"
+BAD_DISTANCE = "bad-distance.csv"
+SHORT_ROW = "short-row.csv"
 COMMANDS = (
     ("generate", "--spec", "spec.json", "--out", "raw.csv"),
     ("preprocess", "--input", "raw.csv", "--out", "cond.csv"),
@@ -151,6 +156,8 @@ COMMANDS = (
           ("fit", "--input", name, "--out-dir", f"fit-{stem}", *ALL_MODELS),
           ("sweep", "--input", name, "--out-dir", f"sweep-{stem}", *ALL_MODELS,
            "--split", "distance-close"))),
+    *(("fit", "--input", name, "--out-dir", f"fit-{name.removesuffix('.csv')}", *ALL_MODELS)
+      for name in (BAD_DISTANCE, SHORT_ROW)),
     ("generate", "--spec", "spec.json", "--out", "raw-seed-3.csv", "--seed", "3"),
     ("fspl", "28", "100"),
     ("fspl", "28", "inf"),
@@ -194,6 +201,13 @@ def single_frequency(raw: bytes) -> bytes:
                                  if row.startswith(b"28.0,"))]) + b"\n"
 
 
+def middle_row(raw: bytes, change) -> bytes:
+    """The CSV ``raw`` with ``change`` applied to the list of its middle row's fields."""
+    lines = raw.split(b"\n")
+    lines[len(lines) // 2] = b",".join(change(lines[len(lines) // 2].split(b",")))
+    return b"\n".join(lines)
+
+
 def bom_header(raw: bytes) -> bytes:
     """The CSV ``raw`` after a UTF-8 byte order mark, each header name between spaces."""
     header, _, rows = raw.partition(b"\n")
@@ -215,6 +229,11 @@ DERIVED = {
     SINGLE_FREQUENCY: lambda work: single_frequency((work / "raw.csv").read_bytes()),
     CRLF: lambda work: (work / "raw.csv").read_bytes().replace(b"\n", b"\r\n"),
     BOM_HEADER: lambda work: bom_header((work / "raw.csv").read_bytes()),
+    BAD_DISTANCE: lambda work: reordered(middle_row((work / "raw.csv").read_bytes(),
+                                                    lambda fields: [*fields[:1], b"n/a",
+                                                                    *fields[2:]])),
+    SHORT_ROW: lambda work: middle_row((work / "raw.csv").read_bytes(),
+                                       lambda fields: fields[:5]).replace(b"\n", b"\r\n"),
 }
 
 
