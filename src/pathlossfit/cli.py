@@ -52,12 +52,12 @@ from .preprocess import (BIN_AVERAGE_MODES, BinWidthError, PreprocessSettings,
 from .sensitivity import (
     DEFAULT_D_MAX,
     DEFAULT_MODELS,
+    DistanceClose,
+    DistanceFar,
     FrequencyLOO,
     PredictionReport,
     SplitSpec,
     SweepError,
-    default_close_spec,
-    default_far_spec,
     parameter_trace,
     run_sweep,
 )
@@ -375,12 +375,12 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
             raise ConfigError(f"{flag} does not apply to --split {args.split}")
     if args.split == "frequency-loo":
         return FrequencyLOO(args.hold_out)
-    # the default spec with each given flag replaced into it; without --d-max,
-    # cmd_sweep sets d_max from the data's scenario
-    spec = default_close_spec() if args.split == "distance-close" else default_far_spec()
+    # the split's defaults where no flag is given; without --d-max, cmd_sweep
+    # sets d_max from the data's scenario
+    rule = DistanceClose if args.split == "distance-close" else DistanceFar
     given = {"d_max": args.d_max, "d_min": args.d_min, "delta_grid": args.delta_grid}
     try:
-        return dataclasses.replace(spec, **{k: v for k, v in given.items() if v is not None})
+        return rule(**{k: v for k, v in given.items() if v is not None})
     except SweepError as exc:  # malformed grid or cutoff is a config problem
         raise ConfigError(str(exc)) from exc
 
@@ -603,7 +603,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             return args.func(args)
         except tuple(_EXIT_CODES) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # one line, even where the message quotes a newline of the input
+            print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)
             return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 

@@ -202,8 +202,7 @@ class Dataset:
     def moments(self):  # the one-point fitters.Moments record of the design
         from .fitters import Moments
         columns = self.design.variables  # first: an empty dataset's error
-        frequencies, counts = zip(*self.freq_summary)
-        return Moments.of(columns, frequencies, [counts])
+        return Moments.of(columns, self.frequency, self.frequencies)
 
     @property
     def frequencies(self) -> tuple[float, ...]:

@@ -131,12 +131,12 @@ class Moments:
     d_high: np.ndarray
 
     @classmethod
-    def of(cls, columns: np.ndarray, frequencies, counts,
+    def of(cls, columns: np.ndarray, frequency, frequencies,
            starts: list[int] = (0,)) -> "Moments":
         """The stack of the samples ``columns[:, s:]`` (rows VARIABLES) for
         each s of the increasing ``starts``, each below the sample count;
-        ``counts[k]`` counts the samples of shell k (from ``starts[k]`` to the
-        next start) at each of ``frequencies``.
+        ``frequency`` holds each sample's frequency, one of the ascending
+        ``frequencies``, aligned with ``columns``.
 
         The records are built from the last shell back by the pairwise update
         of Chan, Golub & LeVeque (Am. Statistician 37(3), 1983), which stays
@@ -147,6 +147,10 @@ class Moments:
         empty shell of a repeated start repeats the record of the next shell.
         """
         bounds, records = [*starts, columns.shape[1]], []
+        frequencies = np.asarray(frequencies, dtype=float)
+        code = np.searchsorted(frequencies, frequency)
+        counts = [np.bincount(code[lo:hi], minlength=frequencies.size)
+                  for lo, hi in zip(bounds, bounds[1:])]
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             if hi == lo:
                 records.append(records[-1])
@@ -167,7 +171,7 @@ class Moments:
         # the extreme D of each suffix from its shells' (an empty one reads the next's first)
         low, high = (extreme.accumulate(extreme.reduceat(columns[1], starts)[::-1])[::-1]
                      for extreme in (np.minimum, np.maximum))
-        return cls(n, mean, comoment, np.asarray(frequencies, dtype=float),
+        return cls(n, mean, comoment, frequencies,
                    np.cumsum(np.asarray(counts)[::-1], axis=0)[::-1], low, high)
 
     def take(self, index) -> "Moments":
@@ -353,9 +357,10 @@ def _solve_cif(m: Moments, f0, d0_bounds, errors: list,
         # At f0 = +-inf the zero-n check has failed the point already.
         lost, i = np.zeros(len(m), dtype=bool), np.flatnonzero(np.isfinite(f0))
         f_top, scale = (m.frequencies * (m.counts[i] > 0)).max(axis=1), np.abs(f0[i])
-        lost[i] = (np.abs(n[i] * (1.0 - b[i]) - a[i]) * scale
-                   + np.abs(n[i] * b[i] - g_f0[i]) * f_top
-                   > SINGULARITY_RTOL * (np.abs(a[i]) + np.abs(g[i]) * f_top) * scale)
+        with np.errstate(over="ignore"):  # a loss times a huge f0 is inf: lost
+            lost[i] = (np.abs(n[i] * (1.0 - b[i]) - a[i]) * scale
+                       + np.abs(n[i] * b[i] - g_f0[i]) * f_top
+                       > SINGULARITY_RTOL * (np.abs(a[i]) + np.abs(g[i]) * f_top) * scale)
         _fail(errors, lost, FitError(
             "fit_cif: f0 too far from the data to write (a, g) as (n, b)"))
         flags = [()] * len(m)

@@ -372,8 +372,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
     d_lo, d_hi = spec.distance_range
     counts = [count for _, count in spec.frequencies]
     try:
-        sample = np.arange(sum(counts))
-    except (MemoryError, ValueError) as exc:  # more samples than memory or numpy can index
+        sample = np.arange(sum(counts))  # empty, not an error, for some counts past 2**63
+        frequency = np.repeat([freq for freq, _ in spec.frequencies], counts)
+    except (MemoryError, ValueError, OverflowError) as exc:  # more than memory or numpy holds
         raise IngestError(f"bad synthetic spec: {sum(counts)} samples: {exc}") from None
     u_dist = counter_uniforms(spec.seed, 2 * sample)
     u_shad = counter_uniforms(spec.seed, 2 * sample + 1)
@@ -384,10 +385,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     with np.errstate(over="ignore"):  # a DomainError below instead
         noise = spec.sigma * np.fromiter(map(_normal_dist_inv_cdf, u_shad.tolist(), repeat(0.0),
                                              repeat(1.0)), dtype=np.float64, count=u_shad.size)
-        mean = [evaluate(spec.truth, freq, part) for (freq, _), part
-                in zip(spec.frequencies, np.split(distance, np.cumsum(counts)[:-1]))]
-        path_loss = np.concatenate(mean) + noise
-    frequency = np.repeat([freq for freq, _ in spec.frequencies], counts)
+        path_loss = evaluate(spec.truth, frequency, distance) + noise
     return Dataset.from_columns(frequency, distance, path_loss,
                                 labels=((spec.scenario, spec.environment, spec.campaign),))
 

@@ -49,6 +49,18 @@ class SweepError(ValueError):
     """A sweep or prediction score could not be produced."""
 
 
+def steps(stop: float, step: float = 50.0) -> tuple[float, ...]:
+    """Inclusive arithmetic grid 0, step, 2*step, ... up to stop."""
+    if step <= 0:
+        raise SweepError("step must be positive")
+    out = []
+    k = 0
+    while (value := k * step) <= stop + 1e-9:
+        out.append(value)
+        k += 1
+    return tuple(out)
+
+
 class _DistanceSplit:
     """The rule of both distance splits: with key = sign*distance and limit =
     sign*cutoff (sign +1 close-in, -1 far), the prediction set is key <= limit
@@ -83,8 +95,8 @@ class _DistanceSplit:
 class DistanceClose(_DistanceSplit):
     """Prediction set d <= d_max; measurement set d > d_max + delta."""
 
-    d_max: float
-    delta_grid: tuple[float, ...]
+    d_max: float = DEFAULT_D_MAX["UMa"]
+    delta_grid: tuple[float, ...] = steps(600.0)
 
     kind = "distance_close"
     sign = 1.0
@@ -94,8 +106,8 @@ class DistanceClose(_DistanceSplit):
 class DistanceFar(_DistanceSplit):
     """Prediction set d >= d_min; measurement set d < d_min - delta."""
 
-    d_min: float
-    delta_grid: tuple[float, ...]
+    d_min: float = DEFAULT_D_MIN
+    delta_grid: tuple[float, ...] = steps(400.0)
 
     kind = "distance_far"
     sign = -1.0
@@ -122,26 +134,6 @@ class FrequencyLOO:
 
 
 SplitSpec = Union[DistanceClose, DistanceFar, FrequencyLOO]
-
-
-def steps(stop: float, step: float = 50.0) -> tuple[float, ...]:
-    """Inclusive arithmetic grid 0, step, 2*step, ... up to stop."""
-    if step <= 0:
-        raise SweepError("step must be positive")
-    out = []
-    k = 0
-    while (value := k * step) <= stop + 1e-9:
-        out.append(value)
-        k += 1
-    return tuple(out)
-
-
-def default_close_spec() -> DistanceClose:
-    return DistanceClose(DEFAULT_D_MAX["UMa"], steps(600.0))
-
-
-def default_far_spec() -> DistanceFar:
-    return DistanceFar(DEFAULT_D_MIN, steps(400.0))
 
 
 def split(ds: Dataset, spec: SplitSpec, point: float) -> tuple[Dataset, Dataset]:
@@ -324,13 +316,9 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     fits, sigma = [], np.empty((active, len(models), 2))
     if active:
         columns = RegressionDesign.from_dataset(ds).variables[:, order]  # sorted: not cached
-        frequencies = np.array(ds.frequencies)
-        frequency = np.searchsorted(frequencies, ds.frequency[order])
-        bounds = [0, n_pred, *starts[:active], n]
-        counts = [np.bincount(frequency[lo:hi], minlength=frequencies.size)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        prediction = Moments.of(columns[:, :n_pred], frequencies, counts[:1])
-        measurement = Moments.of(columns, frequencies, counts[2:], starts[:active])
+        frequency, frequencies = ds.frequency[order], ds.frequencies
+        prediction = Moments.of(columns[:, :n_pred], frequency[:n_pred], frequencies)
+        measurement = Moments.of(columns, frequency, frequencies, starts[:active])
         nearest = order[0] if sign > 0 else order[n_pred - 1]  # smallest prediction d
         near_d, below_d0 = ds.distance[nearest], MODEL_KINDS["ci_opt"].below_d0
         for j, kind in enumerate(models):

@@ -290,6 +290,12 @@ class TestValueTypes:
                        CIFParams(2.9, -0.002, 12.0)):
             assert params_from_dict(params_to_dict(params)) == params
 
+    @pytest.mark.parametrize("value", [True, "2.9"])
+    def test_params_from_dict_rejects_a_bool_or_str_value(self, value):
+        # a library caller's dict is not checked by a spec's truth first
+        with pytest.raises(DomainError, match="n must be a number"):
+            params_from_dict({"kind": "ci", "n": value})
+
     def test_fit_report_requires_consistent_sigma(self):
         report = FitReport.from_residuals(CIParams(2.0), [1.0, -1.0, 1.0])
         assert report.sigma == pytest.approx(1.0)

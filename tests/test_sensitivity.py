@@ -23,8 +23,6 @@ from pathlossfit import (
 from pathlossfit.fitters import FLAG_ABG_AS_AB, FLAG_CIF_SINGLE_FREQUENCY
 from pathlossfit.sensitivity import (
     DEFAULT_D_MAX,
-    default_close_spec,
-    default_far_spec,
     steps,
 )
 from conftest import make_dataset
@@ -85,14 +83,14 @@ class TestDefaults:
         assert DEFAULT_D_MAX == {"UMa": 200.0, "UMiSC": 50.0, "InHOffice": 15.0}
 
     def test_uma_close_spec(self):
-        spec = default_close_spec()
+        spec = DistanceClose()
         assert spec.d_max == 200.0
         assert spec.delta_grid == steps(600.0, 50.0)
         assert spec.delta_grid[0] == 0.0 and spec.delta_grid[-1] == 600.0
         assert len(spec.delta_grid) == 13
 
     def test_far_spec(self):
-        spec = default_far_spec()
+        spec = DistanceFar()
         assert spec.d_min == 600.0
         assert spec.delta_grid == steps(400.0, 50.0)
 

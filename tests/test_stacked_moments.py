@@ -65,8 +65,7 @@ def record(rng, distances: str, frequencies: tuple, loss: str, size: int) -> Mom
                         "offset_down": (3.5, -40.0)}[loss]
         pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + shift + rng.standard_normal(size)
     columns = RegressionDesign.from_dataset(Dataset.from_columns(f, d, pl)).variables
-    counts = np.bincount(np.searchsorted(TABLE, f), minlength=TABLE.size)
-    return Moments.of(columns, TABLE, [counts])
+    return Moments.of(columns, f, TABLE)
 
 
 def stacked(records: list[Moments]) -> Moments:
@@ -243,7 +242,8 @@ def test_least_squares_calls_do_not_grow_with_the_points(monkeypatch, uma_synthe
 @st.composite
 def suffixes(draw):
     """Random (6, n) columns, each row offset and scaled, nondecreasing
-    starts below n (repeats likely), and each shell's frequency counts."""
+    starts below n (repeats likely), each shell's frequency counts, and
+    each sample's frequency."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 40))
     offset = rng.choice([0.0, 1.0, -50.0, 1e3], (6, 1))
@@ -254,14 +254,14 @@ def suffixes(draw):
     bounds = [*starts, n]
     counts = np.array([np.bincount(frequency[lo:hi], minlength=TABLE.size)
                        for lo, hi in zip(bounds, bounds[1:])])
-    return columns, starts, counts
+    return columns, starts, counts, TABLE[frequency]
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=suffixes())
 def test_each_record_holds_the_moments_of_its_suffix(case):
-    columns, starts, counts = case
-    m = Moments.of(columns, TABLE, counts, starts)
+    columns, starts, counts, frequency = case
+    m = Moments.of(columns, frequency, TABLE, starts)
     assert len(m) == len(starts) and m.frequencies.tolist() == TABLE.tolist()
     for i, s in enumerate(starts):
         suffix = columns[:, s:]

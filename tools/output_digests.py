@@ -21,8 +21,10 @@ frequency hold-out and its CI-opt fit with d0 in [5, 50] m reach the text
 ``CI model with d0=... m is defined for d >= d0``: as the skip reason of the
 sweep points whose fitted d0 lies above their nearest prediction distance
 (or on stderr, exit 3, where that skips every point), and as the blanks below
-d0 in the CI-opt curve. ``raw.csv`` is also copied to the non-ASCII name
-``ACCENTED`` and to the name ``NON_UTF8``, whose bytes are not UTF-8; one fit
+d0 in the CI-opt curve. ``short-close-no-ci-opt`` is that close sweep
+without CI-opt, the reference of the other four models' outputs there.
+``raw.csv`` is also copied to the non-ASCII name ``ACCENTED`` and to the
+name ``NON_UTF8``, whose bytes are not UTF-8; one fit
 and one sweep read each. Their reports' ``input.path`` needs json's escapes:
 ``\\u00e9`` for the accented name, which the JSON writer adds to its one
 orjson dump, and ``\\udce9`` for the lone surrogate that the other name
@@ -127,6 +129,9 @@ COMMANDS = (
     ("generate", "--spec", "short.json", "--out", "short.csv"),
     ("sweep", "--input", "short.csv", "--out-dir", "short-close", *ALL_MODELS,
      "--split", "distance-close", "--no-binning", "--delta-grid", "0,5,10,20,40"),
+    ("sweep", "--input", "short.csv", "--out-dir", "short-close-no-ci-opt",
+     "--models", "abg,ab,ci,cif", "--split", "distance-close", "--no-binning",
+     "--delta-grid", "0,5,10,20,40"),
     ("sweep", "--input", "short.csv", "--out-dir", "short-loo", *ALL_MODELS,
      "--split", "frequency-loo", "--no-binning"),
     ("fit", "--input", "short.csv", "--out-dir", "short-fit", *ALL_MODELS,
