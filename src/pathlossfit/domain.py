@@ -194,15 +194,15 @@ class Dataset:
         return tuple(zip(values.tolist(), counts.tolist()))
 
     @cached_property
-    def design(self):  # a fitters.RegressionDesign (fitters imports this module)
+    def design(self):  # the (6, n) fitters design array (fitters imports this module)
         from .fitters import RegressionDesign
         return RegressionDesign.from_dataset(self)
 
     @cached_property
     def moments(self):  # the one-point fitters.Moments record of the design
         from .fitters import Moments
-        columns = self.design.variables  # first: an empty dataset's error
-        return Moments.of(columns, self.frequency, self.frequencies)
+        # the design goes first: an empty dataset raises its error
+        return Moments.of(self.design, self.frequency, self.frequencies)
 
     @property
     def frequencies(self) -> tuple[float, ...]:

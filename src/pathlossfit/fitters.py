@@ -79,36 +79,22 @@ VARIABLES = ("one", "D", "F", "G", "A", "B")
 _ONE, _D, _F, _G, _A, _B = np.eye(len(VARIABLES))
 
 
-@dataclass(frozen=True, eq=False)
 class RegressionDesign:
-    """Per-sample regression variables shared by all fitters: the (6, n)
-    array ``variables``, one row per VARIABLES entry and one column per
-    sample, and the frequency ``f`` in GHz. D, F, A and B are its rows, named
-    for the tests and the acceptance gate:
-
-    A: excess loss over free space at 1 m, path_loss - FSPL(f, 1 m), dB
-    B: total path loss, dB
-    D: 10*log10(distance), nonnegative since d >= 1 m
-    F: 10*log10(frequency)
-    """
-
-    variables: np.ndarray
-    f: np.ndarray
+    """The home of :meth:`from_dataset`, under a name that the bench traces."""
 
     @classmethod
-    def from_dataset(cls, ds: Dataset) -> "RegressionDesign":
-        """The design of ``ds``, under a name that the bench traces."""
+    def from_dataset(cls, ds: Dataset) -> np.ndarray:
+        """The regression variables of ``ds`` shared by all fitters: a (6, n)
+        float64 array, one row per VARIABLES entry and one column per sample.
+        D = 10*log10(distance), nonnegative since d >= 1 m; F =
+        10*log10(frequency); A = path_loss - FSPL(f, 1 m) and B = path_loss,
+        both in dB."""
         if len(ds) == 0:
             raise DegenerateDesignError("cannot fit an empty dataset")
         f, d, pl = ds.arrays()
         A = pl - fspl(f, 1.0)  # first: its DomainError, not an overflow warning from D * f
         D = 10.0 * np.log10(d)
-        return cls(np.stack((np.ones(len(ds)), D, 10.0 * np.log10(f), D * f, A, pl)), f)
-
-    D = property(lambda self: self.variables[1])
-    F = property(lambda self: self.variables[2])
-    A = property(lambda self: self.variables[4])
-    B = property(lambda self: self.variables[5])
+        return np.stack((np.ones(len(ds)), D, 10.0 * np.log10(f), D * f, A, pl))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +406,7 @@ def _fit(ds: Dataset, kind: str, f0="auto", d0_bounds=D0_BOUNDS_DEFAULT, *args) 
     """Fit ``ds`` as a stack of one, its record; the residuals come from its
     regression columns. Both are built once per dataset."""
     params, flags = (fit := _solve(ds.moments, kind, [f0], d0_bounds, *args)).result()
-    return FitReport.from_residuals(params, fit.forms[0] @ ds.design.variables, flags)
+    return FitReport.from_residuals(params, fit.forms[0] @ ds.design, flags)
 
 
 def fit_ci(ds: Dataset) -> FitReport:

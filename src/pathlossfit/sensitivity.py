@@ -315,7 +315,7 @@ def _moment_points(ds: Dataset, spec: _DistanceSplit, models, f0, d0_bounds) -> 
     active = reasons.count(None)  # the measurement sets shrink: the nonempty ones are a prefix
     fits, sigma = [], np.empty((active, len(models), 2))
     if active:
-        columns = RegressionDesign.from_dataset(ds).variables[:, order]  # sorted: not cached
+        columns = RegressionDesign.from_dataset(ds)[:, order]  # sorted: not cached
         frequency, frequencies = ds.frequency[order], ds.frequencies
         prediction = Moments.of(columns[:, :n_pred], frequency[:n_pred], frequencies)
         measurement = Moments.of(columns, frequency, frequencies, starts[:active])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pathlossfit import (
     SyntheticSpec,
     generate,
 )
+from pathlossfit.fitters import VARIABLES, RegressionDesign
 
 
 # Malformed values of one top-level field of a synthetic spec's JSON form:
@@ -32,6 +34,12 @@ BAD_SPEC_FIELDS = [
 def make_dataset(rows) -> Dataset:
     """Build a dataset from (frequency, distance, path_loss) triples."""
     return Dataset.from_columns(*np.array(list(rows), dtype=float).reshape(-1, 3).T)
+
+
+def design_rows(ds: Dataset) -> SimpleNamespace:
+    """The rows of ``ds``'s design by their VARIABLES names, and its frequencies as ``f``."""
+    rows = dict(zip(VARIABLES, RegressionDesign.from_dataset(ds)))
+    return SimpleNamespace(f=ds.frequency, **rows)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from pathlossfit import (
     CIOptParams,
     CIParams,
     Dataset,
-    RegressionDesign,
     SyntheticSpec,
     counter_uniforms,
     fit_ab,
@@ -37,6 +36,7 @@ from pathlossfit.fitters import FLAG_D0_UNIDENTIFIABLE
 from pathlossfit.ingest import spec_to_dict
 from pathlossfit.oracle import ci_slope_lstsq, oracle_fit
 from pathlossfit.sensitivity import DistanceClose, steps
+from conftest import design_rows
 
 
 def _check(num: int, description: str, ok: bool) -> None:
@@ -92,7 +92,7 @@ def _close(fitted, oracle, tol: float) -> bool:
     return abs(fitted - oracle) <= tol * max(1.0, abs(oracle))
 
 
-def _sigma_at_d0(design: RegressionDesign, d0: float) -> float:
+def _sigma_at_d0(design, d0: float) -> float:
     b10 = 10.0 * math.log10(d0)
     d_shift = design.D - b10
     a_shift = design.A - 2.0 * b10
@@ -125,7 +125,7 @@ def test_criterion_1_oracle_equivalence():
         fitted_opt = fit_ci_opt(ds)
         grid = oracle_fit(ds, "ci_opt", d0_grid=(0.1, 50.0, 0.01))
         ok &= fitted_opt.sigma <= grid.sigma + 1e-9
-        design = RegressionDesign.from_dataset(ds)
+        design = design_rows(ds)
         cell = max(_sigma_at_d0(design, max(0.1, grid.params.d0 - 0.01)),
                    _sigma_at_d0(design, min(50.0, grid.params.d0 + 0.01))) - grid.sigma
         gap = grid.sigma - fitted_opt.sigma

@@ -41,10 +41,11 @@ from pathlossfit.fitters import (
     FLAG_ABG_AS_AB,
     FLAG_CIF_SINGLE_FREQUENCY,
     FLAG_D0_UNIDENTIFIABLE,
+    VARIABLES,
     fit_with_reversion,
 )
 from pathlossfit.oracle import oracle_fit
-from conftest import assert_params_close, make_dataset
+from conftest import assert_params_close, design_rows, make_dataset
 
 
 def noiseless(truth, frequencies, seed=7, n_per=25, d_range=(5.0, 800.0)) -> Dataset:
@@ -259,12 +260,25 @@ class TestFitCif:
             fit_cif(uma_synthetic, f0=f0)
 
 
+def test_the_design_is_one_float64_row_per_variable(noisy_multifreq):
+    # the bench wraps from_dataset as a classmethod of its class
+    assert isinstance(vars(RegressionDesign)["from_dataset"], classmethod)
+    design = RegressionDesign.from_dataset(noisy_multifreq)
+    assert type(design) is np.ndarray and design.dtype == np.float64
+    assert design.shape == (6, len(noisy_multifreq))
+    f, d, pl = noisy_multifreq.arrays()
+    D = 10.0 * np.log10(d)
+    rows = (np.ones(len(d)), D, 10.0 * np.log10(f), D * f, pl - fspl(f, 1.0), pl)
+    for name, got, want in zip(VARIABLES, design, rows, strict=True):
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestNormalEquationStationarity:
     """Substituting the fitted parameters back into the normal equations
     leaves residual magnitudes below 1e-6 * N."""
 
     def test_abg(self, noisy_multifreq):
-        design = RegressionDesign.from_dataset(noisy_multifreq)
+        design = design_rows(noisy_multifreq)
         p = fit_abg(noisy_multifreq).params
         chi = design.B - p.alpha * design.D - p.beta - p.gamma * design.F
         tol = 1e-6 * design.f.size
@@ -273,12 +287,12 @@ class TestNormalEquationStationarity:
         assert abs(float(np.dot(design.F, chi))) <= tol
 
     def test_ci(self, noisy_multifreq):
-        design = RegressionDesign.from_dataset(noisy_multifreq)
+        design = design_rows(noisy_multifreq)
         n = fit_ci(noisy_multifreq).params.n
         assert abs(float(np.dot(design.D, design.A - n * design.D))) <= 1e-6 * design.f.size
 
     def test_cif(self, noisy_multifreq):
-        design = RegressionDesign.from_dataset(noisy_multifreq)
+        design = design_rows(noisy_multifreq)
         p = fit_cif(noisy_multifreq).params
         # back out the slope pair from (n, b, f0)
         a = p.n * (1.0 - p.b)
@@ -358,7 +372,7 @@ class TestOffsetEquivariance:
 
     @pytest.mark.parametrize("shift", [-7.5, 3.25, 12.0])
     def test_ci_shift_is_predictable(self, noisy_multifreq, shift):
-        design = RegressionDesign.from_dataset(noisy_multifreq)
+        design = design_rows(noisy_multifreq)
         expected_delta = shift * float(design.D.sum()) / float(np.dot(design.D, design.D))
         base = fit_ci(noisy_multifreq)
         f, d, pl = noisy_multifreq.arrays()

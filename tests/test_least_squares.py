@@ -28,8 +28,8 @@ from pathlossfit import (
     split,
 )
 from pathlossfit import oracle
-from pathlossfit.fitters import RegressionDesign
 from pathlossfit.oracle import oracle_fit
+from conftest import design_rows
 
 UMA_COUNTS = ((2.0, 583), (10.0, 581), (18.0, 468), (28.0, 225), (38.0, 12))
 
@@ -40,7 +40,7 @@ def lstsq(columns, y) -> np.ndarray:
 
 def reference_fits(ds: Dataset, f0: float) -> dict[str, tuple[float, ...]]:
     """Each linear fit's parameters, solved by SVD on its design matrix."""
-    x = RegressionDesign.from_dataset(ds)
+    x = design_rows(ds)
     one = np.ones(x.f.size)
     alpha, beta, gamma = lstsq([x.D, one, x.F], x.B)
     ab_alpha, ab_beta = lstsq([x.D, one], x.B - 2.0 * x.F)

@@ -64,7 +64,7 @@ def record(rng, distances: str, frequencies: tuple, loss: str, size: int) -> Mom
         slope, shift = {"ci": (rng.uniform(2.2, 4.0), 0.0), "offset_up": (3.5, 40.0),
                         "offset_down": (3.5, -40.0)}[loss]
         pl = fspl(f, 1.0) + 10.0 * slope * np.log10(d) + shift + rng.standard_normal(size)
-    columns = RegressionDesign.from_dataset(Dataset.from_columns(f, d, pl)).variables
+    columns = RegressionDesign.from_dataset(Dataset.from_columns(f, d, pl))
     return Moments.of(columns, f, TABLE)
 
 

@@ -32,7 +32,7 @@ from pathlossfit import fitters, sensitivity
 from pathlossfit.domain import auto_f0
 from pathlossfit.fitters import FITTER_KINDS, RegressionDesign
 from pathlossfit.sensitivity import steps
-from conftest import make_dataset
+from conftest import design_rows, make_dataset
 
 RTOL = 1e-9
 WELL_CONDITIONED = 1e-6  # relative determinant of a model's 2x2 system
@@ -68,7 +68,7 @@ def relative_determinant(measurement, kind) -> float:
     (centred D, F for ABG; raw D, D*f for CIF); 1 for the one-column fits."""
     if len(measurement.freq_summary) < 2 or kind not in ("abg", "cif"):
         return 1.0
-    x = RegressionDesign.from_dataset(measurement)
+    x = design_rows(measurement)
     if kind == "abg":
         u, v = x.D - x.D.mean(), x.F - x.F.mean()
     else:
