@@ -119,7 +119,7 @@ class Dataset:
 
     ``freq_summary`` lists each unique frequency once, ascending, with its
     sample count; the counts always sum to ``len(dataset)``. Every fit of the
-    dataset shares its ``design`` and ``moments``, each built on first use.
+    dataset shares its read-only ``design`` and ``moments``, each built on first use.
     A dataset is a value: ``==`` compares samples and :meth:`row_labels`.
     """
 
@@ -194,9 +194,10 @@ class Dataset:
         return tuple(zip(values.tolist(), counts.tolist()))
 
     @cached_property
-    def design(self):  # the (6, n) fitters design array (fitters imports this module)
+    def design(self):  # the read-only (6, n) fitters design (fitters imports this module)
         from .fitters import RegressionDesign
-        return RegressionDesign.from_dataset(self)
+        (design := RegressionDesign.from_dataset(self)).setflags(write=False)
+        return design
 
     @cached_property
     def moments(self):  # the one-point fitters.Moments record of the design

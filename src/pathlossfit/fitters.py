@@ -127,16 +127,14 @@ class Moments:
         The records are built from the last shell back by the pairwise update
         of Chan, Golub & LeVeque (Am. Statistician 37(3), 1983), which stays
         accurate however thin either part is: each shell is centred about its
-        own means and folded into the running tail record; the tail mean moves
-        towards the shell's by the shell's share of the samples, and the
-        co-moments add the shell's and then the update term, in that order. The
-        empty shell of a repeated start repeats the record of the next shell.
+        own means and merged into the running tail record; the tail mean moves
+        towards the shell's by its share of the samples, the co-moments add the
+        shell's and then the update term, in that order, the counts add and the
+        D extremes take min and max. A repeated start repeats the next record.
         """
         bounds, records = [*starts, columns.shape[1]], []
         frequencies = np.asarray(frequencies, dtype=float)
         code = np.searchsorted(frequencies, frequency)
-        counts = [np.bincount(code[lo:hi], minlength=frequencies.size)
-                  for lo, hi in zip(bounds, bounds[1:])]
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             if hi == lo:
                 records.append(records[-1])
@@ -145,20 +143,19 @@ class Moments:
             mean = shell.sum(axis=1) / size
             centred = shell - mean[:, None]
             comoment = centred @ centred.T
+            counts = np.bincount(code[lo:hi], minlength=frequencies.size)
+            low, high = shell[1].min(), shell[1].max()
             if records:
-                tail, tail_mean, tail_comoment = records[-1]
+                tail, tail_mean, tail_comoment, tail_counts, tail_low, tail_high = records[-1]
                 delta = mean - tail_mean
                 comoment = (tail_comoment + comoment  # delta times delta: np.outer's product
                             + delta[:, None] * delta * (tail * size / (tail + size)))
                 mean = tail_mean + delta * (size / (tail + size))
-                size += tail
-            records.append((size, mean, comoment))
-        n, mean, comoment = map(np.array, zip(*records[::-1]))
-        # the extreme D of each suffix from its shells' (an empty one reads the next's first)
-        low, high = (extreme.accumulate(extreme.reduceat(columns[1], starts)[::-1])[::-1]
-                     for extreme in (np.minimum, np.maximum))
-        return cls(n, mean, comoment, frequencies,
-                   np.cumsum(np.asarray(counts)[::-1], axis=0)[::-1], low, high)
+                size, counts = size + tail, counts + tail_counts
+                low, high = min(low, tail_low), max(high, tail_high)
+            records.append((size, mean, comoment, counts, low, high))
+        n, mean, comoment, counts, low, high = map(np.array, zip(*records[::-1]))
+        return cls(n, mean, comoment, frequencies, counts, low, high)
 
     def take(self, index) -> "Moments":
         """The stack of the points ``index``, in that order."""
@@ -528,6 +525,7 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
     the single-frequency conventions of its own frequencies. Those depend only
     on whether a point holds one frequency, so the multi-frequency points and
     the single-frequency points are each solved as one stack."""
+    plain = _reverted(kind, None, f0)  # first: an unknown kind is fit_with_reversion's error
     single = _single_frequency(m)
     lowest = m.frequencies[(m.counts > 0).argmax(axis=1)].tolist()
     out = StackedFit([kind] * len(m), np.empty((len(m), len(MODEL_KINDS[kind].value_names))),
@@ -535,13 +533,9 @@ def fit_stack(m: Moments, kind: str, *, f0: float | str = "auto",
     for index in (np.flatnonzero(~single), np.flatnonzero(single)):
         if index.size:  # the multi-frequency points share one convention
             reverted = ([_reverted(kind, lowest[i], f0) for i in index.tolist()] if single[index[0]]
-                        else [_reverted(kind, None, f0)] * index.size)
+                        else [plain] * index.size)
             fit_kind, _, flag = reverted[0]
-            whole = index.size == len(m)
-            fit = _solve(m if whole else m.take(index), fit_kind, [r[1] for r in reverted],
-                         d0_bounds)
-            if whole and not flag:  # one part, with nothing to add: the fit as solved
-                return fit
+            fit = _solve(m.take(index), fit_kind, [r[1] for r in reverted], d0_bounds)
             out.values[index], out.forms[index] = fit.values, fit.forms
             for j, i in enumerate(index.tolist()):
                 out.kinds[i], out.flags[i], out.errors[i] = (

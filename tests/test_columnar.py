@@ -199,6 +199,14 @@ class TestReadOnly:
         with pytest.raises(ValueError):
             report.residuals[0] = 0.0
 
+    def test_the_design_is_read_only(self, noisy_multifreq):
+        ds, fresh = (Dataset.from_columns(*noisy_multifreq.arrays()) for _ in range(2))
+        with pytest.raises(ValueError):
+            ds.design[4, 0] += 100.0
+        got, want = fit_with_reversion(ds, "abg"), fit_with_reversion(fresh, "abg")
+        assert (repr(got.params), got.sigma) == (repr(want.params), want.sigma)
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
     def test_columns_are_copied_in(self):
         f = np.array([28.0, 28.0])
         ds = Dataset.from_columns(f, [10.0, 20.0], [100.0, 110.0])

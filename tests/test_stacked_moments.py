@@ -26,6 +26,7 @@ from pathlossfit.fitters import (
     FLAG_D0_CLAMPED_LOW,
     FLAG_D0_UNIDENTIFIABLE,
     DegenerateDesignError,
+    FitError,
     Moments,
     RegressionDesign,
     SingularDesignError,
@@ -280,3 +281,11 @@ def test_each_record_holds_the_moments_of_its_suffix(case):
             for name in ("n", "mean", "comoment", "counts", "d_low", "d_high"):
                 row = getattr(m, name)
                 assert row[i].tobytes() == row[i - 1].tobytes(), name
+
+
+@pytest.mark.parametrize("points", [[0], []])
+def test_an_unknown_kind_is_fit_with_reversions_error(points):
+    m = record(np.random.default_rng(3), "spread", (2.0, 28.0), "ci", 20).take(points)
+    with pytest.raises(FitError) as raised:
+        fit_stack(m, "bogus")
+    assert str(raised.value) == f"unknown model kind 'bogus'; expected one of {FITTER_KINDS}"

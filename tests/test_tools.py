@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +68,14 @@ def test_the_tier_tool_times_every_layer_and_command_at_the_smallest_tier(tmp_pa
     assert [(t["factor"], t["samples"]) for t in committed["tiers"]] == [
         (1, 1869), (50, 93450), (535, 999915)]
     assert all(keys(t) == keys(tier) for t in committed["tiers"])
+
+
+def test_a_command_run_on_a_checkout_writes_no_bytecode_into_it(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from output_digests import in_subprocess
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    done = in_subprocess(src, tmp_path)(("fspl", "28", "100"))
+    assert done.returncode == 0, done.stderr
+    assert not list(src.rglob("__pycache__"))

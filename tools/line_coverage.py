@@ -34,7 +34,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import CodeType
 
-from output_digests import SEEDS, run_commands
+sys.dont_write_bytecode = True  # before the checkout is imported: its bytecode moves timings
+from output_digests import SEEDS, run_commands  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pathlossfit"

@@ -260,8 +260,9 @@ def short_spec(seed: int, factor: int) -> dict:
 
 def in_subprocess(src: Path, work: Path):
     """A runner of an argv as ``python3 -m pathlossfit`` in the directory
-    ``work`` with ``src`` first on the import path: it returns the completed run."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    ``work`` with ``src`` first on the import path: it returns the completed run.
+    It writes no bytecode into ``src``, which would move later timings of it."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     return lambda argv: subprocess.run([sys.executable, "-m", "pathlossfit", *argv],
                                        cwd=work, env=env, capture_output=True)
 

@@ -36,7 +36,9 @@ tell drift from change.
 from __future__ import annotations
 
 import os
+import sys
 
+sys.dont_write_bytecode = True  # before the checkout is imported: its bytecode moves timings
 # BLAS at one thread, as in the benchmark; set before numpy is imported
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_variable] = "1"
@@ -46,7 +48,6 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -156,6 +157,7 @@ def layer_work(factor: int, work: Path) -> tuple[int, dict]:
 def run_command(argv: tuple[str, ...], work: Path) -> tuple[float, float]:
     """cli.main's wall seconds and the process's peak MB for ``argv`` run in ``work``."""
     done = subprocess.run([sys.executable, "-c", CHILD, str(SRC), *argv], cwd=work,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, check=True)
     code, wall, peak_kib = json.loads(done.stdout.splitlines()[-1])
     if code != 0:
